@@ -6,23 +6,24 @@ them unbounded in z.
 """
 
 from monideal import GeneratorSet, artinianize, decompose_recursive
-from monideal.trie import build, dump, top_slices
+from monideal.trie import build, top_slices
 
 gens = [(4, 0, 0), (0, 4, 0), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
 g = GeneratorSet.from_vectors(3, gens, names=("x", "y", "z"))
 
-# The generators, drawn as a prefix tree: each root-to-leaf path reads the
-# exponents from z down to x.
+# The generators as a trie: their distinct exponent vectors in lex order,
+# which compares z first, then y, then x.
 t = build(3, g.gens)
-print("generator trie (labels from z down to x):")
-print(dump(t))
+print("generator trie (lex order, z compared first):")
+for v in t.vectors:
+    print(" ", v)
 
-# Slicing below the root groups the generators by their z-degree.  These are
-# the coefficient ideals the recursive engine works through.
-print("z-degrees and their coefficient vectors:")
+# Slicing on z groups the generators by their z-degree.  These are the
+# coefficient ideals the recursive engine works through; each slice keeps
+# its (x, y) vectors in lex order.
+print("\nz-degrees and their coefficient vectors:")
 for d, sub in top_slices(t):
-    from monideal.trie import paths
-    print(f"  z^{d}: {paths(sub)}")
+    print(f"  z^{d}: {list(sub.vectors)}")
 
 # The engine needs a power of every variable; the closure injects z^4 (one
 # more than the largest z-degree) and remembers that it did.

@@ -6,6 +6,8 @@ stay inside fixed envelopes in terms of the input and output sizes.
 """
 
 import math
+import os
+import tempfile
 
 from monideal import artinianize, gen_random, is_generic
 from monideal.bench import (distinct_degree_counts, measure, run_sweep,
@@ -38,5 +40,6 @@ for instance, ideal in sweep_ideals("generic-sweep"):
 # The same data lands in a CSV via run_sweep/write_csv (or the bench
 # subcommand of the command line tool).
 records = run_sweep("generic-sweep")
-write_csv(records, "/tmp/monideal_generic_sweep.csv")
-print(f"\nwrote {len(records)} records to /tmp/monideal_generic_sweep.csv")
+out = os.path.join(tempfile.gettempdir(), "monideal_generic_sweep.csv")
+write_csv(records, out)
+print(f"\nwrote {len(records)} records to {out}")

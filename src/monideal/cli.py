@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
-3 oracle budget exceeded.
+3 oracle budget exceeded.  ``decompose`` on a directory handles one file at
+a time; a failing file is reported by path, every other output is still
+written, and the exit code is the largest of the failing files' codes.
 """
 
 import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bench import run_sweep, write_csv
@@ -24,6 +25,13 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+_ERRORS = (FormatError, BudgetError, ValueError, OSError)
+
+
+def _exit_code(exc):
+    return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_USAGE
 
 
 def _jsonable(x):
@@ -75,13 +83,15 @@ def _cmd_decompose(args):
             return EXIT_USAGE
         dst = Path(args.output)
         dst.mkdir(parents=True, exist_ok=True)
-        inputs = sorted(src.glob("*.ideal"))
-        ideals = [(path, parse_ideal(path.read_text())) for path in inputs]
-        with ThreadPoolExecutor() as pool:
-            outputs = list(pool.map(lambda item: _decompose_one(item[1], args), ideals))
-        for path, text in zip(inputs, outputs):
-            (dst / (path.stem + ".components")).write_text(text)
-        return EXIT_OK
+        status = EXIT_OK
+        for path in sorted(src.glob("*.ideal")):
+            try:
+                text = _decompose_one(parse_ideal(path.read_text()), args)
+                (dst / (path.stem + ".components")).write_text(text)
+            except _ERRORS as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                status = max(status, _exit_code(exc))
+        return status
     g = parse_ideal(src.read_text())
     text = _decompose_one(g, args)
     if args.output is None:
@@ -178,15 +188,9 @@ def cli_main(argv=None):
         return EXIT_USAGE
     try:
         return args.func(args)
-    except FormatError as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 def main():

@@ -17,10 +17,6 @@ INF = math.inf
 MAX_EXPONENT = 2 ** 32
 
 
-def is_finite(e):
-    return e != INF
-
-
 def leq(a, b):
     """True iff ``a <= b`` componentwise, i.e. X^a divides X^b."""
     if len(a) != len(b):

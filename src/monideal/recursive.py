@@ -9,7 +9,7 @@ the chain links reaches the one-variable base case.
 """
 
 from .core import ComponentSet, INF, artinianize, deartinianize, minimalize
-from .trie import build, min_merge, paths, top_slices
+from .trie import build, min_merge, top_slices
 
 
 def decompose_bivariate(vectors):
@@ -54,48 +54,42 @@ def adjoin(vectors, d):
 def slice_chain(t, counter=None):
     """Degrees of the last variable and the accumulated slice tries.
 
-    ``tries[k]`` generates the ideal of all coefficient vectors of generators
-    whose last-variable degree is at most ``degrees[k]``; the chain is
-    strictly increasing.
+    Yields ``(d, link)`` pairs in increasing ``d``, lazily, so a caller that
+    walks the chain holds only the current link.  ``link`` generates the
+    ideal of all coefficient vectors of generators whose last-variable
+    degree is at most ``d``; the chain is strictly increasing.
     """
-    slices = top_slices(t)
-    degrees = [d for d, _ in slices]
-    tries = []
-    acc = slices[0][1]
-    tries.append(acc)
-    for _, tk in slices[1:]:
-        acc = min_merge(acc, tk, counter=counter)
-        tries.append(acc)
-    return degrees, tries
+    link = None
+    for d, tk in top_slices(t):
+        link = tk if link is None else min_merge(link, tk, counter=counter)
+        yield d, link
 
 
 def decompose_trie(t, counter=None):
     """Components of the ideal encoded by a minimal Artinian trie.
 
     Height one is the base case: a single pure power, whose degree is the
-    lone component.  Otherwise slice on the last variable, walk the
-    accumulated chain keeping only the current link, and emit the components
-    lost at each step tagged with the degree where they vanish.  INF labels
-    are allowed and flow through untouched.
+    lone component.  Otherwise walk the slice chain on the last variable and
+    emit the components lost at each step tagged with the degree where they
+    vanish.  INF labels are allowed and flow through untouched.
     """
-    ps = paths(t)
-    if not ps:
+    vs = t.vectors
+    if not vs:
         return [(INF,) * t.height]
-    if (0,) * t.height in ps:
+    if not any(vs[0]):  # the zero vector sorts first
         return []
     if t.height == 1:
-        return [(max(ch.label for ch in t.root.children),)]
+        return [vs[-1]]
 
-    slices = top_slices(t)
-    if slices[0][0] != 0:
+    chain = slice_chain(t, counter)
+    d, link = next(chain)
+    if d != 0:
         raise ValueError("no generator is free of the last variable; "
                          "the encoded ideal is not Artinian in the others")
-    prev = decompose_trie(slices[0][1], counter)
-    acc = slices[0][1]
+    prev = decompose_trie(link, counter)
     out = []
-    for d, tk in slices[1:]:
-        acc = min_merge(acc, tk, counter=counter)
-        cur = decompose_trie(acc, counter)
+    for d, link in chain:
+        cur = decompose_trie(link, counter)
         out.extend(adjoin(difference(prev, cur, counter), d))
         prev = cur
     assert len(out) == len(set(out)), "slice contributions must be disjoint"

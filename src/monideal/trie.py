@@ -1,116 +1,54 @@
-"""Prefix-tree encoding of exponent-vector sets.
+"""Lex-sorted tuple encoding of exponent-vector sets.
 
-A set of length-``n`` vectors is stored as a tree of height ``n`` whose
-root-to-leaf paths read the coordinates from position ``n-1`` down to
-position 0.  Sibling nodes are kept in increasing label order (INF last), so
-a depth-first walk enumerates the stored vectors in lex order.  Tries are
-immutable once built; all merge operations return new tries.
+A set of length-``n`` vectors is stored as a height ``n`` and the tuple of
+its distinct vectors sorted by ``lex_key``, which compares the last
+coordinate first.  That is the depth-first order of the prefix tree whose
+root-to-leaf paths read the coordinates from position ``n-1`` down to 0, so
+each tree operation is a plain operation on the tuple: the subtrees below
+the root are the runs of equal last coordinate, and a merge minimalizes
+the union.  Tries are immutable; all operations return new tries.
 """
 
+from dataclasses import dataclass
 from itertools import groupby
 
-from .core import maximalize, minimalize
+from .core import lex_key, minimalize
 
 
-class Node:
-    __slots__ = ("label", "children")
-
-    def __init__(self, label, children=()):
-        self.label = label
-        self.children = list(children)
-
-
+@dataclass(frozen=True)
 class Trie:
-    """Rooted tree of a fixed height; the root carries no label."""
+    """Distinct length-``height`` vectors, sorted by ``lex_key``."""
 
-    __slots__ = ("height", "root")
-
-    def __init__(self, height, root):
-        self.height = height
-        self.root = root
-
-    def __eq__(self, other):
-        if not isinstance(other, Trie):
-            return NotImplemented
-        return self.height == other.height and paths(self) == paths(other)
-
-    def __len__(self):
-        return len(paths(self))
-
-    def __repr__(self):
-        return f"Trie(height={self.height}, paths={len(self)})"
-
-
-def _forest(keys, height):
-    # keys are distinct, sorted, reversed vectors of length == height
-    if height == 0:
-        return []
-    nodes = []
-    for label, group in groupby(keys, key=lambda k: k[0]):
-        nodes.append(Node(label, _forest([k[1:] for k in group], height - 1)))
-    return nodes
+    height: int
+    vectors: tuple
 
 
 def build(n, vectors):
     """Trie containing exactly the distinct vectors of ``vectors``."""
-    keys = set()
+    distinct = set()
     for v in vectors:
         v = tuple(v)
         if len(v) != n:
             raise ValueError(f"vector {v} has length {len(v)}, expected {n}")
-        keys.add(tuple(reversed(v)))
-    return Trie(n, Node(None, _forest(sorted(keys), n)))
+        distinct.add(v)
+    return Trie(n, tuple(sorted(distinct, key=lex_key)))
 
 
 def paths(t):
     """The stored vectors, in lex order."""
-    out = []
-
-    def walk(node, depth, acc):
-        if depth == t.height:
-            out.append(tuple(reversed(acc)))
-            return
-        for ch in node.children:
-            acc.append(ch.label)
-            walk(ch, depth + 1, acc)
-            acc.pop()
-
-    walk(t.root, 0, [])
-    return out
-
-
-def _common_height(tries):
-    heights = {t.height for t in tries}
-    if len(heights) != 1:
-        raise ValueError(f"cannot merge tries of different heights: {sorted(heights)}")
-    return heights.pop()
-
-
-def merge(*tries):
-    """Union of the path sets, repetitions ignored, no reduction performed."""
-    h = _common_height(tries)
-    out = []
-    for t in tries:
-        out.extend(paths(t))
-    return build(h, out)
+    return list(t.vectors)
 
 
 def min_merge(*tries, counter=None):
-    """Union reduced to its minimal elements: generators of the ideal sum."""
-    h = _common_height(tries)
-    out = []
-    for t in tries:
-        out.extend(paths(t))
-    return build(h, minimalize(out, counter))
+    """Union reduced to its minimal elements: generators of the ideal sum.
 
-
-def max_merge(*tries, counter=None):
-    """Union reduced to its maximal elements: components of the intersection."""
-    h = _common_height(tries)
-    out = []
-    for t in tries:
-        out.extend(paths(t))
-    return build(h, maximalize(out, counter))
+    ``minimalize`` returns its result in lex order, so it is stored as is.
+    """
+    heights = {t.height for t in tries}
+    if len(heights) != 1:
+        raise ValueError(f"cannot merge tries of different heights: {sorted(heights)}")
+    union = [v for t in tries for v in t.vectors]
+    return Trie(heights.pop(), tuple(minimalize(union, counter)))
 
 
 def top_slices(t):
@@ -118,22 +56,9 @@ def top_slices(t):
 
     The labels are the distinct last coordinates of the stored vectors, in
     increasing order; each subtree holds the matching vectors with that
-    coordinate dropped.
+    coordinate dropped, still in lex order.
     """
     if t.height < 2:
         raise ValueError(f"cannot slice a trie of height {t.height}")
-    return [(ch.label, Trie(t.height - 1, Node(None, ch.children)))
-            for ch in t.root.children]
-
-
-def dump(t):
-    """Indented text rendering, one node per line, for golden tests."""
-    lines = []
-
-    def walk(node, depth):
-        for ch in node.children:
-            lines.append("  " * depth + str(ch.label))
-            walk(ch, depth + 1)
-
-    walk(t.root, 0)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return [(d, Trie(t.height - 1, tuple(v[:-1] for v in run)))
+            for d, run in groupby(t.vectors, key=lambda v: v[-1])]

@@ -199,6 +199,23 @@ class TestCli:
         for path in outs:
             parse_components(path.read_text())
 
+    def test_batch_directory_bad_file_keeps_good_outputs(self, tmp_path, capsys):
+        src_dir = tmp_path / "in"
+        src_dir.mkdir()
+        for i in (0, 2):
+            (src_dir / f"ideal{i}.ideal").write_text(emit_ideal(gen_random(3, 4, 5, seed=i)))
+        bad = src_dir / "ideal1.ideal"
+        bad.write_text(emit_ideal(gen_random(3, 4, 5, seed=1))[:-len("end\n")])
+        out_dir = tmp_path / "out"
+        assert cli_main(["decompose", str(src_dir), str(out_dir)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        outs = sorted(p.name for p in out_dir.glob("*.components"))
+        assert outs == ["ideal0.components", "ideal2.components"]
+        for i in (0, 2):
+            g = parse_ideal((src_dir / f"ideal{i}.ideal").read_text())
+            assert (out_dir / f"ideal{i}.components").read_text() == \
+                emit_components(decompose_incremental(g))
+
     def test_bench_subcommand(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert cli_main(["bench", "--suite", "nongeneric-sweep", "--out", str(out)]) == 0

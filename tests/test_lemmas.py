@@ -160,7 +160,7 @@ def test_slice_membership_reduction():
         art = artinianize(g)
         n = art.n
         t = build(n, art.gens)
-        degrees, tries = slice_chain(t)
+        degrees, tries = map(list, zip(*slice_chain(t)))
         box = staircase(art)
         link_boxes = []
         for trie_k in tries:

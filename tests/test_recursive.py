@@ -107,7 +107,7 @@ class TestSliceChain:
             g = random_ideal(rng, n_choices=(2, 3, 4), max_p=6)
             art = artinianize(g)
             t = build(art.n, art.gens)
-            degrees, tries = slice_chain(t)
+            degrees, tries = map(list, zip(*slice_chain(t)))
             assert degrees == sorted(degrees)
             assert degrees[0] == 0
             for a, b in zip(tries, tries[1:]):
@@ -125,7 +125,7 @@ class TestSliceChain:
             if n < 2:
                 continue
             t = build(n, art.gens)
-            degrees, tries = slice_chain(t)
+            degrees, tries = map(list, zip(*slice_chain(t)))
             box = staircase(art)
             link_boxes = []
             for trie_k in tries:

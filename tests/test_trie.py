@@ -1,10 +1,10 @@
-"""Prefix-tree structure and merge semantics."""
+"""Lex-sorted trie encoding, slices and merge semantics."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from monideal import INF, artinianize, lex_key, minimalize
-from monideal.trie import build, dump, max_merge, merge, min_merge, paths, top_slices
+from monideal import INF, artinianize, lex_key, maximalize, minimalize
+from monideal.trie import build, min_merge, paths, top_slices
 from conftest import SHOWCASE_GENS, showcase
 
 
@@ -17,18 +17,17 @@ def vector_lists():
 class TestBuildAndPaths:
     def test_showcase_structure(self):
         t = build(3, SHOWCASE_GENS)
-        assert len(t) == 5
-        assert [ch.label for ch in t.root.children] == [0, 2, 3]
+        assert len(t.vectors) == 5
+        assert [v[-1] for v in t.vectors] == [0, 0, 2, 2, 3]
 
     def test_empty(self):
         t = build(2, [])
         assert paths(t) == []
 
     def test_single_path_labels(self):
-        t = build(2, [(2, 3)])
-        child = t.root.children[0]
-        assert child.label == 3
-        assert child.children[0].label == 2
+        [(d, sub)] = top_slices(build(2, [(2, 3)]))
+        assert d == 3
+        assert sub.vectors == ((2,),)
 
     def test_paths_lex_sorted(self):
         t = build(3, SHOWCASE_GENS)
@@ -42,16 +41,17 @@ class TestBuildAndPaths:
     @given(vector_lists())
     def test_sibling_labels_strictly_increase(self, nvs):
         n, vs = nvs
-        t = build(n, vs)
 
-        def scan(node):
-            labels = [ch.label for ch in node.children]
+        def scan(t):
+            slices = top_slices(t) if t.height > 1 else [(v[0], None) for v in t.vectors]
+            labels = [d for d, _ in slices]
             assert labels == sorted(labels)
             assert len(set(labels)) == len(labels)
-            for ch in node.children:
-                scan(ch)
+            for _, sub in slices:
+                if sub is not None:
+                    scan(sub)
 
-        scan(t.root)
+        scan(build(n, vs))
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -62,15 +62,8 @@ class TestMerges:
     def test_merge_identity_and_idempotence(self):
         t = build(2, [(1, 0), (0, 1)])
         empty = build(2, [])
-        assert merge(t, empty) == t
-        assert merge(t, t) == t
-
-    def test_merge_disjoint(self):
-        assert len(merge(build(2, [(1, 0)]), build(2, [(0, 1)]))) == 2
-
-    def test_merge_no_reduction(self):
-        t = merge(build(2, [(1, 0)]), build(2, [(2, 0)]))
-        assert len(t) == 2  # the dominated path is kept
+        assert min_merge(t, empty) == t
+        assert min_merge(t, t) == t
 
     def test_min_merge_staircase_step(self):
         t0 = build(2, [(4, 0), (0, 4)])
@@ -85,20 +78,13 @@ class TestMerges:
         out = min_merge(build(3, [(4, 2, 2)]), build(3, [(3, 2, 2)]))
         assert paths(out) == [(3, 2, 2)]
 
-    def test_max_merge(self):
-        out = max_merge(build(3, [(4, 4, 2)]), build(3, [(4, 2, 2)]))
-        assert paths(out) == [(4, 4, 2)]
-        t = build(2, [(1, 2), (2, 1), (1, 1)])
-        assert set(paths(max_merge(t, build(2, [])))) == {(1, 2), (2, 1)}
-
     def test_published_components_are_antichain(self):
         comps = [(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)]
-        t = build(3, comps)
-        assert max_merge(t) == t
+        assert maximalize(comps) == sorted(comps, key=lex_key)
 
     def test_height_mismatch(self):
         with pytest.raises(ValueError):
-            merge(build(2, []), build(3, []))
+            min_merge(build(2, []), build(3, []))
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(
@@ -144,25 +130,3 @@ class TestSlices:
             rebuilt.extend(v + (d,) for v in paths(sub))
         assert sorted(rebuilt) == sorted(paths(t))
 
-
-class TestDump:
-    def test_showcase_golden(self):
-        expected = (
-            "0\n"
-            "  0\n"
-            "    4\n"
-            "  4\n"
-            "    0\n"
-            "2\n"
-            "  2\n"
-            "    3\n"
-            "  3\n"
-            "    1\n"
-            "3\n"
-            "  1\n"
-            "    2\n"
-        )
-        assert dump(build(3, SHOWCASE_GENS)) == expected
-
-    def test_empty_dump(self):
-        assert dump(build(2, [])) == ""
