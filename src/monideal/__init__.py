@@ -6,10 +6,9 @@ combinatorics; no polynomial arithmetic and no coefficient field anywhere.
 """
 
 from .core import (ArtinianizedIdeal, ComponentSet, GeneratorSet, INF,
-                   artinianize, deartinianize, decrement, ideal_intersection,
-                   ideal_sum, increment, is_generic, lcm_vector, leq, lex_cmp,
-                   lex_key, maximalize, minimalize, replace_coord,
-                   strictly_below)
+                   artinianize, deartinianize, ideal_intersection, ideal_sum,
+                   increment, is_generic, lcm_vector, leq, lex_key,
+                   maximalize, minimalize, replace_coord, strictly_below)
 from .counting import OpCounter
 from .files import (FormatError, emit_components, emit_ideal,
                     parse_components, parse_ideal)
@@ -32,10 +31,10 @@ __all__ = [
     "OpCounter", "StaircaseBox", "TraceStep", "adjoin", "artinianize",
     "build_degree_index", "components_generate", "deartinianize",
     "decompose_bivariate", "decompose_incremental", "decompose_oracle",
-    "decompose_recursive", "decompose_trie", "decrement", "difference",
+    "decompose_recursive", "decompose_trie", "difference",
     "dividing_generators", "emit_components", "emit_ideal", "gen_random",
     "ideal_intersection", "ideal_sum", "ideals_equal", "increment",
-    "irr_oracle", "is_generic", "lcm_vector", "leq", "lex_cmp", "lex_key",
+    "irr_oracle", "is_generic", "lcm_vector", "leq", "lex_key",
     "lowering_limits", "match_variables", "maximal_points", "maximalize",
     "minimalize", "parse_components", "parse_ideal", "partition_components",
     "replace_coord", "slice_chain", "staircase", "strictly_below",

@@ -18,7 +18,6 @@ is a reviewed change, not a knob.
 """
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 
@@ -58,14 +57,6 @@ CSV_COLUMNS = ["instance", "n", "p", "l", "algorithm", "ops", "wall_s", "peak_t"
 def distinct_degree_counts(art):
     """Number of distinct degrees of each variable over the closure."""
     return tuple(len({v[j] for v in art.gens}) for j in range(art.n))
-
-
-def incremental_budget(n, p, l):
-    return INCREMENTAL_ENVELOPE * n * n * p * l
-
-
-def recursive_budget(p, degree_counts):
-    return RECURSIVE_ENVELOPE * p * p * math.prod(degree_counts)
 
 
 def measure(g, algorithm, instance=""):

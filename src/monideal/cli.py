@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 3 oracle budget exceeded.  ``decompose`` on a directory handles one file at
-a time; a failing file is reported by path, every other output is still
-written, and the exit code is the largest of the failing files' codes.
+a time; a failing file is reported by path and its output file removed,
+every other output is still written, and the exit code is the largest of
+the failing files' codes.
 """
 
 import argparse
@@ -47,7 +48,7 @@ def _jsonable(x):
     return x
 
 
-def _decompose_one(g, args):
+def _decompose_one(g, args, path=None):
     counter = OpCounter() if args.stats else None
     trace = [] if args.trace else None
     start = time.perf_counter()
@@ -63,9 +64,12 @@ def _decompose_one(g, args):
     wall = time.perf_counter() - start
     if trace:
         for record in trace:
+            if path is not None:
+                record = {"file": str(path), **record}
             print(json.dumps(_jsonable(record)), file=sys.stderr)
     if args.stats:
-        parts = [f"algo={args.algo}", f"n={g.n}", f"p={g.p}", f"l={len(comps)}"]
+        parts = [] if path is None else [f"file={path}"]
+        parts += [f"algo={args.algo}", f"n={g.n}", f"p={g.p}", f"l={len(comps)}"]
         if counter is not None:
             parts.append(f"ops={counter.ops}")
         parts.append(f"wall={wall:.6f}s")
@@ -85,10 +89,12 @@ def _cmd_decompose(args):
         dst.mkdir(parents=True, exist_ok=True)
         status = EXIT_OK
         for path in sorted(src.glob("*.ideal")):
+            out = dst / (path.stem + ".components")
             try:
-                text = _decompose_one(parse_ideal(path.read_text()), args)
-                (dst / (path.stem + ".components")).write_text(text)
+                out.write_text(_decompose_one(parse_ideal(path.read_text()), args, path))
             except _ERRORS as exc:
+                # a stale output from an earlier run must not pass for this one's
+                out.unlink(missing_ok=True)
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 status = max(status, _exit_code(exc))
         return status

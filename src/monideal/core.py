@@ -36,14 +36,6 @@ def lex_key(v):
     return tuple(reversed(v))
 
 
-def lex_cmp(a, b):
-    """Three-way lex comparison: -1, 0 or 1 as ``a`` is below, equal, above."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    ka, kb = lex_key(a), lex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def _domination_order(v):
     # A vector can only dominate another with smaller (sum, lex) key, so
     # scanning in this order lets minimalize keep a single growing antichain.
@@ -92,13 +84,6 @@ def maximalize(vectors, counter=None):
     return sorted(kept, key=lex_key)
 
 
-def decrement(b):
-    """Lower every finite coordinate by one; INF stays INF."""
-    if any(x < 1 for x in b):
-        raise ValueError(f"cannot decrement a zero coordinate: {b}")
-    return tuple(x - 1 for x in b)
-
-
 def increment(v):
     """Raise every finite coordinate by one; INF stays INF."""
     return tuple(x + 1 for x in v)
@@ -143,8 +128,8 @@ class GeneratorSet:
     names: tuple = None
 
     @classmethod
-    def from_vectors(cls, n, vectors, names=None, minimal=True):
-        """Validate, deduplicate and (by default) minimalize ``vectors``."""
+    def from_vectors(cls, n, vectors, names=None):
+        """Validate, deduplicate and minimalize ``vectors``."""
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"variable count must be a positive integer, got {n!r}")
         vs = [tuple(v) for v in vectors]
@@ -154,7 +139,7 @@ class GeneratorSet:
             names = tuple(names)
             if len(names) != n:
                 raise ValueError(f"expected {n} variable names, got {len(names)}")
-        keep = set(minimalize(vs)) if minimal else set(vs)
+        keep = set(minimalize(vs))
         seen = set()
         out = []
         for v in vs:
@@ -221,7 +206,8 @@ class ArtinianizedIdeal:
     ``bounds[i]`` is one more than the largest degree of variable ``i`` over
     the original generators; ``added[i]`` says whether ``x_i^bounds[i]`` was
     injected (it is exactly when no pure power of ``x_i`` was present).
-    ``gens`` is the minimalized closure, lex-sorted.
+    ``gens`` is the closure's minimal generating set: the original
+    generators plus the injected powers, lex-sorted.
     """
 
     base: GeneratorSet
@@ -248,12 +234,34 @@ class ArtinianizedIdeal:
         """The non-pure generators, in lex order."""
         return tuple(v for v in self.gens if sum(1 for e in v if e) != 1)
 
+    def relabel(self, v):
+        """Map a vector of the closure back to the original ideal: every
+        coordinate equal to an injected bound becomes INF.
+
+        Raises RuntimeError if a finite coordinate exceeds its bound, which
+        no component of the closure, nor any lowered candidate, can do.
+        """
+        out = []
+        for e, b, injected in zip(v, self.bounds, self.added):
+            if e > b and e != INF:
+                raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
+            out.append(INF if injected and e == b else e)
+        return tuple(out)
+
 
 def artinianize(g):
     """Inject ``x_i^(maxdeg_i + 1)`` for every variable lacking a pure power.
 
     The bound is the smallest that keeps the component correspondence exact;
     for a variable absent from every generator the injected power is x_i^1.
+
+    ``g.gens`` plus the injected powers is already an antichain, so it is
+    returned lex-sorted without a minimalization pass.  An injected ``x_i^b``
+    has ``b > maxdeg_i``, so it divides no generator.  A divisor of it is a
+    power of ``x_i``; no generator is one, because ``x_i`` has no pure power
+    and 1 generates only the unit ideal.  Two injected powers live in
+    different variables.  The unit ideal is ``{1}``, which divides every
+    injected power, so its closure is ``{1}`` itself.
     """
     n = g.n
     maxdeg = [0] * n
@@ -267,32 +275,24 @@ def artinianize(g):
             has_pure[nz[0]] = True
     bounds = tuple(d + 1 for d in maxdeg)
     added = tuple(not h for h in has_pure)
-    injected = [unit_vector(n, i, bounds[i]) for i in range(n) if added[i]]
-    gens = minimalize(list(g.gens) + injected)
-    return ArtinianizedIdeal(g, bounds, added, tuple(gens))
+    injected = () if g.is_unit() else tuple(
+        unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
+    return ArtinianizedIdeal(g, bounds, added,
+                             tuple(sorted(g.gens + injected, key=lex_key)))
 
 
 def deartinianize(c, art):
     """Map components of the Artinian closure back to the original ideal.
 
-    Any coordinate equal to an injected bound becomes INF; coordinates of the
-    closure's components can never exceed the bounds.
+    Each component goes through ``art.relabel``, which also rejects a
+    coordinate above its bound: O(l*n) in all.  The result needs no antichain
+    re-check.  The closure's components are finite with ``beta_i <=
+    bounds[i]``, and on ``[0, bounds[i]]`` the map "injected bound -> INF" is
+    strictly increasing in each coordinate.  So it preserves and reflects
+    ``<=``: two relabelled components are comparable exactly when the
+    components were, and an antichain stays an antichain.
     """
-    out = []
-    for beta in c.comps:
-        v = list(beta)
-        for i in range(art.n):
-            if v[i] == INF:
-                continue
-            if v[i] > art.bounds[i]:
-                raise RuntimeError(f"component coordinate {v[i]} exceeds bound {art.bounds[i]}")
-            if art.added[i] and v[i] == art.bounds[i]:
-                v[i] = INF
-        out.append(tuple(v))
-    maxed = maximalize(out)
-    if len(maxed) != len(out):
-        raise RuntimeError("deartinianize produced a non-antichain")
-    return ComponentSet.from_vectors(c.n, out)
+    return ComponentSet.from_vectors(c.n, map(art.relabel, c.comps))
 
 
 def is_generic(g):

@@ -147,14 +147,14 @@ class TraceStep:
     kept: list       # (beta, u, limit, candidate) tuples, u 0-based
     rejected: list
 
-    def record(self, render=None):
-        """External dict form; ``u`` is reported 1-based."""
-        r = render if render is not None else (lambda v: v)
+    def record(self, relabel):
+        """External dict form: vectors go through ``relabel`` (the closure's
+        map back to the original ideal) and ``u`` is reported 1-based."""
 
         def entry(e):
             beta, u, limit, cand = e
-            return {"beta": list(r(beta)), "u": u + 1, "d": limit,
-                    "candidate": list(r(cand))}
+            return {"beta": list(relabel(beta)), "u": u + 1, "d": limit,
+                    "candidate": list(relabel(cand))}
 
         return {"step": self.step, "alpha": list(self.alpha),
                 "t1_size": self.t1_size, "t2_size": self.t2_size,
@@ -270,8 +270,5 @@ def decompose_incremental(g, *, order="lex", counter=None, trace=None,
 
     result = deartinianize(ComponentSet.from_vectors(g.n, state.components), art)
     if trace is not None:
-        def render(v):
-            return tuple(INF if art.added[i] and e == art.bounds[i] else e
-                         for i, e in enumerate(v))
-        trace.extend(step.record(render) for step in raw_trace)
+        trace.extend(step.record(art.relabel) for step in raw_trace)
     return result

@@ -1,12 +1,17 @@
 """Order relations, antichain reductions, and Artinian closure."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
-                      deartinianize, decrement, ideal_intersection, ideal_sum,
-                      increment, is_generic, lcm_vector, leq, lex_cmp, lex_key,
-                      maximalize, minimalize, replace_coord, strictly_below)
+                      deartinianize, decompose_incremental, decompose_recursive,
+                      gen_random, ideal_intersection, ideal_sum, is_generic,
+                      lcm_vector, leq, lex_key, maximalize, minimalize,
+                      replace_coord, strictly_below)
+from monideal.core import unit_vector
 from conftest import SHOWCASE_GENS, is_antichain, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
@@ -44,10 +49,10 @@ class TestOrders:
         assert not strictly_below((2, 3, 1), (2, 3, 1))
 
     def test_lex_examples(self):
-        assert lex_cmp((3, 2, 2), (1, 3, 2)) == -1
-        assert lex_cmp((1, 3, 2), (2, 1, 3)) == -1
-        assert lex_cmp((2, 0), (2, 0)) == 0
-        assert lex_cmp((0, 1), (1, 0)) == 1
+        assert lex_key((3, 2, 2)) < lex_key((1, 3, 2))
+        assert lex_key((1, 3, 2)) < lex_key((2, 1, 3))
+        assert lex_key((2, 0)) == lex_key((2, 0))
+        assert lex_key((0, 1)) > lex_key((1, 0))
 
     @given(vector_pairs(with_inf=True))
     def test_leq_antisymmetric(self, pair):
@@ -72,10 +77,9 @@ class TestOrders:
     @given(vector_pairs())
     def test_lex_total(self, pair):
         a, b = pair
-        c = lex_cmp(a, b)
-        assert c in (-1, 0, 1)
-        assert c == -lex_cmp(b, a)
-        assert (c == 0) == (a == b)
+        ka, kb = lex_key(a), lex_key(b)
+        assert (ka < kb) + (ka == kb) + (ka > kb) == 1
+        assert (ka == kb) == (a == b)
 
 
 class TestAntichains:
@@ -108,20 +112,6 @@ class TestAntichains:
 
 
 class TestVectorOps:
-    def test_decrement_examples(self):
-        assert decrement((4, 4, 2)) == (3, 3, 1)
-        assert decrement((1, INF, 1)) == (0, INF, 0)
-        assert decrement((3, 3, 3)) == (2, 2, 2)
-
-    def test_decrement_zero_rejected(self):
-        with pytest.raises(ValueError):
-            decrement((1, 0, 2))
-
-    @given(st.integers(1, 4).flatmap(
-        lambda n: st.tuples(*([st.one_of(st.integers(1, 9), st.just(INF))] * n))))
-    def test_decrement_round_trip(self, b):
-        assert increment(decrement(b)) == b
-
     def test_replace_coord_examples(self):
         assert replace_coord((4, 4, INF), 2, 2) == (4, 4, 2)
         assert replace_coord((4, 4, INF), 0, 3) == (3, 4, INF)
@@ -180,6 +170,51 @@ class TestDeartinianize:
         art = artinianize(showcase())
         with pytest.raises(RuntimeError):
             deartinianize(ComponentSet.from_vectors(3, [(9, 1, 1)]), art)
+
+
+def closure_cases():
+    """Generic and non-generic ideals in 1..5 variables, plus the zero and
+    the unit ideal of each variable count."""
+    cases = []
+    for n in range(1, 6):
+        cases.append(GeneratorSet.from_vectors(n, []))
+        cases.append(GeneratorSet.from_vectors(n, [(0,) * n]))
+        for seed in range(3):
+            cases.append(gen_random(n, 4 + 4 * seed, 12, seed=10 * n + seed,
+                                    generic=True))
+            cases.append(gen_random(n, 6 + 6 * seed, 3, seed=10 * n + seed))
+        # degree shells: m^2, m^3 and a seeded half of the degree-4 shell,
+        # whose repeated degrees all survive minimalization
+        for d in (2, 3, 4):
+            shell = [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d]
+            if d == 4:
+                shell = random.Random(n).sample(shell, (len(shell) + 1) // 2)
+            cases.append(GeneratorSet.from_vectors(n, shell))
+    return cases
+
+
+class TestClosureProofs:
+    """The docstring proofs that let the closure skip its antichain passes."""
+
+    def test_closure_is_already_minimal(self):
+        for g in closure_cases():
+            art = artinianize(g)
+            injected = [unit_vector(g.n, i, art.bounds[i])
+                        for i in range(g.n) if art.added[i]]
+            assert art.gens == tuple(minimalize(list(g.gens) + injected)), g
+
+    def test_relabelled_components_are_antichain(self):
+        for g in closure_cases():
+            art = artinianize(g)
+            closure = GeneratorSet.from_vectors(g.n, art.gens)
+            out = deartinianize(decompose_incremental(closure), art)
+            assert maximalize(out.comps) == list(out.comps), g
+            assert out == decompose_incremental(g)
+
+    def test_engine_outputs_validate(self):
+        for g in closure_cases():
+            decompose_incremental(g).validate()
+            decompose_recursive(g).validate()
 
 
 class TestGenericity:

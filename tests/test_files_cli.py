@@ -216,6 +216,34 @@ class TestCli:
             assert (out_dir / f"ideal{i}.components").read_text() == \
                 emit_components(decompose_incremental(g))
 
+    def test_batch_directory_failing_file_removes_stale_output(self, tmp_path, capsys):
+        src_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        src_dir.mkdir()
+        for name, seed in (("a", 0), ("b", 1)):
+            (src_dir / f"{name}.ideal").write_text(emit_ideal(gen_random(3, 4, 5, seed=seed)))
+        assert cli_main(["decompose", str(src_dir), str(out_dir)]) == 0
+        assert (out_dir / "b.components").exists()
+        bad = src_dir / "b.ideal"
+        bad.write_text(bad.read_text()[:-len("end\n")])
+        assert cli_main(["decompose", str(src_dir), str(out_dir)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.components"]
+
+    def test_batch_directory_stats_and_trace_name_files(self, tmp_path, capsys):
+        src_dir = tmp_path / "in"
+        src_dir.mkdir()
+        paths = [src_dir / "a.ideal", src_dir / "b.ideal"]
+        paths[0].write_text(SHOWCASE_TEXT)
+        paths[1].write_text(emit_ideal(gen_random(3, 4, 5, seed=2)))
+        assert cli_main(["decompose", "--stats", "--trace", str(src_dir),
+                         str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        stats = [l for l in err if l.startswith("stats:")]
+        assert [l.split()[1] for l in stats] == [f"file={p}" for p in paths]
+        records = [json.loads(l) for l in err if l.startswith("{")]
+        assert records and all(r["file"] in map(str, paths) for r in records)
+        assert [r["step"] for r in records if r["file"] == str(paths[0])] == [1, 2, 3]
+
     def test_bench_subcommand(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert cli_main(["bench", "--suite", "nongeneric-sweep", "--out", str(out)]) == 0

@@ -106,7 +106,7 @@ class TestIrrOracle:
 
 class TestMembershipChecks:
     def test_equal_to_own_minimalization(self):
-        raw = GeneratorSet.from_vectors(2, [(2, 0), (2, 1), (3, 3)], minimal=False)
+        raw = GeneratorSet(2, ((2, 0), (2, 1), (3, 3)))
         assert ideals_equal(raw, GeneratorSet.from_vectors(2, [(2, 0), (2, 1), (3, 3)]))
 
     def test_strictly_smaller_power_differs(self):
