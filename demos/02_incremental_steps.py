@@ -28,6 +28,6 @@ print("\nfinal components:")
 for beta in comps:
     print(" ", beta)
 
-# On generic input with this insertion order the component count never
+# On generic input with the lex insertion order the component count never
 # shrinks, so the intermediate storage is bounded by the output size.
 print("\nnon-decreasing:", all(a <= b for a, b in zip(sizes, sizes[1:])))

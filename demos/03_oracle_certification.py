@@ -9,7 +9,8 @@ one in every coordinate.
 import numpy as np
 
 from monideal import (GeneratorSet, artinianize, components_generate,
-                      decompose_incremental, maximal_points, staircase)
+                      decompose_incremental)
+from monideal.oracle import maximal_points, staircase
 
 g = GeneratorSet.from_vectors(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)],
                               names=("x", "y", "z"))

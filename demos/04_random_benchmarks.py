@@ -9,7 +9,8 @@ import math
 import os
 import tempfile
 
-from monideal import artinianize, gen_random, is_generic
+from monideal import artinianize, gen_random
+from monideal.core import is_generic
 from monideal.bench import (distinct_degree_counts, measure, run_sweep,
                             sweep_ideals, write_csv)
 

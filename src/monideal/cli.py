@@ -49,18 +49,17 @@ def _jsonable(x):
 
 
 def _decompose_one(g, args, path=None):
-    counter = OpCounter() if args.stats else None
+    # the oracle counts no operations, so it gets no counter and no ops= field
+    counter = OpCounter() if args.stats and args.algo != "oracle" else None
+    sizes = [] if args.stats and args.algo == "incremental" else None
     trace = [] if args.trace else None
     start = time.perf_counter()
     if args.algo == "recursive":
         comps = decompose_recursive(g, counter=counter)
     elif args.algo == "incremental":
-        sizes = [] if args.stats else None
-        comps = decompose_incremental(g, order=args.insertion_order,
-                                      counter=counter, trace=trace, t_sizes=sizes)
+        comps = decompose_incremental(g, counter=counter, trace=trace, t_sizes=sizes)
     else:
         comps = decompose_oracle(g, budget=args.budget)
-        sizes = None
     wall = time.perf_counter() - start
     if trace:
         for record in trace:
@@ -73,7 +72,7 @@ def _decompose_one(g, args, path=None):
         if counter is not None:
             parts.append(f"ops={counter.ops}")
         parts.append(f"wall={wall:.6f}s")
-        if args.algo == "incremental" and sizes:
+        if sizes:
             parts.append(f"peak_t={max(sizes)}")
         print("stats: " + " ".join(parts), file=sys.stderr)
     return emit_components(comps)
@@ -150,9 +149,6 @@ def _build_parser():
                    help="emit one JSON record per incremental step on stderr")
     d.add_argument("--stats", action="store_true",
                    help="print operation counts and timing on stderr")
-    d.add_argument("--insertion-order", choices=["lex", "input"], default="lex",
-                   help="incremental absorption order; 'input' voids the "
-                        "guarantee that the component count never shrinks")
     d.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="oracle cell budget")
     d.add_argument("input")

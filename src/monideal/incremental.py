@@ -8,51 +8,28 @@ one per variable.  A lowered copy survives exactly when its new exponent
 clears the blocking degree computed from the generators dividing the
 component, so no reduction pass over the whole list is ever needed.
 
+A step does only that partition, the divisor probe and the lowering; the
+proofs are in ``IncrementalState.add_generator``.  Whether ``alpha`` extends
+the minimal generating set is read off the partition (it is divisible by a
+generator iff no component lies strictly above it) plus a scan of the
+lex-sorted generators from ``alpha``'s position on, which in the lex order
+of ``decompose_incremental`` holds at most ``n`` pure powers.  Lowered
+copies are distinct from each other and from the untouched components, so
+no duplicate check is made.  Components are kept in insertion order and
+sorted once, by the final ``ComponentSet``.
+
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
 The individual operations also accept vectors with INF coordinates, where a
 generator containing INF stands for the zero polynomial and divides nothing.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .core import (ComponentSet, INF, artinianize, deartinianize, leq,
                    lex_key, maximalize, replace_coord, strictly_below,
                    unit_vector)
-
-
-class DegreeIndex:
-    """Per-variable buckets of generators keyed by exact degree.
-
-    Every generator lands in exactly one bucket per variable, so membership
-    candidates for a component are found by probing one bucket per variable
-    instead of scanning the whole generator list.
-    """
-
-    __slots__ = ("n", "_buckets")
-
-    def __init__(self, n):
-        self.n = n
-        self._buckets = {}
-
-    def add(self, m):
-        for u in range(self.n):
-            self._buckets.setdefault((u, m[u]), []).append(m)
-
-    def bucket(self, u, d):
-        return self._buckets.get((u, d), [])
-
-    def buckets(self):
-        """All (variable, degree) -> generators entries, for inspection."""
-        return dict(self._buckets)
-
-
-def build_degree_index(g):
-    """Index the generators of ``g`` by per-variable degree."""
-    index = DegreeIndex(g.n)
-    for m in g.gens:
-        index.add(m)
-    return index
 
 
 def partition_components(comps, alpha, counter=None):
@@ -73,14 +50,16 @@ def partition_components(comps, alpha, counter=None):
 def dividing_generators(beta, index, counter=None):
     """Generators dividing X^beta, probed through the degree index.
 
-    Correct whenever ``beta`` is a current component: every divisor of such a
-    component matches its degree in at least one variable, hence shows up in
-    a probed bucket.  Generators with an INF coordinate divide nothing.
+    ``index`` maps ``(u, d)`` to the generators of ``x_u``-degree ``d``
+    (``IncrementalState.index``).  Correct whenever ``beta`` is a current
+    component: every divisor of such a component matches its degree in at
+    least one variable, hence shows up in a probed bucket.  Generators with
+    an INF coordinate divide nothing.
     """
     n = len(beta)
     candidates, seen = [], set()
     for u in range(n):
-        for m in index.bucket(u, beta[u]):
+        for m in index.get((u, beta[u]), ()):
             if m not in seen:
                 seen.add(m)
                 candidates.append(m)
@@ -165,20 +144,25 @@ class TraceStep:
 class IncrementalState:
     """Single-owner state of one incremental run.
 
-    Holds the generators absorbed so far (an antichain), their degree index,
-    and the current components, which always equal the decomposition of the
-    ideal the absorbed generators span.
+    Holds the generators absorbed so far (an antichain, lex-sorted), their
+    degree index ``{(u, degree): [generators]}``, and the current components
+    (in insertion order), which always equal the decomposition of the ideal
+    the absorbed generators span.
     """
 
     def __init__(self, n, components, generators, counter=None):
         self.n = n
-        self.components = sorted((tuple(c) for c in components), key=lex_key)
-        self.generators = [tuple(m) for m in generators]
-        self.index = DegreeIndex(n)
+        self.components = [tuple(c) for c in components]
+        self.generators = sorted((tuple(m) for m in generators), key=lex_key)
+        self.index = {}
         for m in self.generators:
-            self.index.add(m)
+            self._index(m)
         self.counter = counter
         self.steps = 0
+
+    def _index(self, m):
+        for u in range(self.n):
+            self.index.setdefault((u, m[u]), []).append(m)
 
     @classmethod
     def start(cls, art, counter=None):
@@ -194,19 +178,52 @@ class IncrementalState:
     def add_generator(self, alpha, trace=None, cross_check=False):
         """Absorb one generator and update the components exactly.
 
-        ``alpha`` must extend the current minimal generating set (divide and
-        be divided by none of it).  When ``cross_check`` is set, the update is
-        recomputed as a full reduction of all lowered candidates and both
-        routes are asserted equal.
+        ``alpha`` must extend the current minimal generating set: divide and
+        be divided by none of it, else ``ValueError``.  Both halves of that
+        check are exact without a scan of all generators:
+
+        - Some generator divides ``alpha`` iff ``affected`` is empty.  The
+          components ``beta`` decompose the ideal I of the generators, and
+          X^alpha lies outside the irreducible ideal of ``beta`` iff
+          ``alpha_i < beta_i`` for every ``i``.  So X^alpha is in I, i.e.
+          some generator divides it, iff no component lies strictly above
+          ``alpha``.  (An ``alpha`` with an INF coordinate stands for zero,
+          which lies in every ideal, and no component lies above it.)
+        - ``alpha <= m`` implies ``lex_key(alpha) <= lex_key(m)``, so every
+          generator that ``alpha`` divides sits at or after
+          ``bisect_left(generators, lex_key(alpha))`` and only that suffix
+          is scanned.  In the lex order of ``decompose_incremental`` every
+          absorbed non-pure generator is lex-smaller than ``alpha``, so the
+          suffix holds at most the ``n`` pure powers.
+
+        The lowered candidates that are kept are distinct from each other
+        and from the untouched components, so no duplicate check is made.
+        A candidate lowered from ``beta`` at ``u`` equals ``alpha`` in
+        coordinate ``u`` and ``beta > alpha`` everywhere else, so it fixes
+        ``u``; two equal candidates then have parents that agree off ``u``,
+        which are comparable, hence equal, as the components form an
+        antichain.  An untouched component equal to a candidate would lie
+        strictly below the candidate's parent, against the antichain.
+
+        Components stay in insertion order; ``affected`` is sorted by
+        ``lex_key`` so that the trace lists lowerings in lex order of their
+        parents.  When ``cross_check`` is set, the update is recomputed as a
+        full reduction of all lowered candidates and both routes are
+        asserted equal, which also catches a duplicate.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError(f"generator {alpha} has length {len(alpha)}, expected {self.n}")
-        for m in self.generators:
-            if leq(m, alpha) or leq(alpha, m):
-                raise ValueError(f"{alpha} does not extend the minimal set: comparable to {m}")
-
+        gens = self.generators
+        for m in gens[bisect_left(gens, lex_key(alpha), key=lex_key):]:
+            if leq(alpha, m):
+                raise ValueError(f"{alpha} does not extend the minimal set: it divides {m}")
         untouched, affected = partition_components(self.components, alpha, self.counter)
+        if not affected:
+            raise ValueError(f"{alpha} does not extend the minimal set: "
+                             "a generator divides it")
+
+        affected.sort(key=lex_key)
         kept, rejected = [], []
         new = list(untouched)
         for beta in affected:
@@ -227,10 +244,9 @@ class IncrementalState:
             assert sorted(reduced, key=lex_key) == sorted(new, key=lex_key), \
                 "exact update disagrees with full reduction"
 
-        assert len(set(new)) == len(new), "lowered candidates must be distinct"
-        self.components = sorted(new, key=lex_key)
-        self.generators.append(alpha)
-        self.index.add(alpha)
+        self.components = new
+        insort(gens, alpha, key=lex_key)
+        self._index(alpha)
         self.steps += 1
         if trace is not None:
             trace.append(TraceStep(self.steps, alpha, len(untouched),
@@ -238,18 +254,15 @@ class IncrementalState:
         return self
 
 
-def decompose_incremental(g, *, order="lex", counter=None, trace=None,
-                          t_sizes=None, cross_check=False):
+def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
+                          cross_check=False):
     """Decompose a generator set by absorbing generators one at a time.
 
-    Generators are absorbed in lex order by default; ``order="input"`` keeps
-    the caller's order instead, which voids the guarantee that the component
-    count never shrinks on generic input.  ``trace`` (a list) receives one
+    Generators are absorbed in lex order, which keeps the component count
+    from shrinking on generic input.  ``trace`` (a list) receives one
     external-form record per step; ``t_sizes`` (a list) receives the
     component count before any step and after each one.
     """
-    if order not in ("lex", "input"):
-        raise ValueError(f"unknown insertion order {order!r}")
     if g.is_unit():
         return ComponentSet.from_vectors(g.n, [])
     art = artinianize(g)
@@ -257,13 +270,8 @@ def decompose_incremental(g, *, order="lex", counter=None, trace=None,
     if t_sizes is not None:
         t_sizes.append(len(state.components))
 
-    alphas = art.alphas()
-    if order == "input":
-        chosen = set(alphas)
-        alphas = tuple(v for v in g.gens if v in chosen)
-
     raw_trace = [] if trace is not None else None
-    for alpha in alphas:
+    for alpha in art.alphas():
         state.add_generator(alpha, trace=raw_trace, cross_check=cross_check)
         if t_sizes is not None:
             t_sizes.append(len(state.components))

@@ -2,7 +2,8 @@
 
 import random
 
-from monideal import GeneratorSet, gen_random, leq
+from monideal import GeneratorSet, gen_random
+from monideal.core import leq
 
 # The five-generator showcase ideal x^4, y^4, x^3y^2z^2, xy^3z^2, x^2yz^3
 # and its published six-component decomposition.

@@ -12,11 +12,13 @@ import time
 
 import pytest
 
-from monideal import (INF, IncrementalState,
-                      artinianize, components_generate,
-                      decompose_bivariate, decompose_incremental,
-                      decompose_oracle, decompose_recursive, gen_random,
-                      ideal_intersection, ideal_sum, ideals_equal, is_generic)
+from monideal import (INF, artinianize, components_generate,
+                      decompose_incremental, decompose_oracle,
+                      decompose_recursive, gen_random)
+from monideal.core import ideal_intersection, ideal_sum, is_generic
+from monideal.incremental import IncrementalState
+from monideal.oracle import ideals_equal
+from monideal.recursive import decompose_bivariate
 from monideal.bench import (INCREMENTAL_ENVELOPE, RECURSIVE_ENVELOPE,
                             distinct_degree_counts, measure, sweep_ideals)
 from monideal.cli import cli_main

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
-                      deartinianize, decompose_incremental, decompose_recursive,
-                      gen_random, ideal_intersection, ideal_sum, is_generic,
-                      lcm_vector, leq, lex_key, maximalize, minimalize,
-                      replace_coord, strictly_below)
-from monideal.core import unit_vector
+                      decompose_incremental, decompose_recursive, gen_random)
+from monideal.core import (deartinianize, ideal_intersection, ideal_sum,
+                           is_generic, lcm_vector, leq, lex_key, maximalize,
+                           minimalize, replace_coord, strictly_below,
+                           unit_vector)
 from conftest import SHOWCASE_GENS, is_antichain, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,11 @@ from monideal import (ComponentSet, FormatError, GeneratorSet,
                       decompose_incremental, emit_components, emit_ideal,
                       gen_random, parse_components, parse_ideal)
 from monideal.cli import cli_main
-from conftest import SHOWCASE_GENS, showcase
+from conftest import SHOWCASE_GENS, fourvar, showcase
+
+# exact `decompose --trace` stderr: the records, their fields and the order of
+# the lowerings within a step (lex order of the parent component) are output
+GOLDEN = Path(__file__).parent / "golden"
 
 SHOWCASE_TEXT = """\
 ideal 3 x y z
@@ -144,6 +149,27 @@ class TestCli:
                          str(tmp_path / "o.components")]) == 0
         err = capsys.readouterr().err
         assert "stats:" in err and "ops=" in err
+
+    @pytest.mark.parametrize("algo, fields", [
+        ("incremental", ["ops", "wall", "peak_t"]),
+        ("recursive", ["ops", "wall"]),
+        ("oracle", ["wall"]),  # the oracle counts no operations
+    ])
+    def test_stats_fields_per_engine(self, tmp_path, capsys, algo, fields):
+        src = self.write_showcase(tmp_path)
+        assert cli_main(["decompose", "--algo", algo, "--stats", str(src),
+                         str(tmp_path / "o.components")]) == 0
+        line, = capsys.readouterr().err.splitlines()
+        keys = [part.split("=")[0] for part in line.split()[1:]]
+        assert keys == ["algo", "n", "p", "l"] + fields
+
+    @pytest.mark.parametrize("name, make", [("showcase", showcase), ("fourvar", fourvar)])
+    def test_trace_golden(self, tmp_path, capsys, name, make):
+        src = tmp_path / f"{name}.ideal"
+        src.write_text(emit_ideal(make()))
+        assert cli_main(["decompose", "--trace", str(src),
+                         str(tmp_path / "o.components")]) == 0
+        assert capsys.readouterr().err == (GOLDEN / f"{name}.trace").read_text()
 
     def test_verify_pass_and_fail(self, tmp_path, capsys):
         src = self.write_showcase(tmp_path)

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from monideal import (GeneratorSet, INF, IncrementalState, OpCounter,
-                      artinianize, build_degree_index, decompose_incremental,
-                      decompose_oracle, dividing_generators, lowering_limits,
-                      match_variables, partition_components)
+from monideal import (GeneratorSet, INF, OpCounter, artinianize,
+                      decompose_incremental, decompose_oracle)
+from monideal.core import leq
+from monideal.incremental import (IncrementalState, dividing_generators,
+                                  lowering_limits, match_variables,
+                                  partition_components)
 from conftest import fourvar, random_ideal, showcase
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
@@ -124,6 +126,52 @@ class TestAddGenerator:
         with pytest.raises(ValueError):
             state.add_generator((5, 1, 0))
 
+    def test_extension_check_matches_brute_force(self):
+        # add_generator raises exactly when a scan of every absorbed generator
+        # finds one comparable to alpha.  Absorbing in random order leaves
+        # non-pure generators lex-above later draws (and must still give the
+        # lex-order components); alphas are drawn at random in the closure's
+        # box, at random below a component (outside the ideal), and as
+        # divisors of absorbed non-pure generators.
+        rng = random.Random(61)
+        outcomes = {True: 0, False: 0}
+        strict_divisors = 0
+        for _ in range(300):
+            g = random_ideal(rng, max_p=10)
+            if g.is_unit():
+                continue
+            art = artinianize(g)
+            degs = art.pure_degrees()
+            state = IncrementalState.start(art)
+            alphas = list(art.alphas())
+            rng.shuffle(alphas)
+            for alpha in alphas:
+                state.add_generator(alpha)
+            lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
+            assert set(state.components) == set(lex.comps)
+            for _ in range(12):
+                non_pure = [m for m in state.generators if sum(1 for e in m if e) > 1]
+                draw = rng.random()
+                if non_pure and draw < 0.4:
+                    m = rng.choice(non_pure)
+                    alpha = tuple(rng.randint(max(e - 1, 0), e) for e in m)
+                    strict_divisors += alpha != m
+                elif draw < 0.7:
+                    beta = rng.choice(state.components)
+                    alpha = tuple(rng.randint(max(b - 2, 0), b - 1) for b in beta)
+                else:
+                    alpha = tuple(rng.randint(0, d) for d in degs)
+                expected = any(leq(m, alpha) or leq(alpha, m) for m in state.generators)
+                try:
+                    state.add_generator(alpha, cross_check=True)
+                    raised = False
+                except ValueError:
+                    raised = True
+                assert raised == expected, (state.generators, alpha)
+                outcomes[raised] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 100
+        assert strict_divisors > 300
+
     def test_cross_check_agrees(self):
         rng = random.Random(41)
         for _ in range(50):
@@ -139,32 +187,34 @@ class TestAddGenerator:
 
 
 class TestDegreeIndex:
+    @staticmethod
+    def index_of(g):
+        return IncrementalState(g.n, [], g.gens).index
+
     def test_bucket_contents(self):
-        index = build_degree_index(showcase())
-        assert set(index.bucket(2, 2)) == {(3, 2, 2), (1, 3, 2)}
+        index = self.index_of(showcase())
+        assert set(index[(2, 2)]) == {(3, 2, 2), (1, 3, 2)}
 
     def test_generic_buckets_are_singletons(self):
         rng = random.Random(43)
         for _ in range(50):
             g = random_ideal(rng, generic=True)
-            index = build_degree_index(g)
-            for (u, d), bucket in index.buckets().items():
+            for (u, d), bucket in self.index_of(g).items():
                 if d:
                     assert len(bucket) == 1
 
     def test_partition_property(self):
         g = showcase()
-        index = build_degree_index(g)
+        index = self.index_of(g)
         for u in range(g.n):
             found = []
-            for (var, _), bucket in index.buckets().items():
+            for (var, _), bucket in index.items():
                 if var == u:
                     found.extend(bucket)
             assert sorted(found) == sorted(g.gens)
 
     def test_empty(self):
-        index = build_degree_index(GeneratorSet.from_vectors(2, []))
-        assert index.buckets() == {}
+        assert self.index_of(GeneratorSet.from_vectors(2, [])) == {}
 
 
 class TestDecompose:
@@ -184,14 +234,6 @@ class TestDecompose:
         assert decompose_incremental(GeneratorSet.from_vectors(2, [(0, 0)])).comps == ()
         assert decompose_incremental(GeneratorSet.from_vectors(2, [])).comps == \
             ((INF, INF),)
-
-    def test_input_order_still_correct(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            g = random_ideal(rng)
-            lex = decompose_incremental(g)
-            inp = decompose_incremental(g, order="input")
-            assert lex.comps == inp.comps
 
     def test_loop_invariant_matches_oracle(self):
         # after every step the components decompose the ideal absorbed so far;

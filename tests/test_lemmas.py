@@ -9,10 +9,11 @@ import random
 
 import numpy as np
 
-from monideal import (GeneratorSet, IncrementalState, artinianize,
-                      decompose_oracle, dividing_generators, increment,
-                      lowering_limits, match_variables, maximal_points,
-                      replace_coord, staircase, strictly_below)
+from monideal import GeneratorSet, artinianize, decompose_oracle
+from monideal.core import increment, replace_coord, strictly_below
+from monideal.incremental import (IncrementalState, dividing_generators,
+                                  lowering_limits, match_variables)
+from monideal.oracle import maximal_points, staircase
 from conftest import random_ideal
 
 INSTANCES = 300
@@ -148,7 +149,7 @@ def test_lowering_criterion_matches_oracle():
 def test_slice_membership_reduction():
     # see also test_recursive.TestSliceChain; here with fresh seeds and the
     # instance count pinned
-    from monideal import slice_chain
+    from monideal.recursive import slice_chain
     from monideal.trie import build, paths
 
     checked = 0

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from monideal import (BudgetError, ComponentSet, GeneratorSet, INF,
-                      artinianize, components_generate, decompose_oracle,
-                      ideals_equal, irr_oracle, maximal_points, staircase)
+                      artinianize, components_generate, decompose_oracle)
+from monideal.oracle import ideals_equal, irr_oracle, maximal_points, staircase
 from conftest import is_antichain, random_ideal, showcase
 
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from monideal import decompose_bivariate, decompose_oracle, gen_random, is_generic
+from monideal import decompose_oracle, gen_random
+from monideal.core import is_generic
+from monideal.recursive import decompose_bivariate
 
 
 def test_deterministic():

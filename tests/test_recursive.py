@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from monideal import (GeneratorSet, INF, OpCounter, adjoin, artinianize,
-                      decompose_bivariate, decompose_incremental,
-                      decompose_oracle, decompose_recursive, decompose_trie,
-                      difference, slice_chain, staircase)
+from monideal import (GeneratorSet, INF, OpCounter, artinianize,
+                      decompose_incremental, decompose_oracle,
+                      decompose_recursive)
+from monideal.oracle import staircase
+from monideal.recursive import (adjoin, decompose_bivariate, decompose_trie,
+                                difference, slice_chain)
 from monideal.trie import build, min_merge, paths
 from conftest import SHOWCASE_GENS, random_ideal, showcase
 

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from monideal import INF, artinianize, lex_key, maximalize, minimalize
+from monideal import INF, artinianize
+from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
 from conftest import SHOWCASE_GENS, showcase
 
