@@ -16,9 +16,10 @@ g = GeneratorSet.from_vectors(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)],
                               names=("x", "y", "z"))
 
 art = artinianize(g)
-box = staircase(art)
+box = staircase(art)  # box[gamma] is True iff X^gamma lies in the ideal
 print("closure bounds:", art.bounds)
-print("basis points (monomials outside the ideal):", box.basis_points())
+print("basis points (monomials outside the ideal):",
+      [tuple(p) for p in np.argwhere(~box).tolist()])
 print("maximal basis points:", maximal_points(box))
 
 # Shift each maximal point up by one and map injected bounds to inf:
@@ -34,6 +35,6 @@ broken = ComponentSet.from_vectors(3, comps.comps[1:])
 print("after dropping one component:", components_generate(broken, g))
 
 # A staircase basis is downward closed; look at the z = 0 slab.
-free = ~box.inside
+free = ~box
 print("\nz = 0 slab of the basis indicator:")
 print(np.array(free[:, :, 0], dtype=int))

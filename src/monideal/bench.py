@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .counting import OpCounter
 from .incremental import decompose_incremental
-from .oracle import decompose_oracle
+from .oracle import DEFAULT_BUDGET, decompose_oracle
 from .randgen import gen_random
 from .recursive import decompose_recursive
 
@@ -46,9 +46,9 @@ class BenchRecord:
     peak_t: int = None
 
     def row(self):
-        peak = "" if self.peak_t is None else self.peak_t
+        # csv.writer writes None as an empty cell
         return [self.instance, self.n, self.p, self.l, self.algorithm,
-                self.ops, f"{self.wall_s:.6f}", peak]
+                self.ops, f"{self.wall_s:.6f}", self.peak_t]
 
 
 CSV_COLUMNS = ["instance", "n", "p", "l", "algorithm", "ops", "wall_s", "peak_t"]
@@ -59,25 +59,28 @@ def distinct_degree_counts(art):
     return tuple(len({v[j] for v in art.gens}) for j in range(art.n))
 
 
-def measure(g, algorithm, instance=""):
-    """Run one engine on ``g`` and record its cost."""
+def measure(g, algorithm, instance="", *, trace=None, budget=DEFAULT_BUDGET):
+    """Run one engine on ``g``; return its components and a record of the cost.
+
+    ``trace`` (a list) receives the incremental engine's step records and
+    ``budget`` bounds the oracle's box.  The oracle counts no operations, so
+    its record has ``ops=None``; only the incremental engine has a ``peak_t``.
+    """
     counter = OpCounter()
+    sizes = []
     start = time.perf_counter()
     if algorithm == "incremental":
-        sizes = []
-        comps = decompose_incremental(g, counter=counter, t_sizes=sizes)
-        peak = max(sizes)
+        comps = decompose_incremental(g, counter=counter, trace=trace, t_sizes=sizes)
     elif algorithm == "recursive":
         comps = decompose_recursive(g, counter=counter)
-        peak = None
     elif algorithm == "oracle":
-        comps = decompose_oracle(g)
-        peak = None
+        comps, counter = decompose_oracle(g, budget=budget), None
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     wall = time.perf_counter() - start
-    return BenchRecord(instance, g.n, g.p, len(comps), algorithm,
-                       counter.ops, wall, peak)
+    return comps, BenchRecord(instance, g.n, g.p, len(comps), algorithm,
+                              None if counter is None else counter.ops, wall,
+                              max(sizes, default=None))
 
 
 def sweep_ideals(suite):
@@ -98,13 +101,11 @@ def sweep_ideals(suite):
     return out
 
 
-def run_sweep(suite, algorithms=("incremental", "recursive")):
-    """Benchmark every instance of a sweep with every requested engine."""
-    records = []
-    for instance, g in sweep_ideals(suite):
-        for algorithm in algorithms:
-            records.append(measure(g, algorithm, instance))
-    return records
+def run_sweep(suite):
+    """Benchmark every instance of a sweep with both fast engines."""
+    return [measure(g, algorithm, instance)[1]
+            for instance, g in sweep_ideals(suite)
+            for algorithm in ("incremental", "recursive")]
 
 
 def write_csv(records, path):

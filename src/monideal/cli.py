@@ -10,17 +10,13 @@ the failing files' codes.
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-from .bench import run_sweep, write_csv
+from .bench import measure, run_sweep, write_csv
 from .core import INF
-from .counting import OpCounter
 from .files import FormatError, emit_components, emit_ideal, parse_components, parse_ideal
-from .incremental import decompose_incremental
-from .oracle import BudgetError, DEFAULT_BUDGET, components_generate, decompose_oracle
+from .oracle import BudgetError, DEFAULT_BUDGET, components_generate
 from .randgen import gen_random
-from .recursive import decompose_recursive
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,32 +45,20 @@ def _jsonable(x):
 
 
 def _decompose_one(g, args, path=None):
-    # the oracle counts no operations, so it gets no counter and no ops= field
-    counter = OpCounter() if args.stats and args.algo != "oracle" else None
-    sizes = [] if args.stats and args.algo == "incremental" else None
     trace = [] if args.trace else None
-    start = time.perf_counter()
-    if args.algo == "recursive":
-        comps = decompose_recursive(g, counter=counter)
-    elif args.algo == "incremental":
-        comps = decompose_incremental(g, counter=counter, trace=trace, t_sizes=sizes)
-    else:
-        comps = decompose_oracle(g, budget=args.budget)
-    wall = time.perf_counter() - start
-    if trace:
-        for record in trace:
-            if path is not None:
-                record = {"file": str(path), **record}
-            print(json.dumps(_jsonable(record)), file=sys.stderr)
+    comps, rec = measure(g, args.algo, trace=trace, budget=args.budget)
+    for record in trace or ():
+        if path is not None:
+            record = {"file": str(path), **record}
+        print(json.dumps(_jsonable(record)), file=sys.stderr)
     if args.stats:
-        parts = [] if path is None else [f"file={path}"]
-        parts += [f"algo={args.algo}", f"n={g.n}", f"p={g.p}", f"l={len(comps)}"]
-        if counter is not None:
-            parts.append(f"ops={counter.ops}")
-        parts.append(f"wall={wall:.6f}s")
-        if sizes:
-            parts.append(f"peak_t={max(sizes)}")
-        print("stats: " + " ".join(parts), file=sys.stderr)
+        # fields the engine does not report (the oracle's ops, peak_t outside
+        # incremental, file outside directory mode) are left out
+        fields = [("file", path), ("algo", rec.algorithm), ("n", rec.n), ("p", rec.p),
+                  ("l", rec.l), ("ops", rec.ops), ("wall", f"{rec.wall_s:.6f}s"),
+                  ("peak_t", rec.peak_t)]
+        print("stats: " + " ".join(f"{k}={v}" for k, v in fields if v is not None),
+              file=sys.stderr)
     return emit_components(comps)
 
 
@@ -197,3 +181,7 @@ def cli_main(argv=None):
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

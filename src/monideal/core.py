@@ -66,22 +66,13 @@ def minimalize(vectors, counter=None):
 
 
 def maximalize(vectors, counter=None):
-    """Maximal elements of ``vectors`` under ``leq``; dual of ``minimalize``."""
-    distinct = sorted(set(map(tuple, vectors)), key=_domination_order, reverse=True)
-    kept = []
-    comparisons = 0
-    for v in distinct:
-        dominated = False
-        for m in kept:
-            comparisons += 1
-            if leq(v, m):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(v)
-    if counter is not None:
-        counter.add(comparisons)
-    return sorted(kept, key=lex_key)
+    """Maximal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
+
+    Negation reverses ``leq`` (INF maps to -INF), so these are the negated
+    minimal elements of the negated vectors, charged to ``counter`` as such.
+    """
+    negated = minimalize([tuple(-x for x in v) for v in vectors], counter)
+    return sorted((tuple(-x for x in v) for v in negated), key=lex_key)
 
 
 def increment(v):
@@ -321,3 +312,16 @@ def ideal_intersection(g1, g2):
         raise ValueError("ideals live in different variable counts")
     lcms = [lcm_vector(a, b) for a in g1.gens for b in g2.gens]
     return GeneratorSet.from_vectors(g1.n, lcms)
+
+
+def ideals_equal(g1, g2):
+    """True iff two generator sets span the same ideal.
+
+    A monomial ideal has a unique minimal generating set (Miller-Sturmfels,
+    *Combinatorial Commutative Algebra*, Lemma 1.2), so the ideals are equal
+    exactly when their generators minimalize to the same set, at any
+    exponent size.
+    """
+    if g1.n != g2.n:
+        raise ValueError("ideals live in different variable counts")
+    return minimalize(g1.gens) == minimalize(g2.gens)

@@ -7,7 +7,7 @@ input.  ``inf`` is a legal component exponent but is rejected in ideals,
 since generators must be genuine monomials.
 """
 
-from .core import ComponentSet, GeneratorSet, INF, MAX_EXPONENT, lex_key
+from .core import ComponentSet, GeneratorSet, INF, MAX_EXPONENT
 
 
 class FormatError(Exception):
@@ -131,9 +131,9 @@ def parse_components(text):
 
 
 def emit_components(c):
-    """Render a ComponentSet in the component file format, lex-sorted."""
+    """Render a ComponentSet in the component file format, in its stored
+    lex order."""
     lines = [f"components {c.n} {len(c.comps)}"]
-    lines.extend(" ".join(_render_exponent(e) for e in v)
-                 for v in sorted(c.comps, key=lex_key))
+    lines.extend(" ".join(_render_exponent(e) for e in v) for v in c.comps)
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -264,6 +264,8 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
     component count before any step and after each one.
     """
     if g.is_unit():
+        if t_sizes is not None:
+            t_sizes.append(0)
         return ComponentSet.from_vectors(g.n, [])
     art = artinianize(g)
     state = IncrementalState.start(art, counter)

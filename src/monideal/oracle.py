@@ -8,7 +8,6 @@ inputs, not to compete with them, so box sizes are guarded by a budget.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,48 +35,30 @@ def _indicator(vectors, shape):
     return ind
 
 
-@dataclass(frozen=True)
-class StaircaseBox:
-    """Membership indicator over the closed box prod([0, bounds[i]])."""
-
-    bounds: tuple
-    inside: np.ndarray
-
-    def basis_size(self):
-        return int((~self.inside).sum())
-
-    def basis_points(self):
-        """Exponent vectors of the monomials outside the ideal, row-major."""
-        return [tuple(map(int, p)) for p in np.argwhere(~self.inside)]
-
-    def __contains__(self, gamma):
-        """True iff ``gamma`` indexes a basis point (is outside the ideal)."""
-        return not bool(self.inside[tuple(gamma)])
-
-
 def staircase(art, budget=DEFAULT_BUDGET):
-    """Fill the membership box of an Artinian closure by divisibility scan.
+    """Membership box of an Artinian closure, filled by divisibility scan.
 
+    A bool array: ``box[gamma]`` is True iff X^gamma lies in the ideal, and
+    the staircase basis (the monomials outside it) is ``np.argwhere(~box)``.
     The box is closed (side ``bounds[i] + 1``) so that every basis point has
     all of its upward neighbours inside the array.
     """
     shape = tuple(c + 1 for c in art.bounds)
     _check_budget(shape, budget)
-    return StaircaseBox(art.bounds, _indicator(art.gens, shape))
+    return _indicator(art.gens, shape)
 
 
 def maximal_points(box):
     """Basis points whose every upward neighbour lies in the ideal."""
-    inside = box.inside
-    maximal = ~inside
-    n = inside.ndim
+    maximal = ~box
+    n = box.ndim
     for axis in range(n):
-        up = np.ones_like(inside)
+        up = np.ones_like(box)
         src = [slice(None)] * n
         dst = [slice(None)] * n
         src[axis] = slice(1, None)
         dst[axis] = slice(0, -1)
-        up[tuple(dst)] = inside[tuple(src)]
+        up[tuple(dst)] = box[tuple(src)]
         maximal &= up
     return [tuple(map(int, p)) for p in np.argwhere(maximal)]
 
@@ -96,30 +77,6 @@ def decompose_oracle(g, budget=DEFAULT_BUDGET):
     return irr_oracle(artinianize(g), budget)
 
 
-def _max_degrees(n, vector_sets):
-    degs = [0] * n
-    for vs in vector_sets:
-        for v in vs:
-            for i, e in enumerate(v):
-                if e != INF and e > degs[i]:
-                    degs[i] = int(e)
-    return degs
-
-
-def ideals_equal(g1, g2, budget=DEFAULT_BUDGET):
-    """True iff two generator sets span the same ideal.
-
-    Membership is compared on a box just large enough to contain every
-    generator, which is sufficient: beyond the box both indicators saturate
-    the same way.
-    """
-    if g1.n != g2.n:
-        raise ValueError("ideals live in different variable counts")
-    shape = tuple(d + 1 for d in _max_degrees(g1.n, [g1.gens, g2.gens]))
-    _check_budget(shape, budget)
-    return bool(np.array_equal(_indicator(g1.gens, shape), _indicator(g2.gens, shape)))
-
-
 def components_generate(c, g, budget=DEFAULT_BUDGET):
     """True iff the intersection of the components equals the ideal of ``g``.
 
@@ -130,7 +87,9 @@ def components_generate(c, g, budget=DEFAULT_BUDGET):
     """
     if c.n != g.n:
         raise ValueError("components and generators live in different variable counts")
-    shape = tuple(d + 1 for d in _max_degrees(g.n, [g.gens, c.comps]))
+    # one past the largest finite degree of each variable
+    shape = tuple(1 + max(e for e in col if e != INF)
+                  for col in zip((0,) * g.n, *g.gens, *c.comps))
     _check_budget(shape, budget)
     ideal = _indicator(g.gens, shape)
     below_some = np.zeros(shape, dtype=bool)

@@ -15,9 +15,8 @@ import pytest
 from monideal import (INF, artinianize, components_generate,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
-from monideal.core import ideal_intersection, ideal_sum, is_generic
+from monideal.core import ideal_intersection, ideal_sum, ideals_equal, is_generic
 from monideal.incremental import IncrementalState
-from monideal.oracle import ideals_equal
 from monideal.recursive import decompose_bivariate
 from monideal.bench import (INCREMENTAL_ENVELOPE, RECURSIVE_ENVELOPE,
                             distinct_degree_counts, measure, sweep_ideals)
@@ -172,7 +171,7 @@ def test_criterion_6_distribution_rules():
             failures += 1
     ok = failures == 0
     report(6, ok, f"{total} random triples satisfy both distribution rules "
-                  f"under membership-box equality; {failures} failures")
+                  f"as minimal generating sets; {failures} failures")
 
 
 def test_criterion_7_bivariate_closed_form():
@@ -195,8 +194,8 @@ def test_criterion_8_complexity_envelopes():
     for instance, g in sweep_ideals("generic-sweep"):
         art = artinianize(g)
         s = distinct_degree_counts(art)
-        inc = measure(g, "incremental", instance)
-        rec = measure(g, "recursive", instance)
+        _, inc = measure(g, "incremental", instance)
+        _, rec = measure(g, "recursive", instance)
         inc_budget = INCREMENTAL_ENVELOPE * g.n ** 2 * max(g.p, 1) * max(inc.l, 1)
         rec_budget = RECURSIVE_ENVELOPE * max(g.p, 1) ** 2 * math.prod(s)
         ok = ok and inc.ops <= inc_budget and rec.ops <= rec_budget

@@ -1,7 +1,10 @@
 """Text formats and the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from monideal import (ComponentSet, FormatError, GeneratorSet,
                       decompose_incremental, emit_components, emit_ideal,
                       gen_random, parse_components, parse_ideal)
+from monideal.bench import measure
 from monideal.cli import cli_main
 from conftest import SHOWCASE_GENS, fourvar, showcase
 
@@ -163,6 +167,35 @@ class TestCli:
         keys = [part.split("=")[0] for part in line.split()[1:]]
         assert keys == ["algo", "n", "p", "l"] + fields
 
+    @pytest.mark.parametrize("algo", ["incremental", "recursive", "oracle"])
+    def test_stats_line_reads_the_bench_record(self, tmp_path, capsys, algo):
+        src = self.write_showcase(tmp_path)
+        assert cli_main(["decompose", "--algo", algo, "--stats", str(src),
+                         str(tmp_path / "o.components")]) == 0
+        line, = capsys.readouterr().err.splitlines()
+        stats = dict(part.split("=") for part in line.split()[1:])
+        _, rec = measure(showcase(), algo)
+        for key in ("n", "p", "l", "ops", "peak_t"):
+            value = getattr(rec, key)
+            assert stats.get(key) == (None if value is None else str(value)), key
+        # the oracle counts no operations, in the record as on the line
+        assert (rec.ops is None) == ("ops" not in stats) == (algo == "oracle")
+
+    @pytest.mark.parametrize("algo", ["incremental", "recursive", "oracle"])
+    def test_unit_ideal_stats(self, tmp_path, capsys, algo):
+        g = GeneratorSet.from_vectors(2, [(0, 0)])
+        comps, rec = measure(g, algo)
+        assert len(comps) == rec.l == 0
+        assert rec.peak_t == (0 if algo == "incremental" else None)
+        src = tmp_path / "unit.ideal"
+        src.write_text(emit_ideal(g))
+        assert cli_main(["decompose", "--algo", algo, "--stats", str(src)]) == 0
+        out = capsys.readouterr()
+        assert out.out == "components 2 0\nend\n"
+        line, = out.err.splitlines()
+        assert " l=0 " in line
+        assert line.endswith(" peak_t=0") == (algo == "incremental")
+
     @pytest.mark.parametrize("name, make", [("showcase", showcase), ("fourvar", fourvar)])
     def test_trace_golden(self, tmp_path, capsys, name, make):
         src = tmp_path / f"{name}.ideal"
@@ -276,3 +309,13 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "instance,n,p,l,algorithm,ops,wall_s,peak_t"
         assert len(lines) > 1
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monideal.cli", "decompose", str(tmp_path / "missing.ideal")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")

@@ -52,7 +52,7 @@ def test_basis_membership_iff_strictly_below_some_component():
         art = artinianize(g)
         box = staircase(art)
         comps = [increment(p) for p in maximal_points(box)]
-        free = ~box.inside
+        free = ~box
         below = np.zeros_like(free)
         for beta in comps:
             below[tuple(slice(0, b) for b in beta)] = True
@@ -173,6 +173,6 @@ def test_slice_membership_reduction():
         for k in range(1, len(degrees)):
             if degrees[k - 1] <= d < degrees[k]:
                 lb = link_boxes[k - 1]
-                expected = all(m < c for m, c in zip(mu, lb.bounds)) and mu in lb
-        assert (gamma in box) == expected
+                expected = all(m < c - 1 for m, c in zip(mu, lb.shape)) and not lb[mu]
+        assert (not box[gamma]) == expected
         checked += 1

@@ -140,6 +140,7 @@ class TestSliceChain:
                 for k in range(1, len(degrees)):
                     if degrees[k - 1] <= d < degrees[k]:
                         lb = link_boxes[k - 1]
-                        inside_link = all(m < c for m, c in zip(mu, lb.bounds)) and mu in lb
+                        inside_link = all(m < c - 1 for m, c in zip(mu, lb.shape)) \
+                            and not lb[mu]
                         expected = inside_link
-                assert (gamma in box) == expected
+                assert (not box[gamma]) == expected
