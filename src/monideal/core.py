@@ -9,12 +9,27 @@ partial order drives everything in this package.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 INF = math.inf
 
 # Exponents are validated against this bound so sums and lcms stay exact
-# and finite values always sort below INF.
+# and finite values always sort below INF.  Every coordinate the package
+# compares (an exponent, or an Artinian bound one above it) is at most 2^33,
+# below 2^53, so float64 holds it exactly and the numpy dominance tests of
+# ``minimalize`` and the incremental partition give exact answers.
 MAX_EXPONENT = 2 ** 32
+
+# ``minimalize`` scans at most this many distinct vectors with plain
+# ``leq`` calls; below it numpy's fixed cost per call exceeds the whole scan.
+SCAN_LIMIT = 12
+# Cells (block rows x antichain vectors) of each comparison temporary in
+# ``minimalize``'s blocked kernel, whose blocks have isqrt(BLOCK_CELLS) rows.
+BLOCK_CELLS = 1 << 16
+# Largest magnitude float64 holds exactly together with every integer below it.
+_FLOAT_EXACT = 2 ** 53
 
 
 def leq(a, b):
@@ -46,23 +61,99 @@ def minimalize(vectors, counter=None):
     """Minimal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Every input vector is >= some output vector, and no output vector divides
-    another.  Each pairwise comparison is charged to ``counter``.
+    another.  The distinct vectors are scanned in ``(sum, lex)`` order against
+    the antichain kept so far; each vector is charged to ``counter`` one
+    comparison per kept vector up to its first divisor, or all of them when
+    none divides it.  More than ``SCAN_LIMIT`` vectors go through the blocked
+    numpy kernel, which keeps and charges exactly what the scan does.
     """
     distinct = sorted(set(map(tuple, vectors)), key=_domination_order)
-    kept = []
-    comparisons = 0
-    for v in distinct:
-        dominated = False
-        for m in kept:
-            comparisons += 1
-            if leq(m, v):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(v)
+    if len(distinct) <= SCAN_LIMIT:
+        kept, comparisons = _scan(distinct)
+    else:
+        kept, comparisons = _blocked_scan(distinct)
     if counter is not None:
         counter.add(comparisons)
     return sorted(kept, key=lex_key)
+
+
+def _scan(distinct):
+    kept = []
+    comparisons = 0
+    for v in distinct:
+        for m in kept:
+            comparisons += 1
+            if leq(m, v):
+                break
+        else:
+            kept.append(v)
+    return kept, comparisons
+
+
+def _divides(a, b):
+    """``out[j, i]`` is ``leq(a[i], b[j])``, for float64 row matrices.
+
+    One comparison per coordinate: reducing a 3-d comparison over its short
+    last axis costs ten times as much.
+    """
+    out = a[None, :, 0] <= b[:, None, 0]
+    for u in range(1, a.shape[1]):
+        out &= a[None, :, u] <= b[:, None, u]
+    return out
+
+
+def _blocked_scan(distinct):
+    """``_scan`` on blocks of rows, a few float64 comparisons per block.
+
+    ``leq`` is transitive, so a vector has a kept divisor before it exactly
+    when it has any divisor before it: a block row is kept iff no vector kept
+    by earlier blocks and no earlier row of the block divides it.  A row's
+    first kept divisor is the first such vector of the earlier blocks, else
+    the first kept earlier row of the block.  Rows are tested against the
+    antichain in chunks of as many vectors as a block has rows, so no
+    temporary exceeds ``BLOCK_CELLS`` cells: memory stays O(p*n), time
+    O(p*(k+b)*n) for ``k`` kept vectors and blocks of ``b`` rows.
+    """
+    n = len(distinct[0])
+    for v in distinct:
+        if len(v) != n:
+            raise ValueError(f"length mismatch: {n} vs {len(v)}")
+    rows = np.fromiter(chain.from_iterable(distinct), np.float64,
+                       len(distinct) * n).reshape(-1, n)
+    if np.abs(rows).max(initial=0, where=np.isfinite(rows)) > _FLOAT_EXACT:
+        return _scan(distinct)
+    b = math.isqrt(BLOCK_CELLS)
+    kept_rows = np.empty_like(rows)
+    kept_at = []
+    comparisons = 0
+    for start in range(0, len(rows), b):
+        block = rows[start:start + b]
+        k = len(kept_at)
+        # index of each row's first divisor kept by earlier blocks, -1 for
+        # none; a chunk is probed only by the rows still without one
+        first = np.full(len(block), -1)
+        for c in range(0, k, b):
+            todo = np.flatnonzero(first < 0)
+            if not len(todo):
+                break
+            hit = _divides(kept_rows[c:min(c + b, k)], block[todo])
+            found = hit.any(1)
+            first[todo[found]] = c + hit[found].argmax(1)
+        comparisons += int((first[first >= 0] + 1).sum())
+        free = np.flatnonzero(first < 0)
+        if not len(free):
+            continue
+        # a row with a divisor among the earlier blocks' kept vectors is
+        # neither kept nor, by transitivity, the only divisor of a free row
+        rest = block[free]
+        below = np.tril(_divides(rest, rest), -1)
+        keep = ~below.any(1)
+        rank = np.cumsum(keep)  # kept free rows up to and including each one
+        comparisons += k * len(free) + int((rank[keep] - 1).sum())
+        comparisons += int(rank[(below[~keep] & keep).argmax(1)].sum())
+        kept_rows[k:k + int(rank[-1])] = rest[keep]
+        kept_at.extend((start + free[keep]).tolist())
+    return [distinct[i] for i in kept_at], comparisons
 
 
 def maximalize(vectors, counter=None):
@@ -168,7 +259,9 @@ class ComponentSet:
             if len(v) != n:
                 raise ValueError(f"component {v} has length {len(v)}, expected {n}")
             for e in v:
-                if e != INF and (not isinstance(e, int) or e < 1 or e > MAX_EXPONENT):
+                # bool is an int, and a numpy float64 a float: both rejected
+                finite = isinstance(e, int) and not isinstance(e, bool)
+                if not (finite and 1 <= e <= MAX_EXPONENT or type(e) is float and e == INF):
                     raise ValueError(f"component exponent {e!r} outside N-bar")
             vs.append(v)
         return cls(n, tuple(sorted(vs, key=lex_key)))

@@ -15,8 +15,10 @@ generator iff no component lies strictly above it) plus a scan of the
 lex-sorted generators from ``alpha``'s position on, which in the lex order
 of ``decompose_incremental`` holds at most ``n`` pure powers.  Lowered
 copies are distinct from each other and from the untouched components, so
-no duplicate check is made.  Components are kept in insertion order and
-sorted once, by the final ``ComponentSet``.
+no duplicate check is made.  Components are kept in insertion order, as
+exact tuples and as the columns of a float64 matrix that the partition
+tests with one numpy comparison, and sorted once, by the final
+``ComponentSet``.
 
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
@@ -27,24 +29,25 @@ generator containing INF stands for the zero polynomial and divides nothing.
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (ComponentSet, INF, artinianize, deartinianize, leq,
-                   lex_key, maximalize, replace_coord, strictly_below,
-                   unit_vector)
+                   lex_key, maximalize, replace_coord, unit_vector)
 
 
 def partition_components(comps, alpha, counter=None):
     """Split components by whether ``alpha`` sits strictly below them.
 
-    Returns ``(untouched, affected)``: the untouched components already
-    contain X^alpha and survive as they are; the affected ones must be
-    lowered.  One comparison per component is charged.
+    ``comps`` is the float64 matrix of the components, one column each, with
+    INF as ``inf`` (``IncrementalState.columns``).  Returns ``(untouched,
+    affected)`` as arrays of column indices: the untouched components
+    already contain X^alpha and survive as they are; the affected ones must
+    be lowered.  One comparison per component is charged.
     """
-    untouched, affected = [], []
-    for beta in comps:
-        (affected if strictly_below(alpha, beta) else untouched).append(beta)
+    above = (comps > np.asarray(alpha, dtype=np.float64)[:, None]).all(axis=0)
     if counter is not None:
-        counter.add(len(comps))
-    return untouched, affected
+        counter.add(comps.shape[1])
+    return np.flatnonzero(~above), np.flatnonzero(above)
 
 
 def dividing_generators(beta, index, counter=None):
@@ -147,12 +150,17 @@ class IncrementalState:
     Holds the generators absorbed so far (an antichain, lex-sorted), their
     degree index ``{(u, degree): [generators]}``, and the current components
     (in insertion order), which always equal the decomposition of the ideal
-    the absorbed generators span.
+    the absorbed generators span.  ``columns`` holds the components as the
+    columns of a float64 matrix, in the same order; every coordinate is at
+    most 2^33 or INF, so the matrix is exact.  (One contiguous row per
+    variable makes the partition's comparison several times faster than one
+    row per component at a few thousand components.)
     """
 
     def __init__(self, n, components, generators, counter=None):
         self.n = n
         self.components = [tuple(c) for c in components]
+        self.columns = _as_columns(self.components, n)
         self.generators = sorted((tuple(m) for m in generators), key=lex_key)
         self.index = {}
         for m in self.generators:
@@ -218,15 +226,14 @@ class IncrementalState:
         for m in gens[bisect_left(gens, lex_key(alpha), key=lex_key):]:
             if leq(alpha, m):
                 raise ValueError(f"{alpha} does not extend the minimal set: it divides {m}")
-        untouched, affected = partition_components(self.components, alpha, self.counter)
-        if not affected:
+        untouched, affected = partition_components(self.columns, alpha, self.counter)
+        if not len(affected):
             raise ValueError(f"{alpha} does not extend the minimal set: "
                              "a generator divides it")
 
-        affected.sort(key=lex_key)
-        kept, rejected = [], []
-        new = list(untouched)
-        for beta in affected:
+        comps, lost = self.components, affected.tolist()
+        kept, rejected, lowered = [], [], []
+        for beta in sorted((comps[i] for i in lost), key=lex_key):
             divisors = dividing_generators(beta, self.index, self.counter)
             limits = lowering_limits(beta, divisors, self.counter)
             for u in range(self.n):
@@ -234,17 +241,24 @@ class IncrementalState:
                 # a zero exponent would denote the unit ideal, never a component
                 if alpha[u] >= 1 and limits[u] < alpha[u]:
                     kept.append((beta, u, limits[u], cand))
-                    new.append(cand)
+                    lowered.append(cand)
                 else:
                     rejected.append((beta, u, limits[u], cand))
 
         if cross_check:
+            rest = [comps[i] for i in untouched.tolist()]
             candidates = [e[3] for e in kept] + [e[3] for e in rejected]
-            reduced = maximalize(untouched + [c for c in candidates if min(c) >= 1])
-            assert sorted(reduced, key=lex_key) == sorted(new, key=lex_key), \
+            reduced = maximalize(rest + [c for c in candidates if min(c) >= 1])
+            assert sorted(reduced, key=lex_key) == sorted(rest + lowered, key=lex_key), \
                 "exact update disagrees with full reduction"
 
-        self.components = new
+        # a few percent of the components are affected: deleting them in
+        # place is cheaper than rebuilding the list from the untouched ones
+        for i in reversed(lost):
+            del comps[i]
+        comps.extend(lowered)
+        self.columns = np.concatenate(
+            [self.columns[:, untouched], _as_columns(lowered, self.n)], axis=1)
         insort(gens, alpha, key=lex_key)
         self._index(alpha)
         self.steps += 1
@@ -252,6 +266,15 @@ class IncrementalState:
             trace.append(TraceStep(self.steps, alpha, len(untouched),
                                    len(affected), kept, rejected))
         return self
+
+
+def _as_columns(vectors, n):
+    """Float64 matrix of ``vectors``, one column each; INF becomes ``inf``.
+
+    C order, one contiguous row per variable: ``np.concatenate`` keeps its
+    inputs' layout, and the partition is fast only on contiguous rows.
+    """
+    return np.array(vectors, dtype=np.float64).reshape(len(vectors), n).T.copy()
 
 
 def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,

@@ -2,16 +2,20 @@
 
 import itertools
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
+from monideal import (ComponentSet, GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_recursive, gen_random)
-from monideal.core import (deartinianize, ideal_intersection, ideal_sum,
-                           is_generic, lcm_vector, leq, lex_key, maximalize,
-                           minimalize, replace_coord, strictly_below,
-                           unit_vector)
+from monideal import core
+from monideal.core import (SCAN_LIMIT, deartinianize, ideal_intersection,
+                           ideal_sum, is_generic, lcm_vector, leq, lex_key,
+                           maximalize, minimalize, replace_coord,
+                           strictly_below, unit_vector)
 from conftest import SHOWCASE_GENS, is_antichain, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
@@ -109,6 +113,77 @@ class TestAntichains:
         assert is_antichain(out)
         assert all(any(leq(v, m) for m in out) for v in vs)
         assert maximalize(out) == out
+
+
+def reference_minimalize(vectors):
+    """The plain sequential scan: distinct vectors in (sum, lex) order, each
+    kept unless a kept vector divides it, charged one comparison per kept
+    vector tried."""
+    kept, charged = [], 0
+    for v in sorted(set(vectors), key=lambda v: (sum(v), lex_key(v))):
+        for m in kept:
+            charged += 1
+            if leq(m, v):
+                break
+        else:
+            kept.append(v)
+    return sorted(kept, key=lex_key), charged
+
+
+def reference_maximalize(vectors):
+    negated, charged = reference_minimalize([tuple(-x for x in v) for v in vectors])
+    return sorted((tuple(-x for x in v) for v in negated), key=lex_key), charged
+
+
+signed = st.one_of(st.integers(0, 4), st.just(INF), st.just(-INF))
+
+
+class TestKernel:
+    """``minimalize``'s numpy kernel against the sequential scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+               st.tuples(*([signed] * n)), max_size=4 * SCAN_LIMIT)),
+           st.sampled_from([16, 100, core.BLOCK_CELLS]))
+    def test_matches_sequential_scan(self, vs, cells):
+        # small BLOCK_CELLS values split even short inputs into many blocks
+        # and antichain chunks
+        with mock.patch.object(core, "BLOCK_CELLS", cells):
+            for ours, ref in ((minimalize, reference_minimalize),
+                              (maximalize, reference_maximalize)):
+                counter = OpCounter()
+                out = ours(vs, counter)
+                assert (out, counter.ops) == ref(vs)
+
+    @pytest.mark.parametrize("size", [2, SCAN_LIMIT, 4 * SCAN_LIMIT])
+    def test_mixed_lengths_raise(self, size):
+        vs = [(i, size - i, 1) for i in range(size - 1)] + [(1, 1)]
+        for f in (minimalize, maximalize):
+            with pytest.raises(ValueError):
+                f(vs)
+
+    def test_no_quadratic_cliff(self):
+        # 7 minimal vectors and 20,000 distinct vectors they divide: the scan
+        # charges each vector up to its first divisor, and the kernel's
+        # temporaries stay blocked, so neither time nor memory is O(p^2)
+        anti = [(i, 6 - i, 0) for i in range(7)]
+        rng = random.Random(7)
+        above = set()
+        while len(above) < 20000:
+            v = tuple(x + rng.randrange(40) for x in rng.choice(anti))
+            if v not in anti:
+                above.add(v)
+        vs = anti + sorted(above)
+        counter = OpCounter()
+        tracemalloc.start()
+        try:
+            out = minimalize(vs, counter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == sorted(anti, key=lex_key)
+        assert counter.ops == 24474
+        assert peak < 8 * 2 ** 20, peak
 
 
 class TestVectorOps:
@@ -264,6 +339,13 @@ class TestSets:
     def test_component_set_rejects_zero(self):
         with pytest.raises(ValueError):
             ComponentSet.from_vectors(2, [(0, 1)])
+
+    @pytest.mark.parametrize("bad", [True, np.int64(2), np.float64(2.0), np.float64(INF)])
+    def test_component_set_rejects_bool_and_numpy_scalars(self, bad):
+        with pytest.raises(ValueError):
+            ComponentSet.from_vectors(2, [(bad, 2)])
+        with pytest.raises(ValueError):
+            GeneratorSet.from_vectors(2, [(bad, 2)])
 
 
 class TestIdealAlgebra:

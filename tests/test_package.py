@@ -1,9 +1,12 @@
 """The package root's public surface."""
 
 import re
+import sys
 from pathlib import Path
 
 import monideal
+import monideal.cli  # noqa: F401  (the tracer rebinds names in every module)
+from conftest import showcase
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +36,20 @@ def test_names_the_benchmark_reads_resolve():
             names.update(re.findall(r"\w+", group))
     assert {"OpCounter", "decompose_incremental", "gen_random"} <= names
     assert names <= set(PUBLIC), names - set(PUBLIC)
+
+
+def test_benchmark_trace_adapters_fit_the_engine():
+    # perfbench's tracer wraps engine functions with adapters that assume
+    # their signatures and return shapes; drift would surface only in a
+    # traced benchmark run
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = layers.Tracer(monideal)
+    sizes = []
+    with layers.installed(tracer):
+        monideal.decompose_incremental(showcase(), t_sizes=sizes)
+    assert tracer.calls["incremental.partition_components"] == len(sizes) - 1 > 0
+    assert tracer.counts["partition.scanned"] == sum(sizes[:-1])
