@@ -28,8 +28,6 @@ SCAN_LIMIT = 12
 # Cells (block rows x antichain vectors) of each comparison temporary in
 # ``minimalize``'s blocked kernel, whose blocks have isqrt(BLOCK_CELLS) rows.
 BLOCK_CELLS = 1 << 16
-# Largest magnitude float64 holds exactly together with every integer below it.
-_FLOAT_EXACT = 2 ** 53
 
 
 def leq(a, b):
@@ -66,6 +64,11 @@ def minimalize(vectors, counter=None):
     comparison per kept vector up to its first divisor, or all of them when
     none divides it.  More than ``SCAN_LIMIT`` vectors go through the blocked
     numpy kernel, which keeps and charges exactly what the scan does.
+
+    Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
+    most 2^33, as every caller in the package guarantees (see
+    ``MAX_EXPONENT``): the kernel compares float64 copies, which are exact
+    only below 2^53.
     """
     distinct = sorted(set(map(tuple, vectors)), key=_domination_order)
     if len(distinct) <= SCAN_LIMIT:
@@ -120,8 +123,6 @@ def _blocked_scan(distinct):
             raise ValueError(f"length mismatch: {n} vs {len(v)}")
     rows = np.fromiter(chain.from_iterable(distinct), np.float64,
                        len(distinct) * n).reshape(-1, n)
-    if np.abs(rows).max(initial=0, where=np.isfinite(rows)) > _FLOAT_EXACT:
-        return _scan(distinct)
     b = math.isqrt(BLOCK_CELLS)
     kept_rows = np.empty_like(rows)
     kept_at = []
