@@ -6,6 +6,7 @@ them unbounded in z.
 """
 
 from monideal import GeneratorSet, artinianize, decompose_recursive
+from monideal.recursive import decompose_trie, slice_chain
 from monideal.trie import build, top_slices
 
 gens = [(4, 0, 0), (0, 4, 0), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
@@ -30,6 +31,15 @@ for d, sub in top_slices(t):
 art = artinianize(g)
 print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added) if a],
       "with bounds", art.bounds)
+
+# The chain links are two-variable staircases, where the recursion stops.
+# The link at z^2 holds the (x, y) parts of every generator of z-degree at
+# most 2; in lex order its y-degrees rise and its x-degrees fall, and each
+# pair of consecutive corners (a, b), (a', b') gives the component (a, b').
+for d, link in slice_chain(build(art.n, art.gens)):
+    if d == 2:
+        print("\nchain link at z^2, corners (y rising, x falling):", list(link.vectors))
+        print("  its components, read off consecutive corners:", decompose_trie(link))
 
 # Decompose.  Components unbounded in z come back with an inf coordinate.
 comps = decompose_recursive(g)

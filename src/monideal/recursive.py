@@ -5,35 +5,32 @@ degrees of the last variable.  Accumulating the slices gives a strictly
 increasing chain of ideals in one fewer variable; the components of the full
 ideal are exactly the components that disappear from one link of the chain
 to the next, tagged with the degree at which they disappear.  Recursing on
-the chain links reaches the one-variable base case.
+the chain links reaches the two-variable base case, whose components are
+read off the corners of the staircase.
 """
 
 from .core import ComponentSet, INF, artinianize, deartinianize, minimalize
-from .trie import build, min_merge, top_slices
+from .trie import Trie, build, min_merge, top_slices
 
 
 def decompose_bivariate(vectors):
     """Closed-form decomposition of a two-variable staircase.
 
-    The minimal generators of a bivariate ideal sort into strictly falling
-    x-degrees against strictly rising y-degrees; consecutive corners pair up
-    into the components.  Missing pure powers are treated as infinite.
+    Missing pure powers are treated as infinite: ``(INF, 0)`` and
+    ``(0, INF)`` join the minimal generators, which ``minimalize`` returns in
+    lex order, and the engine's height-2 base case pairs up consecutive
+    corners (see ``decompose_trie``).
     """
     vs = minimalize(vectors)
     for v in vs:
         if len(v) != 2:
             raise ValueError(f"expected 2 variables, got vector {v}")
-    if any(not any(v) for v in vs):
-        return ComponentSet.from_vectors(2, [])
-    if not vs:
-        return ComponentSet.from_vectors(2, [(INF, INF)])
-    if all(v[1] != 0 for v in vs):
-        vs.append((INF, 0))
-    if all(v[0] != 0 for v in vs):
-        vs.append((0, INF))
-    vs.sort(key=lambda v: v[0], reverse=True)
-    comps = [(vs[k][0], vs[k + 1][1]) for k in range(len(vs) - 1)]
-    return ComponentSet.from_vectors(2, comps)
+    if vs:
+        if vs[0][1] != 0:
+            vs.insert(0, (INF, 0))
+        if vs[-1][0] != 0:
+            vs.append((0, INF))
+    return ComponentSet.from_vectors(2, decompose_trie(Trie(2, tuple(vs))))
 
 
 def difference(a, b, counter=None):
@@ -68,10 +65,23 @@ def slice_chain(t, counter=None):
 def decompose_trie(t, counter=None):
     """Components of the ideal encoded by a minimal Artinian trie.
 
-    Height one is the base case: a single pure power, whose degree is the
-    lone component.  Otherwise walk the slice chain on the last variable and
-    emit the components lost at each step tagged with the degree where they
-    vanish.  INF labels are allowed and flow through untouched.
+    Height one is a single pure power, whose degree is the lone component.
+    Above height two, walk the slice chain on the last variable and emit the
+    components lost at each step tagged with the degree where they vanish.
+    INF labels are allowed and flow through untouched.
+
+    Height two is read off the corners.  Write the vectors, in lex order, as
+    ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
+    comparable, so minimality makes the ``b`` strictly rise and then the
+    ``a`` strictly fall.  Slice ``k`` is the single height-1 vector
+    ``(a_k,)``, so chain link ``k``, the minimum of slices ``0..k``, is
+    ``(a_k,)`` too, with lone component ``(a_k,)``, or none when
+    ``a_k == 0``.  Passing from link ``k - 1`` to
+    link ``k`` at degree ``b_k`` therefore loses exactly ``(a_{k-1},)``,
+    and the chain emits ``(a_{k-1}, b_k)`` for ``k = 1..m``: each
+    consecutive pair of corners gives one component, and nothing else is
+    emitted.  This is charged to ``counter`` as one operation per adjacent
+    pair, fewer than the chain's merges and differences would charge.
     """
     vs = t.vectors
     if not vs:
@@ -80,12 +90,16 @@ def decompose_trie(t, counter=None):
         return []
     if t.height == 1:
         return [vs[-1]]
-
-    chain = slice_chain(t, counter)
-    d, link = next(chain)
-    if d != 0:
+    if vs[0][-1] != 0:
         raise ValueError("no generator is free of the last variable; "
                          "the encoded ideal is not Artinian in the others")
+    if t.height == 2:
+        if counter is not None:
+            counter.add(len(vs) - 1)
+        return [(vs[k][0], vs[k + 1][1]) for k in range(len(vs) - 1)]
+
+    chain = slice_chain(t, counter)
+    _, link = next(chain)
     prev = decompose_trie(link, counter)
     out = []
     for d, link in chain:

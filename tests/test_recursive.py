@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
+from monideal import recursive
 from monideal.oracle import staircase
 from monideal.recursive import (adjoin, decompose_bivariate, decompose_trie,
                                 difference, slice_chain)
@@ -103,6 +105,63 @@ class TestEngine:
             assert len(set(comps)) == len(comps)
 
 
+def slice_chain_walk(t, counter=None):
+    """Reference for the height-2 base case: decompose every height-1 link
+    of the slice chain and tag what each step loses."""
+    chain = slice_chain(t, counter)
+    _, link = next(chain)
+    prev = decompose_trie(link, counter)
+    out = []
+    for d, link in chain:
+        cur = decompose_trie(link, counter)
+        out.extend(adjoin(difference(prev, cur, counter), d))
+        prev = cur
+    return out
+
+
+@st.composite
+def bivariate_tries(draw):
+    """A minimal height-2 trie with a y-free vector: y-degrees rise from 0
+    while x-degrees fall, optionally ending free of x, with INF labels."""
+    m = draw(st.integers(1, 8))
+    xs = sorted(draw(st.sets(st.integers(1, 30), min_size=m, max_size=m)), reverse=True)
+    ys = [0] + sorted(draw(st.sets(st.integers(1, 30), min_size=m - 1, max_size=m - 1)))
+    if draw(st.booleans()):
+        xs[-1] = 0
+    if draw(st.booleans()):
+        xs[0] = INF
+    if m > 1 and draw(st.booleans()):
+        ys[-1] = INF
+    return build(2, zip(xs, ys))
+
+
+class TestHeightTwoBase:
+    @settings(max_examples=300, deadline=None)
+    @given(bivariate_tries())
+    def test_corners_match_the_slice_chain(self, t):
+        corners, walk = OpCounter(), OpCounter()
+        assert decompose_trie(t, corners) == slice_chain_walk(t, walk)
+        assert corners.ops <= walk.ops
+
+    def test_no_y_free_vector_raises(self):
+        with pytest.raises(ValueError, match="free of the last variable"):
+            decompose_trie(build(2, [(3, 1), (1, 2)]))
+
+    def test_recursion_never_reaches_height_one(self, monkeypatch):
+        heights = []
+        inner = recursive.decompose_trie
+
+        def spy(t, counter=None):
+            heights.append(t.height)
+            return inner(t, counter)
+
+        monkeypatch.setattr(recursive, "decompose_trie", spy)
+        rng = random.Random(41)
+        for _ in range(100):
+            decompose_recursive(random_ideal(rng))
+        assert set(heights) == {2, 3, 4}
+
+
 class TestSliceChain:
     def test_chain_is_strictly_increasing(self):
         rng = random.Random(31)
@@ -163,11 +222,11 @@ class TestPaperComparison:
         g = gen_random(3, 40, 80, 1, generic=True)
         inc, rec = ops(decompose_incremental, g), ops(decompose_recursive, g)
         assert inc == 1621
-        assert inc < rec <= 14819
+        assert inc < rec <= 13979
 
     def test_recursive_wins_on_power_of_maximal_ideal(self):
         m8 = GeneratorSet.from_vectors(
             3, [v for v in itertools.product(range(9), repeat=3) if sum(v) == 8])
         inc, rec = ops(decompose_incremental, m8), ops(decompose_recursive, m8)
         assert inc == 1260
-        assert rec <= 320 < inc
+        assert rec <= 284 < inc
