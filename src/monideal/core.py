@@ -366,10 +366,14 @@ def artinianize(g):
                              tuple(sorted(g.gens + injected, key=lex_key)))
 
 
-def deartinianize(c, art):
+def deartinianize(vectors, art):
     """Map components of the Artinian closure back to the original ideal.
 
-    Each component goes through ``art.relabel``, which also rejects a
+    ``vectors`` is any iterable of the closure's component vectors (a
+    ``ComponentSet`` iterates its ``comps``).  They are not validated as
+    components first: an injected bound may be ``MAX_EXPONENT + 1``, which
+    only the relabelled result, where it reads INF, may hold.  Each
+    component goes through ``art.relabel``, which also rejects a
     coordinate above its bound: O(l*n) in all.  The result needs no antichain
     re-check.  The closure's components are finite with ``beta_i <=
     bounds[i]``, and on ``[0, bounds[i]]`` the map "injected bound -> INF" is
@@ -377,7 +381,7 @@ def deartinianize(c, art):
     ``<=``: two relabelled components are comparable exactly when the
     components were, and an antichain stays an antichain.
     """
-    return ComponentSet.from_vectors(c.n, map(art.relabel, c.comps))
+    return ComponentSet.from_vectors(art.n, map(art.relabel, vectors))
 
 
 def is_generic(g):

@@ -28,6 +28,7 @@ generator containing INF stands for the zero polynomial and divides nothing.
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import eq, le
 
 import numpy as np
 
@@ -57,22 +58,18 @@ def dividing_generators(beta, index, counter=None):
     (``IncrementalState.index``).  Correct whenever ``beta`` is a current
     component: every divisor of such a component matches its degree in at
     least one variable, hence shows up in a probed bucket.  Generators with
-    an INF coordinate divide nothing.
+    an INF coordinate divide nothing.  Charges one op per distinct candidate
+    (a generator in several probed buckets counts once).  The divisors come
+    back in no particular order.
+
+    The union of the buckets and the divisor test of each candidate run in
+    C builtins (``set.union``, ``map(operator.le, ...)``), not in a Python
+    loop per candidate.
     """
-    n = len(beta)
-    candidates, seen = [], set()
-    for u in range(n):
-        for m in index.get((u, beta[u]), ()):
-            if m not in seen:
-                seen.add(m)
-                candidates.append(m)
-    out = []
-    for m in candidates:
-        if all(e != INF for e in m) and leq(m, beta):
-            out.append(m)
+    candidates = set().union(*[index.get(key, ()) for key in enumerate(beta)])
     if counter is not None:
         counter.add(len(candidates))
-    return out
+    return [m for m in candidates if INF not in m and all(map(le, m, beta))]
 
 
 def match_variables(m, beta):
@@ -88,21 +85,17 @@ def lowering_limits(beta, divisors, counter=None):
     ``beta`` in ``x_k`` alone.  The lowered component with new exponent ``a``
     at ``u`` survives exactly when ``a`` exceeds the limit, i.e.
     ``limit < a``.  Variables with no single-variable matcher contribute
-    nothing (the limit of an empty set is -INF).
+    nothing (the limit of an empty set is -INF).  Charges one op per divisor;
+    the result does not depend on the divisors' order.
     """
     n = len(beta)
     min_only = [None] * n  # per matched variable k: coordinatewise min of its lone matchers
     for m in divisors:
-        prof = match_variables(m, beta)
-        if len(prof) == 1:
-            k = prof[0]
-            if min_only[k] is None:
-                min_only[k] = list(m)
-            else:
-                row = min_only[k]
-                for u in range(n):
-                    if m[u] < row[u]:
-                        row[u] = m[u]
+        eqs = list(map(eq, m, beta))
+        if eqs.count(True) == 1:
+            k = eqs.index(True)
+            row = min_only[k]
+            min_only[k] = m if row is None else tuple(map(min, row, m))
     if counter is not None:
         counter.add(len(divisors))
     if divisors and n > 1 and all(row is None for row in min_only):
@@ -301,7 +294,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
         if t_sizes is not None:
             t_sizes.append(len(state.components))
 
-    result = deartinianize(ComponentSet.from_vectors(g.n, state.components), art)
+    result = deartinianize(state.components, art)
     if trace is not None:
         trace.extend(step.record(art.relabel) for step in raw_trace)
     return result

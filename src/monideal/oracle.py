@@ -67,7 +67,7 @@ def irr_oracle(art, budget=DEFAULT_BUDGET):
     """Components of the original ideal read off the staircase of its closure."""
     box = staircase(art, budget)
     comps = [increment(p) for p in maximal_points(box)]
-    return deartinianize(ComponentSet.from_vectors(art.n, comps), art)
+    return deartinianize(comps, art)
 
 
 def decompose_oracle(g, budget=DEFAULT_BUDGET):

@@ -116,4 +116,4 @@ def decompose_recursive(g, counter=None):
         return ComponentSet.from_vectors(g.n, [])
     art = artinianize(g)
     comps = decompose_trie(build(art.n, art.gens), counter)
-    return deartinianize(ComponentSet.from_vectors(g.n, comps), art)
+    return deartinianize(comps, art)

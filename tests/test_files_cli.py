@@ -1,5 +1,6 @@
 """Text formats and the command-line interface."""
 
+import itertools
 import json
 import os
 import random
@@ -10,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from monideal import (ComponentSet, FormatError, GeneratorSet,
-                      decompose_incremental, emit_components, emit_ideal,
-                      gen_random, parse_components, parse_ideal)
+                      decompose_incremental, decompose_recursive,
+                      emit_components, emit_ideal, gen_random,
+                      parse_components, parse_ideal)
 from monideal.bench import measure
 from monideal.cli import cli_main
+from monideal.core import MAX_EXPONENT
 from conftest import SHOWCASE_GENS, fourvar, showcase
 
 # exact `decompose --trace` stderr: the records, their fields and the order of
@@ -29,6 +32,12 @@ ideal 3 x y z
 2 1 3
 end
 """
+
+
+def power():
+    """m^4 in three variables: every degree bucket holds several generators."""
+    return GeneratorSet.from_vectors(
+        3, [v for v in itertools.product(range(5), repeat=3) if sum(v) == 4])
 
 
 class TestIdealFormat:
@@ -131,6 +140,21 @@ class TestCli:
         cli_main(["decompose", str(src), str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_largest_exponent_decomposes(self, tmp_path):
+        # x^(2^32) y z, x y^2, z^3: the closure injects x^(2^32 + 1), one past
+        # MAX_EXPONENT, and that bound must come back as inf
+        src = tmp_path / "top.ideal"
+        src.write_text(f"ideal 3\n{MAX_EXPONENT} 1 1\n1 2 0\n0 0 3\nend\n")
+        expected = ("components 3 4\ninf 2 1\ninf 1 3\n"
+                    f"{MAX_EXPONENT} 2 3\n1 inf 3\nend\n")
+        g = parse_ideal(src.read_text())
+        for engine in (decompose_incremental, decompose_recursive):
+            assert emit_components(engine(g)) == expected
+        for algo in ("incremental", "recursive"):
+            out = tmp_path / f"{algo}.components"
+            assert cli_main(["decompose", "--algo", algo, str(src), str(out)]) == 0
+            assert out.read_text() == expected
+
     def test_trace_records(self, tmp_path, capsys):
         src = self.write_showcase(tmp_path)
         out = tmp_path / "out.components"
@@ -196,7 +220,8 @@ class TestCli:
         assert " l=0 " in line
         assert line.endswith(" peak_t=0") == (algo == "incremental")
 
-    @pytest.mark.parametrize("name, make", [("showcase", showcase), ("fourvar", fourvar)])
+    @pytest.mark.parametrize("name, make", [("showcase", showcase), ("fourvar", fourvar),
+                                            ("power", power)])
     def test_trace_golden(self, tmp_path, capsys, name, make):
         src = tmp_path / f"{name}.ideal"
         src.write_text(emit_ideal(make()))

@@ -1,14 +1,16 @@
 """Incremental engine: partitions, divisor lookup, lowering criterion."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle)
-from monideal.core import leq, strictly_below
+from monideal.core import leq, strictly_below, unit_vector
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, match_variables,
                                   partition_components)
@@ -114,6 +116,127 @@ class TestLoweringLimits:
     def test_all_multimatch_is_internal_error(self):
         with pytest.raises(RuntimeError):
             lowering_limits((1, 1), [(1, 1)])
+
+
+def ref_dividing_generators(beta, index, counter=None):
+    """Reference for ``dividing_generators``: one Python step per candidate."""
+    n = len(beta)
+    candidates, seen = [], set()
+    for u in range(n):
+        for m in index.get((u, beta[u]), ()):
+            if m not in seen:
+                seen.add(m)
+                candidates.append(m)
+    out = []
+    for m in candidates:
+        if all(e != INF for e in m) and leq(m, beta):
+            out.append(m)
+    if counter is not None:
+        counter.add(len(candidates))
+    return out
+
+
+def ref_lowering_limits(beta, divisors, counter=None):
+    """Reference for ``lowering_limits``: profiles through ``match_variables``
+    and row minima updated one coordinate at a time."""
+    n = len(beta)
+    min_only = [None] * n
+    for m in divisors:
+        prof = match_variables(m, beta)
+        if len(prof) == 1:
+            k = prof[0]
+            if min_only[k] is None:
+                min_only[k] = list(m)
+            else:
+                row = min_only[k]
+                for u in range(n):
+                    if m[u] < row[u]:
+                        row[u] = m[u]
+    if counter is not None:
+        counter.add(len(divisors))
+    if divisors and n > 1 and all(row is None for row in min_only):
+        raise RuntimeError(f"no generator matches {beta} in a single variable; "
+                           "it cannot be a component of the current ideal")
+    limits = []
+    for u in range(n):
+        best = -INF
+        for k in range(n):
+            if k != u and min_only[k] is not None and min_only[k][u] > best:
+                best = min_only[k][u]
+        limits.append(best)
+    return limits
+
+
+def outcome(fn, *args):
+    """``(result, ops charged)`` of ``fn(*args, counter)``, or the error raised."""
+    counter = OpCounter()
+    try:
+        return fn(*args, counter), counter.ops
+    except RuntimeError as e:
+        return ("RuntimeError", str(e)), counter.ops
+
+
+def run_states(g, inf_flavour):
+    """The state of an incremental run over ``g``'s closure before each step
+    and after the last.  With ``inf_flavour`` the run starts, as
+    ``inf_state`` does, from the injected powers and the lone component
+    relabelled to INF, so INF generators and components are probed."""
+    art = artinianize(g)
+    degs = art.pure_degrees()
+    gens = [unit_vector(art.n, i, degs[i]) for i in range(art.n)]
+    comps = [degs]
+    if inf_flavour:
+        gens, comps = [art.relabel(m) for m in gens], [art.relabel(degs)]
+    state = IncrementalState(art.n, comps, gens)
+    yield state
+    for alpha in art.alphas():
+        state.add_generator(alpha)
+        yield state
+
+
+class TestProbeReference:
+    """``dividing_generators`` and ``lowering_limits`` against the
+    per-candidate loops they replaced: same divisors, limits, errors and
+    charges on every state of random generic and non-generic runs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                              st.integers(0, 6), st.integers(0, 6)), max_size=3))
+    def test_states_match_reference(self, seed, generic, inf_flavour, probes):
+        g = random_ideal(random.Random(seed), max_p=10, generic=generic)
+        if g.is_unit():
+            return
+        for state in run_states(g, inf_flavour):
+            # the components, plus a few vectors that are not components
+            betas = state.components + [p[:state.n] for p in probes]
+            for beta in betas:
+                got, charged = outcome(dividing_generators, beta, state.index)
+                want, ref_charged = outcome(ref_dividing_generators, beta, state.index)
+                assert sorted(got) == sorted(want) and len(got) == len(set(got))
+                assert charged == ref_charged
+                assert (outcome(lowering_limits, beta, got)
+                        == outcome(ref_lowering_limits, beta, want))
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.tuples(*([st.integers(1, 5)] * n)),
+        st.lists(st.tuples(*([st.integers(0, 5)] * n)), min_size=1, max_size=8),
+        st.lists(st.sets(st.integers(0, n - 1), min_size=2), max_size=8))))
+    def test_multi_match_inputs_match_reference(self, case):
+        """Divisors each equal to ``beta`` on a set of at least two variables
+        (the given ones: an all-multi-match input, which must raise) or
+        on a random pattern (the drawn ones clipped below ``beta``)."""
+        beta, drawn, shared = case
+        clipped = [tuple(min(e, b) for e, b in zip(m, beta)) for m in drawn]
+        multi = [tuple(b if u in keep else b - 1 for u, b in enumerate(beta))
+                 for keep in shared]
+        if multi:
+            got = outcome(lowering_limits, beta, multi)
+            assert got[0][0] == "RuntimeError"
+            assert got == outcome(ref_lowering_limits, beta, multi)
+        for divisors in (clipped, clipped + multi, multi + clipped):
+            assert (outcome(lowering_limits, beta, divisors)
+                    == outcome(ref_lowering_limits, beta, divisors))
 
 
 class TestAddGenerator:
@@ -251,6 +374,16 @@ class TestDecompose:
         got = decompose_incremental(fourvar())
         assert set(got.comps) == {(3, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 2),
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
+
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 120214), (3, 20, 28975), (5, 6, 29217)])
+    def test_power_ideal_ops_pinned(self, n, d, ops):
+        """The many-divisor path: m^d charges exactly these ops and has the
+        binomial(d + n - 2, n - 1) components of its staircase."""
+        g = GeneratorSet.from_vectors(
+            n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
+        counter = OpCounter()
+        assert len(decompose_incremental(g, counter=counter)) == math.comb(d + n - 2, n - 1)
+        assert counter.ops == ops
 
     def test_unit_and_zero(self):
         assert decompose_incremental(GeneratorSet.from_vectors(2, [(0, 0)])).comps == ()
