@@ -18,7 +18,11 @@ copies are distinct from each other and from the untouched components, so
 no duplicate check is made.  Components are kept in insertion order, as
 exact tuples and as the columns of a float64 matrix that the partition
 tests with one numpy comparison, and sorted once, by the final
-``ComponentSet``.
+``ComponentSet``.  The divisor probe and the lowering limits of each
+affected component run their per-candidate work in C builtins (a set union
+of the probed buckets, ``map`` over ``operator.le``, ``operator.eq`` and
+``min``); numpy's fixed cost per call would exceed that work at the few
+components a step affects.
 
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
@@ -61,10 +65,6 @@ def dividing_generators(beta, index, counter=None):
     an INF coordinate divide nothing.  Charges one op per distinct candidate
     (a generator in several probed buckets counts once).  The divisors come
     back in no particular order.
-
-    The union of the buckets and the divisor test of each candidate run in
-    C builtins (``set.union``, ``map(operator.le, ...)``), not in a Python
-    loop per candidate.
     """
     candidates = set().union(*[index.get(key, ()) for key in enumerate(beta)])
     if counter is not None:

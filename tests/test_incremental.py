@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle)
-from monideal.core import leq, strictly_below, unit_vector
+from monideal.core import leq, strictly_below
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, match_variables,
                                   partition_components)
@@ -182,12 +182,10 @@ def run_states(g, inf_flavour):
     ``inf_state`` does, from the injected powers and the lone component
     relabelled to INF, so INF generators and components are probed."""
     art = artinianize(g)
-    degs = art.pure_degrees()
-    gens = [unit_vector(art.n, i, degs[i]) for i in range(art.n)]
-    comps = [degs]
+    state = IncrementalState.start(art)
     if inf_flavour:
-        gens, comps = [art.relabel(m) for m in gens], [art.relabel(degs)]
-    state = IncrementalState(art.n, comps, gens)
+        state = IncrementalState(art.n, map(art.relabel, state.components),
+                                 map(art.relabel, state.generators))
     yield state
     for alpha in art.alphas():
         state.add_generator(alpha)
@@ -223,9 +221,9 @@ class TestProbeReference:
         st.lists(st.tuples(*([st.integers(0, 5)] * n)), min_size=1, max_size=8),
         st.lists(st.sets(st.integers(0, n - 1), min_size=2), max_size=8))))
     def test_multi_match_inputs_match_reference(self, case):
-        """Divisors each equal to ``beta`` on a set of at least two variables
-        (the given ones: an all-multi-match input, which must raise) or
-        on a random pattern (the drawn ones clipped below ``beta``)."""
+        """``multi`` holds divisors that each equal ``beta`` in at least two
+        variables, so alone they must raise; ``clipped`` holds random
+        vectors cut down to ``beta``, which match it in any pattern."""
         beta, drawn, shared = case
         clipped = [tuple(min(e, b) for e, b in zip(m, beta)) for m in drawn]
         multi = [tuple(b if u in keep else b - 1 for u, b in enumerate(beta))
