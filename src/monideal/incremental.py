@@ -72,11 +72,6 @@ def dividing_generators(beta, index, counter=None):
     return [m for m in candidates if INF not in m and all(map(le, m, beta))]
 
 
-def match_variables(m, beta):
-    """Variables (0-based) where the degree of ``m`` meets that of ``beta``."""
-    return tuple(u for u in range(len(beta)) if m[u] == beta[u])
-
-
 def lowering_limits(beta, divisors, counter=None):
     """Per-variable blocking degrees for lowering component ``beta``.
 

@@ -5,14 +5,16 @@ its distinct vectors sorted by ``lex_key``, which compares the last
 coordinate first.  That is the depth-first order of the prefix tree whose
 root-to-leaf paths read the coordinates from position ``n-1`` down to 0, so
 each tree operation is a plain operation on the tuple: the subtrees below
-the root are the runs of equal last coordinate, and a merge minimalizes
-the union.  Tries are immutable; all operations return new tries.
+the root are the runs of equal last coordinate, and a merge of two
+antichains filters each against the other and interleaves the survivors.
+Tries are immutable; all operations return new tries.
 """
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import le
 
-from .core import lex_key, minimalize
+from .core import lex_key
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,49 @@ def paths(t):
     return list(t.vectors)
 
 
-def min_merge(*tries, counter=None):
-    """Union reduced to its minimal elements: generators of the ideal sum.
+def min_merge(a, b, counter=None):
+    """Minimal elements of the union of two antichains: generators of the
+    ideal sum.
 
-    ``minimalize`` returns its result in lex order, so it is stored as is.
+    Both tries must be antichains (no stored vector divides another), as
+    every trie the recursive engine merges is: ``build`` of a minimal
+    generating set, that trie's top slices, and merges of antichains.  The
+    vectors of ``a`` that some vector of ``b`` divides are dropped, then the
+    vectors of ``b`` that a surviving vector of ``a`` divides.  The second
+    filter is enough: if a dropped ``x`` divides some ``y`` of ``b``, then
+    ``y' <= x <= y`` for the ``y'`` of ``b`` that dropped ``x``, so
+    ``y' == y`` because ``b`` is an antichain, and ``x == y`` is kept as
+    ``y``.  A vector of ``a`` equal to one of ``b`` is dropped by the first
+    filter, so the survivors are distinct.  They come back in lex order.
+
+    Each vector is charged to ``counter`` one comparison per vector of the
+    other side it is tested against, up to its first divisor, as
+    ``minimalize``'s scan charges.
     """
-    heights = {t.height for t in tries}
-    if len(heights) != 1:
-        raise ValueError(f"cannot merge tries of different heights: {sorted(heights)}")
-    union = [v for t in tries for v in t.vectors]
-    return Trie(heights.pop(), tuple(minimalize(union, counter)))
+    if a.height != b.height:
+        raise ValueError(f"cannot merge tries of different heights: "
+                         f"{sorted({a.height, b.height})}")
+    kept_a, charged_a = _undivided(a.vectors, b.vectors)
+    kept_b, charged_b = _undivided(b.vectors, kept_a)
+    if counter is not None:
+        counter.add(charged_a + charged_b)
+    return Trie(a.height, tuple(sorted(kept_a + kept_b, key=lex_key)))
+
+
+def _undivided(vectors, divisors):
+    """``vectors`` that no vector of ``divisors`` divides, in order, and the
+    comparisons made: up to the first divisor of each vector."""
+    kept = []
+    compared = 0
+    for v in vectors:
+        for k, m in enumerate(divisors, 1):
+            if all(map(le, m, v)):
+                compared += k
+                break
+        else:
+            compared += len(divisors)
+            kept.append(v)
+    return kept, compared
 
 
 def top_slices(t):

@@ -31,6 +31,11 @@ def random_ideal(rng, n_choices=(2, 3, 4), max_p=8, max_deg=6, generic=False):
     return gen_random(n, p, maxdeg, seed=rng.randrange(2 ** 32), generic=generic)
 
 
+def match_variables(m, beta):
+    """Variables (0-based) where the degree of ``m`` meets that of ``beta``."""
+    return tuple(u for u in range(len(beta)) if m[u] == beta[u])
+
+
 def is_antichain(vectors):
     vs = list(vectors)
     for a in vs:

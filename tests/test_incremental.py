@@ -12,9 +12,8 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle)
 from monideal.core import leq, strictly_below
 from monideal.incremental import (IncrementalState, dividing_generators,
-                                  lowering_limits, match_variables,
-                                  partition_components)
-from conftest import fourvar, random_ideal, showcase
+                                  lowering_limits, partition_components)
+from conftest import fourvar, match_variables, random_ideal, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 

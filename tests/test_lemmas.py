@@ -12,9 +12,9 @@ import numpy as np
 from monideal import GeneratorSet, artinianize, decompose_oracle
 from monideal.core import increment, replace_coord, strictly_below
 from monideal.incremental import (IncrementalState, dividing_generators,
-                                  lowering_limits, match_variables)
+                                  lowering_limits)
 from monideal.oracle import maximal_points, staircase
-from conftest import random_ideal
+from conftest import match_variables, random_ideal
 
 INSTANCES = 300
 

@@ -10,11 +10,12 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
 from monideal import recursive
+from monideal.core import minimalize, unit_vector
 from monideal.oracle import staircase
 from monideal.recursive import (adjoin, decompose_bivariate, decompose_trie,
                                 difference, slice_chain)
 from monideal.trie import build, min_merge, paths
-from conftest import SHOWCASE_GENS, random_ideal, showcase
+from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
@@ -162,7 +163,40 @@ class TestHeightTwoBase:
         assert set(heights) == {2, 3, 4}
 
 
+def inf_padded_trie(g):
+    """Trie of ``g``'s generators with every missing pure power as INF."""
+    pure = {i for v in g.gens for i in range(g.n)
+            if v[i] and not any(v[:i] + v[i + 1:])}
+    pads = [unit_vector(g.n, i, INF) for i in range(g.n) if i not in pure]
+    return build(g.n, minimalize(list(g.gens) + pads))
+
+
 class TestSliceChain:
+    def test_merges_only_antichains(self, monkeypatch):
+        # ``min_merge`` filters each side against the other only, which is
+        # exact on antichain inputs: check every merge the engine makes
+        merged = []
+        inner = recursive.min_merge
+
+        def spy(a, b, counter=None):
+            assert is_antichain(a.vectors) and is_antichain(b.vectors)
+            merged.append(a.height)
+            return inner(a, b, counter)
+
+        monkeypatch.setattr(recursive, "min_merge", spy)
+        rng = random.Random(43)
+        for _ in range(200):
+            g = random_ideal(rng, n_choices=(2, 3, 4, 5))
+            comps = set(decompose_recursive(g).comps)
+            if g.is_unit():
+                continue
+            t = inf_padded_trie(g)
+            if g.n == 2:
+                slice_chain_walk(t)
+            else:
+                assert set(decompose_trie(t)) == comps
+        assert set(merged) == {1, 2, 3, 4}
+
     def test_chain_is_strictly_increasing(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -222,11 +256,16 @@ class TestPaperComparison:
         g = gen_random(3, 40, 80, 1, generic=True)
         inc, rec = ops(decompose_incremental, g), ops(decompose_recursive, g)
         assert inc == 1621
-        assert inc < rec <= 13979
+        assert inc < rec <= 3388
 
     def test_recursive_wins_on_power_of_maximal_ideal(self):
         m8 = GeneratorSet.from_vectors(
             3, [v for v in itertools.product(range(9), repeat=3) if sum(v) == 8])
         inc, rec = ops(decompose_incremental, m8), ops(decompose_recursive, m8)
         assert inc == 1260
-        assert rec <= 284 < inc
+        assert rec <= 200 < inc
+
+    def test_recursive_has_no_merge_cliff(self):
+        # every link merge costs about its own size, not a re-minimalization
+        # of the union
+        assert ops(decompose_recursive, gen_random(4, 60, 120, 1, generic=True)) <= 151102

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from monideal import INF, artinianize
+from monideal import INF, OpCounter, artinianize
 from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
 from conftest import SHOWCASE_GENS, showcase
@@ -72,12 +72,21 @@ class TestMerges:
         assert set(paths(min_merge(t0, t1))) == {(4, 0), (0, 4), (3, 2), (1, 3)}
 
     def test_min_merge_self(self):
-        t = build(2, [(2, 0), (3, 0)])
-        assert paths(min_merge(t, t)) == [(2, 0)]
+        t = build(3, SHOWCASE_GENS)
+        assert min_merge(t, t) == t
 
     def test_min_merge_dominated_removed(self):
         out = min_merge(build(3, [(4, 2, 2)]), build(3, [(3, 2, 2)]))
         assert paths(out) == [(3, 2, 2)]
+
+    def test_min_merge_charges_pairs_up_to_first_divisor(self):
+        # (4, 0) meets its divisor (3, 0) first: 1; (0, 4) tests both: 2;
+        # each vector of the second trie tests the one survivor: 1 + 1;
+        # 5 in all
+        counter = OpCounter()
+        out = min_merge(build(2, [(4, 0), (0, 4)]), build(2, [(3, 0), (1, 3)]), counter)
+        assert paths(out) == [(3, 0), (1, 3), (0, 4)]
+        assert counter.ops == 5
 
     def test_published_components_are_antichain(self):
         comps = [(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)]
@@ -93,8 +102,9 @@ class TestMerges:
             st.lists(st.tuples(*([st.integers(0, 5)] * n)), max_size=10),
             st.just(n))))
     def test_min_merge_matches_list_minimalize(self, args):
+        # merges are defined on antichains, so both sides are minimalized
         va, vb, n = args
-        ta, tb = build(n, va), build(n, vb)
+        ta, tb = build(n, minimalize(va)), build(n, minimalize(vb))
         got = paths(min_merge(ta, tb))
         want = minimalize(paths(ta) + paths(tb))
         assert got == want
