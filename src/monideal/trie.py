@@ -61,8 +61,7 @@ def min_merge(a, b, counter=None):
     ``minimalize``'s scan charges.
     """
     if a.height != b.height:
-        raise ValueError(f"cannot merge tries of different heights: "
-                         f"{sorted({a.height, b.height})}")
+        raise ValueError(f"cannot merge tries of heights {a.height} and {b.height}")
     kept_a, charged_a = _undivided(a.vectors, b.vectors)
     kept_b, charged_b = _undivided(b.vectors, kept_a)
     if counter is not None:

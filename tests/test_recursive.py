@@ -10,7 +10,6 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
 from monideal import recursive
-from monideal.core import minimalize, unit_vector
 from monideal.oracle import staircase
 from monideal.recursive import (adjoin, decompose_bivariate, decompose_trie,
                                 difference, slice_chain)
@@ -165,10 +164,8 @@ class TestHeightTwoBase:
 
 def inf_padded_trie(g):
     """Trie of ``g``'s generators with every missing pure power as INF."""
-    pure = {i for v in g.gens for i in range(g.n)
-            if v[i] and not any(v[:i] + v[i + 1:])}
-    pads = [unit_vector(g.n, i, INF) for i in range(g.n) if i not in pure]
-    return build(g.n, minimalize(list(g.gens) + pads))
+    art = artinianize(g)
+    return build(g.n, map(art.relabel, art.gens))
 
 
 class TestSliceChain:
