@@ -15,14 +15,23 @@ generator iff no component lies strictly above it) plus a scan of the
 lex-sorted generators from ``alpha``'s position on, which in the lex order
 of ``decompose_incremental`` holds at most ``n`` pure powers.  Lowered
 copies are distinct from each other and from the untouched components, so
-no duplicate check is made.  Components are kept in insertion order, as
-exact tuples and as the columns of a float64 matrix that the partition
-tests with one numpy comparison, and sorted once, by the final
-``ComponentSet``.  The divisor probe and the lowering limits of each
-affected component run their per-candidate work in C builtins (a set union
-of the probed buckets, ``map`` over ``operator.le``, ``operator.eq`` and
-``min``); numpy's fixed cost per call would exceed that work at the few
-components a step affects.
+no duplicate check is made.
+
+Components are kept in insertion order, in two lists.  The active ones are
+exact tuples and the columns of a float64 matrix that the partition tests
+with one numpy comparison.  A copy lowered at the last variable takes
+``alpha``'s last coordinate, and in lex order no later ``alpha`` has a
+smaller one, so it can never again lie strictly above a generator: it is
+final output and is retired to a plain list that the partition never
+scans.  What stays active is the decomposition of the current link of the
+recursive engine's slice chain, with the last coordinate at its pure-power
+degree.  A caller that absorbs out of lex order gets retired components
+moved back first, so every order stays exact.  Both lists are sorted once,
+together, by the final ``ComponentSet``.  The divisor probe and the
+lowering limits of each affected component run their per-candidate work in
+C builtins (a set union of the probed buckets, ``map`` over
+``operator.le``, ``operator.eq`` and ``min``); numpy's fixed cost per call
+would exceed that work at the few components a step affects.
 
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
@@ -136,25 +145,43 @@ class IncrementalState:
     """Single-owner state of one incremental run.
 
     Holds the generators absorbed so far (an antichain, lex-sorted), their
-    degree index ``{(u, degree): [generators]}``, and the current components
-    (in insertion order), which always equal the decomposition of the ideal
-    the absorbed generators span.  ``columns`` holds the components as the
-    columns of a float64 matrix, in the same order; every coordinate is at
-    most 2^33 or INF, so the matrix is exact.  (One contiguous row per
-    variable makes the partition's comparison several times faster than one
-    row per component at a few thousand components.)
+    degree index ``{(u, degree): [generators]}``, and the current
+    components, which always equal the decomposition of the ideal the
+    absorbed generators span.  They are split in two lists, each in
+    insertion order:
+
+    - ``active``, which the partition scans.  ``columns`` holds them as the
+      columns of a float64 matrix, in the same order; every coordinate is at
+      most 2^33 or INF, so the matrix is exact.  (One contiguous row per
+      variable makes the partition's comparison several times faster than
+      one row per component at a few thousand components.)
+    - ``retired``, the components kept from a lowering at the last variable,
+      which never enter the matrix.  ``floor`` is the largest last
+      coordinate among them (-INF while there are none).
+
+    ``components`` returns all current components, active then retired, as
+    a new list; ``len(state)`` counts them without building it.
     """
 
     def __init__(self, n, components, generators, counter=None):
         self.n = n
-        self.components = [tuple(c) for c in components]
-        self.columns = _as_columns(self.components, n)
+        self.active = [tuple(c) for c in components]
+        self.columns = _as_columns(self.active, n)
+        self.retired = []
+        self.floor = -INF
         self.generators = sorted((tuple(m) for m in generators), key=lex_key)
         self.index = {}
         for m in self.generators:
             self._index(m)
         self.counter = counter
         self.steps = 0
+
+    @property
+    def components(self):
+        return self.active + self.retired
+
+    def __len__(self):
+        return len(self.active) + len(self.retired)
 
     def _index(self, m):
         for u in range(self.n):
@@ -192,6 +219,21 @@ class IncrementalState:
           absorbed non-pure generator is lex-smaller than ``alpha``, so the
           suffix holds at most the ``n`` pure powers.
 
+        Only the active components are partitioned.  A retired ``beta``
+        has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
+        when ``alpha`` breaks lex order with ``alpha_n < floor``, every
+        retired component moves back into ``active`` and ``columns``.  That
+        reactivation is the exactness guard for out-of-order callers;
+        ``decompose_incremental`` never triggers it.  So ``beta_n <=
+        alpha_n`` and ``beta`` is not strictly above ``alpha``.  Therefore
+        ``beta`` is untouched by the step, a generator divides ``alpha`` iff
+        no *active* component lies strictly above it, and the divisor probe
+        and the lowering limits, which run on affected components only,
+        never see ``beta``.  A kept candidate lowered at the last variable
+        has last coordinate ``alpha_n``, so it is retired and ``floor``
+        becomes ``alpha_n``, which keeps the same argument valid for every
+        later ``alpha`` with ``alpha_n >= floor``.
+
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
         A candidate lowered from ``beta`` at ``u`` equals ``alpha`` in
@@ -204,8 +246,9 @@ class IncrementalState:
         Components stay in insertion order; ``affected`` is sorted by
         ``lex_key`` so that the trace lists lowerings in lex order of their
         parents.  When ``cross_check`` is set, the update is recomputed as a
-        full reduction of all lowered candidates and both routes are
-        asserted equal, which also catches a duplicate.
+        full reduction of all lowered candidates against every untouched
+        component, active and retired, and both routes are asserted equal,
+        which also catches a duplicate.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
@@ -214,13 +257,18 @@ class IncrementalState:
         for m in gens[bisect_left(gens, lex_key(alpha), key=lex_key):]:
             if leq(alpha, m):
                 raise ValueError(f"{alpha} does not extend the minimal set: it divides {m}")
+        if alpha[-1] < self.floor:
+            self.active.extend(self.retired)
+            self.columns = np.concatenate(
+                [self.columns, _as_columns(self.retired, self.n)], axis=1)
+            self.retired, self.floor = [], -INF
         untouched, affected = partition_components(self.columns, alpha, self.counter)
         if not len(affected):
             raise ValueError(f"{alpha} does not extend the minimal set: "
                              "a generator divides it")
 
-        comps, lost = self.components, affected.tolist()
-        kept, rejected, lowered = [], [], []
+        comps, lost, last = self.active, affected.tolist(), self.n - 1
+        kept, rejected, lowered, retiring = [], [], [], []
         for beta in sorted((comps[i] for i in lost), key=lex_key):
             divisors = dividing_generators(beta, self.index, self.counter)
             limits = lowering_limits(beta, divisors, self.counter)
@@ -229,15 +277,16 @@ class IncrementalState:
                 # a zero exponent would denote the unit ideal, never a component
                 if alpha[u] >= 1 and limits[u] < alpha[u]:
                     kept.append((beta, u, limits[u], cand))
-                    lowered.append(cand)
+                    (retiring if u == last else lowered).append(cand)
                 else:
                     rejected.append((beta, u, limits[u], cand))
 
         if cross_check:
-            rest = [comps[i] for i in untouched.tolist()]
+            rest = [comps[i] for i in untouched.tolist()] + self.retired
             candidates = [e[3] for e in kept] + [e[3] for e in rejected]
             reduced = maximalize(rest + [c for c in candidates if min(c) >= 1])
-            assert sorted(reduced, key=lex_key) == sorted(rest + lowered, key=lex_key), \
+            assert (sorted(reduced, key=lex_key)
+                    == sorted(rest + lowered + retiring, key=lex_key)), \
                 "exact update disagrees with full reduction"
 
         # a few percent of the components are affected: deleting them in
@@ -251,8 +300,11 @@ class IncrementalState:
         self._index(alpha)
         self.steps += 1
         if trace is not None:
-            trace.append(TraceStep(self.steps, alpha, len(untouched),
+            trace.append(TraceStep(self.steps, alpha, len(untouched) + len(self.retired),
                                    len(affected), kept, rejected))
+        if retiring:
+            self.retired.extend(retiring)
+            self.floor = alpha[-1]
         return self
 
 
@@ -281,13 +333,13 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
     art = artinianize(g)
     state = IncrementalState.start(art, counter)
     if t_sizes is not None:
-        t_sizes.append(len(state.components))
+        t_sizes.append(len(state))
 
     raw_trace = [] if trace is not None else None
     for alpha in art.alphas():
         state.add_generator(alpha, trace=raw_trace, cross_check=cross_check)
         if t_sizes is not None:
-            t_sizes.append(len(state.components))
+            t_sizes.append(len(state))
 
     result = deartinianize(state.components, art)
     if trace is not None:

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
-                      decompose_incremental, decompose_oracle)
+                      decompose_incremental, decompose_oracle, gen_random)
 from monideal.core import leq, strictly_below
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
+from monideal.recursive import decompose_trie, slice_chain
+from monideal.trie import build
 from conftest import fourvar, match_variables, random_ideal, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
@@ -24,6 +26,22 @@ INF_FLAVOR_START = {
     "components": [(4, 4, INF)],
     "generators": [(4, 0, 0), (0, 4, 0), (0, 0, INF)],
 }
+
+
+def power_ideal(n, d):
+    """m^d: every monomial of total degree ``d`` in ``n`` variables."""
+    return GeneratorSet.from_vectors(
+        n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
+
+
+def lex_run_ideals():
+    """Seeded ideals in 3-5 variables, generic and not, plus m^d."""
+    for seed in range(6):
+        for n in (3, 4, 5):
+            yield gen_random(n, 12, 24, seed, generic=True)
+            yield gen_random(n, 16, 5, seed)
+    for n, d in ((3, 7), (4, 5), (5, 3)):
+        yield power_ideal(n, d)
 
 
 def inf_state():
@@ -314,6 +332,34 @@ class TestAddGenerator:
         assert outcomes[True] > 1000 and outcomes[False] > 100
         assert strict_divisors > 300
 
+    def test_shuffled_runs_reactivate_retired_components(self):
+        # out of lex order an alpha may have a smaller last coordinate than
+        # some retired component; the retired components then go back to
+        # the active ones before the partition, leaving only this step's
+        # lowerings at the last variable retired
+        rng = random.Random(67)
+        reactivations = 0
+        for _ in range(150):
+            g = random_ideal(rng, n_choices=(3, 4, 5), max_p=12)
+            if g.is_unit():
+                continue
+            art = artinianize(g)
+            state = IncrementalState.start(art)
+            alphas = list(art.alphas())
+            rng.shuffle(alphas)
+            for alpha in alphas:
+                reactivate = alpha[-1] < state.floor
+                state.add_generator(alpha, cross_check=True)
+                if reactivate:
+                    reactivations += 1
+                    assert all(b[-1] == alpha[-1] for b in state.retired)
+                    assert state.floor in (-INF, alpha[-1])
+                assert len(state) == len(state.components) == state.columns.shape[1] \
+                    + len(state.retired)
+            lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
+            assert sorted(state.components) == sorted(lex.comps)
+        assert reactivations > 0
+
     def test_cross_check_agrees(self):
         rng = random.Random(41)
         for _ in range(50):
@@ -326,6 +372,53 @@ class TestAddGenerator:
         g = GeneratorSet.from_vectors(3, [(2, 0, 0), (1, 1, 0)])
         comps = decompose_incremental(g)
         assert set(comps.comps) == {(1, INF, INF), (2, 1, INF)}
+
+
+class TestRetirement:
+    """A lex-order run retires the components it lowers at the last
+    variable; the active ones are the recursive engine's slice chain."""
+
+    def test_retired_components_stay_below_later_alphas(self):
+        total = 0
+        for g in lex_run_ideals():
+            art = artinianize(g)
+            state = IncrementalState.start(art)
+            retired = []
+            for alpha in art.alphas():
+                assert state.floor <= alpha[-1]
+                assert not any(strictly_below(alpha, b) for b in state.retired)
+                state.add_generator(alpha)
+                # never reactivated: the retired list only grows
+                assert state.retired[:len(retired)] == retired
+                retired = list(state.retired)
+            assert set(retired) <= set(state.components)
+            total += len(retired)
+        assert total > 500
+
+    def test_active_components_are_the_slice_chain(self):
+        # at the last alpha of each x_n-degree d, the active components are
+        # those of the chain link at d with the pure-power degree B adjoined
+        boundaries = 0
+        for g in lex_run_ideals():
+            art = artinianize(g)
+            links = dict(slice_chain(build(art.n, art.gens)))
+            last_b = art.pure_degrees()[-1]
+            state = IncrementalState.start(art)
+            alphas = art.alphas()
+            ends = [i for i, a in enumerate(alphas)
+                    if i + 1 == len(alphas) or alphas[i + 1][-1] != a[-1]]
+            checks = [(-1, 0)] if not alphas or alphas[0][-1] else []
+            checks += [(i, alphas[i][-1]) for i in ends]
+            done = -1
+            for i, d in checks:
+                for alpha in alphas[done + 1:i + 1]:
+                    state.add_generator(alpha)
+                done = i
+                assert all(b[-1] == last_b for b in state.active)
+                want = decompose_trie(links[d])
+                assert sorted(b[:-1] for b in state.active) == sorted(want)
+                boundaries += 1
+        assert boundaries > 200
 
 
 class TestDegreeIndex:
@@ -372,12 +465,11 @@ class TestDecompose:
         assert set(got.comps) == {(3, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 2),
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
 
-    @pytest.mark.parametrize("n, d, ops", [(4, 12, 120214), (3, 20, 28975), (5, 6, 29217)])
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 54511), (3, 20, 7239), (5, 6, 21467)])
     def test_power_ideal_ops_pinned(self, n, d, ops):
         """The many-divisor path: m^d charges exactly these ops and has the
         binomial(d + n - 2, n - 1) components of its staircase."""
-        g = GeneratorSet.from_vectors(
-            n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
+        g = power_ideal(n, d)
         counter = OpCounter()
         assert len(decompose_incremental(g, counter=counter)) == math.comb(d + n - 2, n - 1)
         assert counter.ops == ops

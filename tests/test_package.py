@@ -6,6 +6,7 @@ from pathlib import Path
 
 import monideal
 import monideal.cli  # noqa: F401  (the tracer rebinds names in every module)
+from monideal.incremental import IncrementalState
 from conftest import showcase
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,4 +53,11 @@ def test_benchmark_trace_adapters_fit_the_engine():
     with layers.installed(tracer):
         monideal.decompose_incremental(showcase(), t_sizes=sizes)
     assert tracer.calls["incremental.partition_components"] == len(sizes) - 1 > 0
-    assert tracer.counts["partition.scanned"] == sum(sizes[:-1])
+    # the partition scans the active components only, not the retired ones
+    art = monideal.artinianize(showcase())
+    state = IncrementalState.start(art)
+    active = []
+    for alpha in art.alphas():
+        active.append(len(state.active))
+        state.add_generator(alpha)
+    assert tracer.counts["partition.scanned"] == sum(active) < sum(sizes[:-1])
