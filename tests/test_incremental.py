@@ -354,8 +354,8 @@ class TestAddGenerator:
                     reactivations += 1
                     assert all(b[-1] == alpha[-1] for b in state.retired)
                     assert state.floor in (-INF, alpha[-1])
-                assert len(state) == len(state.components) == state.columns.shape[1] \
-                    + len(state.retired)
+                assert len(state) == len(state.components)
+                assert state.columns.shape[1] == len(state.active)
             lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
             assert sorted(state.components) == sorted(lex.comps)
         assert reactivations > 0
@@ -399,26 +399,26 @@ class TestRetirement:
         # at the last alpha of each x_n-degree d, the active components are
         # those of the chain link at d with the pure-power degree B adjoined
         boundaries = 0
+
+        def check(d):
+            nonlocal boundaries
+            assert all(b[-1] == last_b for b in state.active)
+            assert sorted(b[:-1] for b in state.active) == sorted(decompose_trie(links[d]))
+            boundaries += 1
+
         for g in lex_run_ideals():
             art = artinianize(g)
             links = dict(slice_chain(build(art.n, art.gens)))
             last_b = art.pure_degrees()[-1]
             state = IncrementalState.start(art)
             alphas = art.alphas()
-            ends = [i for i, a in enumerate(alphas)
-                    if i + 1 == len(alphas) or alphas[i + 1][-1] != a[-1]]
-            checks = [(-1, 0)] if not alphas or alphas[0][-1] else []
-            checks += [(i, alphas[i][-1]) for i in ends]
-            done = -1
-            for i, d in checks:
-                for alpha in alphas[done + 1:i + 1]:
-                    state.add_generator(alpha)
-                done = i
-                assert all(b[-1] == last_b for b in state.active)
-                want = decompose_trie(links[d])
-                assert sorted(b[:-1] for b in state.active) == sorted(want)
-                boundaries += 1
-        assert boundaries > 200
+            if not alphas or alphas[0][-1]:
+                check(0)  # no alpha has x_n-degree 0: the start is that boundary
+            for i, alpha in enumerate(alphas):
+                state.add_generator(alpha)
+                if i + 1 == len(alphas) or alphas[i + 1][-1] != alpha[-1]:
+                    check(alpha[-1])
+        assert boundaries == 251
 
 
 class TestDegreeIndex:
