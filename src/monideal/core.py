@@ -55,15 +55,13 @@ def _domination_order(v):
     return (sum(v), lex_key(v))
 
 
-def minimalize(vectors, counter=None):
+def minimalize(vectors):
     """Minimal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Every input vector is >= some output vector, and no output vector divides
     another.  The distinct vectors are scanned in ``(sum, lex)`` order against
-    the antichain kept so far; each vector is charged to ``counter`` one
-    comparison per kept vector up to its first divisor, or all of them when
-    none divides it.  More than ``SCAN_LIMIT`` vectors go through the blocked
-    numpy kernel, which keeps and charges exactly what the scan does.
+    the antichain kept so far.  More than ``SCAN_LIMIT`` vectors go through
+    the blocked numpy kernel, which keeps exactly what the scan does.
 
     Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
     most 2^33, as every caller in the package guarantees (see
@@ -71,26 +69,19 @@ def minimalize(vectors, counter=None):
     only below 2^53.
     """
     distinct = sorted(set(map(tuple, vectors)), key=_domination_order)
-    if len(distinct) <= SCAN_LIMIT:
-        kept, comparisons = _scan(distinct)
-    else:
-        kept, comparisons = _blocked_scan(distinct)
-    if counter is not None:
-        counter.add(comparisons)
+    kept = _scan(distinct) if len(distinct) <= SCAN_LIMIT else _blocked_scan(distinct)
     return sorted(kept, key=lex_key)
 
 
 def _scan(distinct):
     kept = []
-    comparisons = 0
     for v in distinct:
         for m in kept:
-            comparisons += 1
             if leq(m, v):
                 break
         else:
             kept.append(v)
-    return kept, comparisons
+    return kept
 
 
 def _divides(a, b):
@@ -110,12 +101,10 @@ def _blocked_scan(distinct):
 
     ``leq`` is transitive, so a vector has a kept divisor before it exactly
     when it has any divisor before it: a block row is kept iff no vector kept
-    by earlier blocks and no earlier row of the block divides it.  A row's
-    first kept divisor is the first such vector of the earlier blocks, else
-    the first kept earlier row of the block.  Rows are tested against the
-    antichain in chunks of as many vectors as a block has rows, so no
-    temporary exceeds ``BLOCK_CELLS`` cells: memory stays O(p*n), time
-    O(p*(k+b)*n) for ``k`` kept vectors and blocks of ``b`` rows.
+    by earlier blocks and no earlier row of the block divides it.  Rows are
+    tested against the antichain in chunks of as many vectors as a block has
+    rows, so no temporary exceeds ``BLOCK_CELLS`` cells: memory stays O(p*n),
+    time O(p*(k+b)*n) for ``k`` kept vectors and blocks of ``b`` rows.
     """
     n = len(distinct[0])
     for v in distinct:
@@ -126,44 +115,34 @@ def _blocked_scan(distinct):
     b = math.isqrt(BLOCK_CELLS)
     kept_rows = np.empty_like(rows)
     kept_at = []
-    comparisons = 0
     for start in range(0, len(rows), b):
         block = rows[start:start + b]
         k = len(kept_at)
-        # index of each row's first divisor kept by earlier blocks, -1 for
-        # none; a chunk is probed only by the rows still without one
-        first = np.full(len(block), -1)
+        # a chunk is probed only by the rows still without an earlier divisor
+        free = np.arange(len(block))
         for c in range(0, k, b):
-            todo = np.flatnonzero(first < 0)
-            if not len(todo):
+            free = free[~_divides(kept_rows[c:min(c + b, k)], block[free]).any(1)]
+            if not len(free):
                 break
-            hit = _divides(kept_rows[c:min(c + b, k)], block[todo])
-            found = hit.any(1)
-            first[todo[found]] = c + hit[found].argmax(1)
-        comparisons += int((first[first >= 0] + 1).sum())
-        free = np.flatnonzero(first < 0)
         if not len(free):
             continue
         # a row with a divisor among the earlier blocks' kept vectors is
         # neither kept nor, by transitivity, the only divisor of a free row
         rest = block[free]
-        below = np.tril(_divides(rest, rest), -1)
-        keep = ~below.any(1)
-        rank = np.cumsum(keep)  # kept free rows up to and including each one
-        comparisons += k * len(free) + int((rank[keep] - 1).sum())
-        comparisons += int(rank[(below[~keep] & keep).argmax(1)].sum())
-        kept_rows[k:k + int(rank[-1])] = rest[keep]
+        keep = ~np.tril(_divides(rest, rest), -1).any(1)
+        kept = rest[keep]
+        kept_rows[k:k + len(kept)] = kept
         kept_at.extend((start + free[keep]).tolist())
-    return [distinct[i] for i in kept_at], comparisons
+    return [distinct[i] for i in kept_at]
 
 
-def maximalize(vectors, counter=None):
+def maximalize(vectors):
     """Maximal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Negation reverses ``leq`` (INF maps to -INF), so these are the negated
-    minimal elements of the negated vectors, charged to ``counter`` as such.
+    minimal elements of the negated vectors.
     """
-    negated = minimalize([tuple(-x for x in v) for v in vectors], counter)
+    negated = minimalize([tuple(-x for x in v) for v in vectors])
     return sorted((tuple(-x for x in v) for v in negated), key=lex_key)
 
 

@@ -21,6 +21,15 @@ def _lines(text):
             yield lineno, line
 
 
+def _int(token):
+    """``int(token)`` for ASCII decimal digits with an optional minus sign;
+    ``int`` alone also reads ``1_0``, ``+3`` and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _parse_exponent(token, lineno, allow_inf):
     if token == "inf":
         if allow_inf:
@@ -28,7 +37,7 @@ def _parse_exponent(token, lineno, allow_inf):
         raise FormatError(f"line {lineno}: 'inf' is not allowed in an ideal; "
                           "generators must be genuine monomials")
     try:
-        e = int(token)
+        e = _int(token)
     except ValueError:
         raise FormatError(f"line {lineno}: {token!r} is not a nonnegative integer") from None
     if e < 0:
@@ -59,7 +68,7 @@ def parse_ideal(text):
             if len(tokens) < 2:
                 raise FormatError(f"line {lineno}: missing variable count")
             try:
-                n = int(tokens[1])
+                n = _int(tokens[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: variable count {tokens[1]!r} "
                                   "is not an integer") from None
@@ -108,7 +117,7 @@ def parse_components(text):
             if tokens[0] != "components" or len(tokens) != 3:
                 raise FormatError(f"line {lineno}: expected 'components <n> <count>', got {line!r}")
             try:
-                n, count = int(tokens[1]), int(tokens[2])
+                n, count = _int(tokens[1]), _int(tokens[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: malformed header {line!r}") from None
             if n < 1 or count < 0:

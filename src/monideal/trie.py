@@ -5,8 +5,9 @@ its distinct vectors sorted by ``lex_key``, which compares the last
 coordinate first.  That is the depth-first order of the prefix tree whose
 root-to-leaf paths read the coordinates from position ``n-1`` down to 0, so
 each tree operation is a plain operation on the tuple: the subtrees below
-the root are the runs of equal last coordinate, and a merge of two
-antichains filters each against the other and interleaves the survivors.
+the root are the runs of equal last coordinate, and merging a chain link
+with the next slice drops the link's vectors that the slice divides and
+interleaves the rest with the slice.
 Tries are immutable; all operations return new tries.
 """
 
@@ -42,47 +43,39 @@ def paths(t):
 
 
 def min_merge(a, b, counter=None):
-    """Minimal elements of the union of two antichains: generators of the
-    ideal sum.
+    """Generators of the ideal sum of a chain link ``a`` and the next slice
+    ``b``: the vectors of ``a`` that no vector of ``b`` divides, and all of
+    ``b``, in lex order.
 
-    Both tries must be antichains (no stored vector divides another), as
-    every trie the recursive engine merges is: ``build`` of a minimal
-    generating set, that trie's top slices, and merges of antichains.  The
-    vectors of ``a`` that some vector of ``b`` divides are dropped, then the
-    vectors of ``b`` that a surviving vector of ``a`` divides.  The second
-    filter is enough: if a dropped ``x`` divides some ``y`` of ``b``, then
-    ``y' <= x <= y`` for the ``y'`` of ``b`` that dropped ``x``, so
-    ``y' == y`` because ``b`` is an antichain, and ``x == y`` is kept as
-    ``y``.  A vector of ``a`` equal to one of ``b`` is dropped by the first
-    filter, so the survivors are distinct.  They come back in lex order.
+    Both tries must be antichains, and no vector of ``a`` may divide an
+    unequal vector of ``b``.  Then ``b`` needs no filter: a kept ``x`` of
+    ``a`` dividing ``y`` of ``b`` would equal ``y``, which divides it, so
+    ``x`` was dropped.  The result is the antichain of minimal elements of
+    the union.  ``slice_chain`` merges only such pairs.  A vector of its
+    link projects a generator whose last coordinate ``c`` is below the slice
+    degree ``d``, and a vector of the slice projects a generator with last
+    coordinate ``d``.  If ``x`` of the link divided ``y`` of the slice,
+    ``x + (c,)`` would divide ``y + (d,)``: one generator would divide
+    another, but the trie being sliced is an antichain.
 
-    Each vector is charged to ``counter`` one comparison per vector of the
-    other side it is tested against, up to its first divisor, as
-    ``minimalize``'s scan charges.
+    Each vector of ``a`` is charged to ``counter`` one comparison per vector
+    of ``b`` it is tested against, up to its first divisor.
     """
     if a.height != b.height:
         raise ValueError(f"cannot merge tries of heights {a.height} and {b.height}")
-    kept_a, charged_a = _undivided(a.vectors, b.vectors)
-    kept_b, charged_b = _undivided(b.vectors, kept_a)
-    if counter is not None:
-        counter.add(charged_a + charged_b)
-    return Trie(a.height, tuple(sorted(kept_a + kept_b, key=lex_key)))
-
-
-def _undivided(vectors, divisors):
-    """``vectors`` that no vector of ``divisors`` divides, in order, and the
-    comparisons made: up to the first divisor of each vector."""
     kept = []
     compared = 0
-    for v in vectors:
-        for k, m in enumerate(divisors, 1):
+    for v in a.vectors:
+        for k, m in enumerate(b.vectors, 1):
             if all(map(le, m, v)):
                 compared += k
                 break
         else:
-            compared += len(divisors)
+            compared += len(b.vectors)
             kept.append(v)
-    return kept, compared
+    if counter is not None:
+        counter.add(compared)
+    return Trie(a.height, tuple(sorted(kept + list(b.vectors), key=lex_key)))
 
 
 def top_slices(t):

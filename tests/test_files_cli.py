@@ -112,6 +112,20 @@ class TestComponentFormat:
             parse_components("components 2 1\n0 1\nend\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"],
+                         ids=["underscore", "plus-sign", "arabic-indic-digit"])
+def test_only_ascii_decimal_integers_parse(token):
+    # int() accepts all three, as 10, 3 and 3
+    cases = [(parse_ideal, f"ideal 2\n{token} 0\nend\n"),
+             (parse_ideal, f"ideal {token}\nend\n"),
+             (parse_components, f"components 2 1\n{token} 1\nend\n"),
+             (parse_components, f"components {token} 0\nend\n"),
+             (parse_components, f"components 1 {token}\nend\n")]
+    for parse, text in cases:
+        with pytest.raises(FormatError, match="line [12]"):
+            parse(text)
+
+
 class TestCli:
     def write_showcase(self, tmp_path):
         path = tmp_path / "showcase.ideal"
