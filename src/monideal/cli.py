@@ -31,6 +31,14 @@ def _exit_code(exc):
     return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_USAGE
 
 
+def _read(path, parse):
+    """``parse`` of the text of ``path``; an error in the text names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (FormatError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _jsonable(x):
     if isinstance(x, float):
         if x == INF:
@@ -81,8 +89,7 @@ def _cmd_decompose(args):
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 status = max(status, _exit_code(exc))
         return status
-    g = parse_ideal(src.read_text())
-    text = _decompose_one(g, args)
+    text = _decompose_one(_read(src, parse_ideal), args)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -91,8 +98,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
-    comps = parse_components(Path(args.components).read_text())
-    g = parse_ideal(Path(args.ideal).read_text())
+    comps = _read(args.components, parse_components)
+    g = _read(args.ideal, parse_ideal)
     try:
         comps.validate()
     except ValueError as exc:

@@ -18,13 +18,10 @@ INF = math.inf
 # Exponents are validated against this bound so sums and lcms stay exact
 # and finite values always sort below INF.  Every coordinate the package
 # compares (an exponent, or an Artinian bound one above it) is at most 2^33,
-# below 2^53, so float64 holds it exactly and the numpy dominance tests of
-# ``minimalize`` and the incremental partition give exact answers.
+# below 2^53, so float64 holds it exactly and ``minimalize``'s numpy kernel,
+# the only float64 comparison in the package, gives exact answers.
 MAX_EXPONENT = 2 ** 32
 
-# ``minimalize`` scans at most this many distinct vectors with plain
-# ``leq`` calls; below it numpy's fixed cost per call exceeds the whole scan.
-SCAN_LIMIT = 12
 # Cells (block rows x antichain vectors) of each comparison temporary in
 # ``minimalize``'s blocked kernel, whose blocks have isqrt(BLOCK_CELLS) rows.
 BLOCK_CELLS = 1 << 16
@@ -59,9 +56,9 @@ def minimalize(vectors):
     """Minimal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Every input vector is >= some output vector, and no output vector divides
-    another.  The distinct vectors are scanned in ``(sum, lex)`` order against
-    the antichain kept so far.  More than ``SCAN_LIMIT`` vectors go through
-    the blocked numpy kernel, which keeps exactly what the scan does.
+    another.  The distinct vectors are scanned in ``(sum, lex)`` order
+    against the antichain kept so far, by the blocked numpy kernel at every
+    size; an empty input returns ``[]``.
 
     Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
     most 2^33, as every caller in the package guarantees (see
@@ -69,19 +66,9 @@ def minimalize(vectors):
     only below 2^53.
     """
     distinct = sorted(set(map(tuple, vectors)), key=_domination_order)
-    kept = _scan(distinct) if len(distinct) <= SCAN_LIMIT else _blocked_scan(distinct)
-    return sorted(kept, key=lex_key)
-
-
-def _scan(distinct):
-    kept = []
-    for v in distinct:
-        for m in kept:
-            if leq(m, v):
-                break
-        else:
-            kept.append(v)
-    return kept
+    if not distinct:
+        return []
+    return sorted(_blocked_scan(distinct), key=lex_key)
 
 
 def _divides(a, b):
@@ -97,7 +84,8 @@ def _divides(a, b):
 
 
 def _blocked_scan(distinct):
-    """``_scan`` on blocks of rows, a few float64 comparisons per block.
+    """Keep each row that no earlier row divides, a few float64 comparisons
+    per block of rows.
 
     ``leq`` is transitive, so a vector has a kept divisor before it exactly
     when it has any divisor before it: a block row is kept iff no vector kept
@@ -201,6 +189,12 @@ class GeneratorSet:
             names = tuple(names)
             if len(names) != n:
                 raise ValueError(f"expected {n} variable names, got {len(names)}")
+            for name in names:
+                # the ideal file's header lists the names split by whitespace,
+                # and '#' starts a comment there
+                if not isinstance(name, str) or "#" in name or name.split() != [name]:
+                    raise ValueError(f"variable name {name!r} must be a nonempty "
+                                     "string without whitespace or '#'")
         keep = set(minimalize(vs))
         seen = set()
         out = []

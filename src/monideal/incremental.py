@@ -17,21 +17,21 @@ of ``decompose_incremental`` holds at most ``n`` pure powers.  Lowered
 copies are distinct from each other and from the untouched components, so
 no duplicate check is made.
 
-Components are kept in insertion order, in two lists.  The active ones are
-exact tuples and the columns of a float64 matrix that the partition tests
-with one numpy comparison.  A copy lowered at the last variable takes
+Components are kept in insertion order, in two lists.  The partition
+scans only the active ones.  A copy lowered at the last variable takes
 ``alpha``'s last coordinate, and in lex order no later ``alpha`` has a
 smaller one, so it can never again lie strictly above a generator: it is
-final output and is retired to a plain list that the partition never
-scans.  What stays active is the decomposition of the current link of the
+final output and is retired to a list that the partition never scans.
+What stays active is the decomposition of the current link of the
 recursive engine's slice chain, with the last coordinate at its pure-power
 degree.  A caller that absorbs out of lex order gets retired components
 moved back first, so every order stays exact.  Both lists are sorted once,
-together, by the final ``ComponentSet``.  The divisor probe and the
-lowering limits of each affected component run their per-candidate work in
-C builtins (a set union of the probed buckets, ``map`` over
-``operator.le``, ``operator.eq`` and ``min``); numpy's fixed cost per call
-would exceed that work at the few components a step affects.
+together, by the final ``ComponentSet``.  The partition, the divisor probe
+and the lowering limits run in plain Python and C builtins (a set union of
+the probed buckets, ``map`` over ``operator.gt``, ``operator.le``,
+``operator.eq`` and ``min``): a step scans only one chain link's
+components, most of which its first coordinates reject, and lowers a few,
+so numpy's fixed cost per call would exceed the work.
 
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
@@ -41,9 +41,7 @@ generator containing INF stands for the zero polynomial and divides nothing.
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import eq, le
-
-import numpy as np
+from operator import eq, gt, le
 
 from .core import (ComponentSet, INF, artinianize, deartinianize, leq,
                    lex_key, maximalize, replace_coord, unit_vector)
@@ -52,16 +50,25 @@ from .core import (ComponentSet, INF, artinianize, deartinianize, leq,
 def partition_components(comps, alpha, counter=None):
     """Split components by whether ``alpha`` sits strictly below them.
 
-    ``comps`` is the float64 matrix of the components, one column each, with
-    INF as ``inf`` (``IncrementalState.columns``).  Returns ``(untouched,
-    affected)`` as arrays of column indices: the untouched components
-    already contain X^alpha and survive as they are; the affected ones must
-    be lowered.  One comparison per component is charged.
+    Returns ``(untouched, affected)`` as lists of the components of
+    ``comps``, in its order: the untouched components already contain
+    X^alpha and survive as they are; the affected ones must be lowered.  One
+    comparison per component is charged.  The first two coordinates (the
+    first twice when ``n = 1``) are tested before the full comparison: in a
+    lex run most components are rejected there, and the last coordinate,
+    the pure-power degree, never rejects.
     """
-    above = (comps > np.asarray(alpha, dtype=np.float64)[:, None]).all(axis=0)
     if counter is not None:
-        counter.add(comps.shape[1])
-    return np.flatnonzero(~above), np.flatnonzero(above)
+        counter.add(len(comps))
+    j = min(1, len(alpha) - 1)
+    a0, aj = alpha[0], alpha[j]
+    untouched, affected = [], []
+    for beta in comps:
+        if beta[0] > a0 and beta[j] > aj and all(map(gt, beta, alpha)):
+            affected.append(beta)
+        else:
+            untouched.append(beta)
+    return untouched, affected
 
 
 def dividing_generators(beta, index, counter=None):
@@ -150,13 +157,9 @@ class IncrementalState:
     absorbed generators span.  They are split in two lists, each in
     insertion order:
 
-    - ``active``, which the partition scans.  ``columns`` holds them as the
-      columns of a float64 matrix, in the same order; every coordinate is at
-      most 2^33 or INF, so the matrix is exact.  (One contiguous row per
-      variable makes the partition's comparison several times faster than
-      one row per component at a few thousand components.)
+    - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable,
-      which never enter the matrix.  ``floor`` is the largest last
+      which the partition never scans.  ``floor`` is the largest last
       coordinate among them (-INF while there are none).
 
     ``components`` returns all current components, active then retired, as
@@ -166,7 +169,6 @@ class IncrementalState:
     def __init__(self, n, components, generators, counter=None):
         self.n = n
         self.active = [tuple(c) for c in components]
-        self.columns = _as_columns(self.active, n)
         self.retired = []
         self.floor = -INF
         self.generators = sorted((tuple(m) for m in generators), key=lex_key)
@@ -222,8 +224,8 @@ class IncrementalState:
         Only the active components are partitioned.  A retired ``beta``
         has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
         when ``alpha`` breaks lex order with ``alpha_n < floor``, every
-        retired component moves back into ``active`` and ``columns``.  That
-        reactivation is the exactness guard for out-of-order callers;
+        retired component moves back into ``active``.  That reactivation is
+        the exactness guard for out-of-order callers;
         ``decompose_incremental`` never triggers it.  So ``beta_n <=
         alpha_n`` and ``beta`` is not strictly above ``alpha``.  Therefore
         ``beta`` is untouched by the step, a generator divides ``alpha`` iff
@@ -259,17 +261,15 @@ class IncrementalState:
                 raise ValueError(f"{alpha} does not extend the minimal set: it divides {m}")
         if alpha[-1] < self.floor:
             self.active.extend(self.retired)
-            self.columns = np.concatenate(
-                [self.columns, _as_columns(self.retired, self.n)], axis=1)
             self.retired, self.floor = [], -INF
-        untouched, affected = partition_components(self.columns, alpha, self.counter)
-        if not len(affected):
+        untouched, affected = partition_components(self.active, alpha, self.counter)
+        if not affected:
             raise ValueError(f"{alpha} does not extend the minimal set: "
                              "a generator divides it")
 
-        comps, lost, last = self.active, affected.tolist(), self.n - 1
+        last = self.n - 1
         kept, rejected, lowered, retiring = [], [], [], []
-        for beta in sorted((comps[i] for i in lost), key=lex_key):
+        for beta in sorted(affected, key=lex_key):
             divisors = dividing_generators(beta, self.index, self.counter)
             limits = lowering_limits(beta, divisors, self.counter)
             for u in range(self.n):
@@ -282,20 +282,14 @@ class IncrementalState:
                     rejected.append((beta, u, limits[u], cand))
 
         if cross_check:
-            rest = [comps[i] for i in untouched.tolist()] + self.retired
+            rest = untouched + self.retired
             candidates = [e[3] for e in kept] + [e[3] for e in rejected]
             reduced = maximalize(rest + [c for c in candidates if min(c) >= 1])
             assert (sorted(reduced, key=lex_key)
                     == sorted(rest + lowered + retiring, key=lex_key)), \
                 "exact update disagrees with full reduction"
 
-        # a few percent of the components are affected: deleting them in
-        # place is cheaper than rebuilding the list from the untouched ones
-        for i in reversed(lost):
-            del comps[i]
-        comps.extend(lowered)
-        self.columns = np.concatenate(
-            [self.columns[:, untouched], _as_columns(lowered, self.n)], axis=1)
+        self.active = untouched + lowered
         insort(gens, alpha, key=lex_key)
         self._index(alpha)
         self.steps += 1
@@ -306,15 +300,6 @@ class IncrementalState:
             self.retired.extend(retiring)
             self.floor = alpha[-1]
         return self
-
-
-def _as_columns(vectors, n):
-    """Float64 matrix of ``vectors``, one column each; INF becomes ``inf``.
-
-    C order, one contiguous row per variable: ``np.concatenate`` keeps its
-    inputs' layout, and the partition is fast only on contiguous rows.
-    """
-    return np.array(vectors, dtype=np.float64).reshape(len(vectors), n).T.copy()
 
 
 def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,

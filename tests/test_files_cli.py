@@ -54,6 +54,17 @@ class TestIdealFormat:
                            rng.randint(1, 9), rng.randrange(2 ** 32))
             assert parse_ideal(emit_ideal(g)) == g
 
+    def test_names_round_trip(self):
+        g = GeneratorSet.from_vectors(3, [(1, 0, 2)], names=("x1", "y_2", "z'"))
+        assert parse_ideal(emit_ideal(g)) == g
+
+    @pytest.mark.parametrize("names", [("x#", "y"), ("a b", "c"), ("", "y"),
+                                       ("x\ty", "z"), ("x", 1)],
+                             ids=["hash", "space", "empty", "tab", "not-a-string"])
+    def test_names_the_format_cannot_read_back_rejected(self, names):
+        with pytest.raises(ValueError, match="variable name"):
+            GeneratorSet.from_vectors(2, [(1, 1)], names=names)
+
     def test_comments_and_blanks_ignored(self):
         text = "# header comment\n\nideal 2\n1 0  # a generator\n\nend\n"
         assert parse_ideal(text).gens == ((1, 0),)
@@ -270,10 +281,25 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         parse_ideal(a.read_text())
 
-    def test_format_error_exit_code(self, tmp_path):
+    def test_format_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
         bad.write_text("ideal 2\n1 inf\nend\n")
         assert cli_main(["decompose", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: ")
+
+    @pytest.mark.parametrize("broken", ["components", "ideal"])
+    def test_verify_names_the_malformed_file(self, tmp_path, capsys, broken):
+        src = self.write_showcase(tmp_path)
+        out = tmp_path / "good.components"
+        cli_main(["decompose", str(src), str(out)])
+        bad = out if broken == "components" else src
+        lines = bad.read_text().splitlines()
+        lines[2] = "foo " + lines[2].split(None, 1)[1]
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["verify", str(out), str(src)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 3: 'foo' is not a nonnegative integer\n"
 
     def test_budget_exit_code(self, tmp_path):
         big = tmp_path / "big.ideal"

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,28 +48,21 @@ def inf_state():
                             INF_FLAVOR_START["generators"])
 
 
-def split(comps, alpha, counter=None):
-    """``partition_components`` on the columns of ``comps``, read back as tuples."""
-    t1, t2 = partition_components(
-        np.array(comps, dtype=float).reshape(len(comps), len(alpha)).T, alpha, counter)
-    return [comps[i] for i in t1], [comps[i] for i in t2]
-
-
 class TestPartition:
     def test_first_step(self):
-        t1, t2 = split([(4, 4, INF)], (3, 2, 2))
+        t1, t2 = partition_components([(4, 4, INF)], (3, 2, 2))
         assert t1 == [] and t2 == [(4, 4, INF)]
 
     def test_second_step(self):
         comps = [(4, 4, 2), (4, 2, INF), (3, 4, INF)]
-        t1, t2 = split(comps, (1, 3, 2))
+        t1, t2 = partition_components(comps, (1, 3, 2))
         assert t1 == [(4, 4, 2), (4, 2, INF)]
         assert t2 == [(3, 4, INF)]
 
     def test_generator_already_inside_means_empty_t2(self):
         # alpha dominated by the staircase: no component strictly above it
         comps = [(2, 2)]
-        t1, t2 = split(comps, (2, 0))
+        t1, t2 = partition_components(comps, (2, 0))
         assert t2 == []
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -79,7 +71,7 @@ class TestPartition:
     def test_agrees_with_strictly_below(self, case):
         comps, alpha = case
         counter = OpCounter()
-        t1, t2 = split(comps, alpha, counter)
+        t1, t2 = partition_components(comps, alpha, counter)
         assert t1 == [b for b in comps if not strictly_below(alpha, b)]
         assert t2 == [b for b in comps if strictly_below(alpha, b)]
         assert counter.ops == len(comps)
@@ -355,7 +347,6 @@ class TestAddGenerator:
                     assert all(b[-1] == alpha[-1] for b in state.retired)
                     assert state.floor in (-INF, alpha[-1])
                 assert len(state) == len(state.components)
-                assert state.columns.shape[1] == len(state.active)
             lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
             assert sorted(state.components) == sorted(lex.comps)
         assert reactivations > 0
