@@ -1,5 +1,10 @@
 """Command-line interface.
 
+``decompose`` without ``--algo`` picks the engine per ideal (per file in
+directory mode) with ``bench.preferred_engine``: recursive when the closure's
+prod(s_j) is at most 10 p^2, incremental otherwise, and incremental whenever
+``--trace`` is given.  ``--stats`` names the engine that ran.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 3 oracle budget exceeded.  ``decompose`` on a directory handles one file at
 a time; a failing file is reported by path and its output file removed,
@@ -12,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import measure, run_sweep, write_csv
+from .bench import measure, preferred_engine, run_sweep, write_csv
 from .core import INF
 from .files import FormatError, emit_components, emit_ideal, parse_components, parse_ideal
 from .oracle import BudgetError, DEFAULT_BUDGET, components_generate
@@ -54,7 +59,8 @@ def _jsonable(x):
 
 def _decompose_one(g, args, path=None):
     trace = [] if args.trace else None
-    comps, rec = measure(g, args.algo, trace=trace, budget=args.budget)
+    algo = args.algo or ("incremental" if args.trace else preferred_engine(g))
+    comps, rec = measure(g, algo, trace=trace, budget=args.budget)
     for record in trace or ():
         if path is not None:
             record = {"file": str(path), **record}
@@ -135,7 +141,9 @@ def _build_parser():
 
     d = sub.add_parser("decompose", help="decompose an ideal file (or directory of them)")
     d.add_argument("--algo", choices=["recursive", "incremental", "oracle"],
-                   default="incremental")
+                   help="force an engine; by default each ideal gets the one it "
+                        "favours (recursive when prod(s_j) <= 10 p^2, incremental "
+                        "otherwise or with --trace)")
     d.add_argument("--trace", action="store_true",
                    help="emit one JSON record per incremental step on stderr")
     d.add_argument("--stats", action="store_true",
@@ -175,7 +183,7 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "decompose" and args.trace and args.algo != "incremental":
+    if args.command == "decompose" and args.trace and args.algo not in (None, "incremental"):
         print("error: --trace is only meaningful with --algo incremental",
               file=sys.stderr)
         return EXIT_USAGE

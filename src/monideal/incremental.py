@@ -249,8 +249,8 @@ class IncrementalState:
         ``lex_key`` so that the trace lists lowerings in lex order of their
         parents.  When ``cross_check`` is set, the update is recomputed as a
         full reduction of all lowered candidates against every untouched
-        component, active and retired, and both routes are asserted equal,
-        which also catches a duplicate.
+        component, active and retired, and a ``RuntimeError`` is raised
+        unless both routes agree, which also catches a duplicate.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
@@ -285,9 +285,9 @@ class IncrementalState:
             rest = untouched + self.retired
             candidates = [e[3] for e in kept] + [e[3] for e in rejected]
             reduced = maximalize(rest + [c for c in candidates if min(c) >= 1])
-            assert (sorted(reduced, key=lex_key)
-                    == sorted(rest + lowered + retiring, key=lex_key)), \
-                "exact update disagrees with full reduction"
+            if (sorted(reduced, key=lex_key)
+                    != sorted(rest + lowered + retiring, key=lex_key)):
+                raise RuntimeError("exact update disagrees with full reduction")
 
         self.active = untouched + lowered
         insort(gens, alpha, key=lex_key)

@@ -14,7 +14,7 @@ from monideal import (ComponentSet, FormatError, GeneratorSet,
                       decompose_incremental, decompose_recursive,
                       emit_components, emit_ideal, gen_random,
                       parse_components, parse_ideal)
-from monideal.bench import measure
+from monideal.bench import degree_shell, measure, preferred_engine
 from monideal.cli import cli_main
 from monideal.core import MAX_EXPONENT
 from conftest import SHOWCASE_GENS, fourvar, showcase
@@ -374,6 +374,74 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "instance,n,p,l,algorithm,ops,wall_s,peak_t"
         assert len(lines) > 1
+
+
+class TestDefaultEngine:
+    """Without --algo each ideal runs under the engine it favours; the
+    component files are those of --algo incremental, byte for byte."""
+
+    CORPUS = {
+        "zero": "ideal 3\nend\n",
+        "unit": "ideal 2\n0 0\nend\n",
+        "univariate": "ideal 1\n3\nend\n",
+        "bivariate": emit_ideal(gen_random(2, 6, 9, seed=4)),
+        "top": f"ideal 3\n{MAX_EXPONENT} 1 1\n1 2 0\n0 0 3\nend\n",
+        "showcase": SHOWCASE_TEXT,
+        "shell": emit_ideal(GeneratorSet.from_vectors(
+            4, random.Random(5).sample(degree_shell(4, 6), 42))),
+        "power": emit_ideal(GeneratorSet.from_vectors(3, degree_shell(3, 9))),
+        "generic4": emit_ideal(gen_random(4, 20, 40, seed=6, generic=True)),
+        "generic5": emit_ideal(gen_random(5, 12, 24, seed=7, generic=True)),
+    }
+    RECURSIVE = {"unit", "univariate", "bivariate", "top", "showcase", "shell", "power"}
+
+    def decompose(self, tmp_path, argv):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir(parents=True)
+        for name, text in self.CORPUS.items():
+            (src / f"{name}.ideal").write_text(text)
+        assert cli_main(["decompose", *argv, str(src), str(out)]) == 0
+        return {p.stem: p.read_bytes() for p in out.glob("*.components")}
+
+    def test_rule_covers_both_engines(self):
+        engines = {name: preferred_engine(parse_ideal(text))
+                   for name, text in self.CORPUS.items()}
+        assert {name for name, e in engines.items() if e == "recursive"} == self.RECURSIVE
+
+    def test_outputs_equal_forced_incremental(self, tmp_path):
+        default = self.decompose(tmp_path / "default", [])
+        assert len(default) == len(self.CORPUS)
+        assert default == self.decompose(tmp_path / "incremental", ["--algo", "incremental"])
+        assert default == self.decompose(tmp_path / "recursive", ["--algo", "recursive"])
+
+    def test_single_file_outputs_equal_forced_incremental(self, tmp_path, capsys):
+        for name, text in self.CORPUS.items():
+            src = tmp_path / f"{name}.ideal"
+            src.write_text(text)
+            assert cli_main(["decompose", str(src)]) == 0
+            default = capsys.readouterr().out
+            assert cli_main(["decompose", "--algo", "incremental", str(src)]) == 0
+            assert capsys.readouterr().out == default, name
+
+    def test_stats_name_the_engine_that_ran(self, tmp_path, capsys):
+        self.decompose(tmp_path, ["--stats"])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(self.CORPUS)
+        for line in lines:
+            stats = dict(part.split("=") for part in line.split()[1:])
+            name = Path(stats["file"]).stem
+            assert stats["algo"] == ("recursive" if name in self.RECURSIVE
+                                     else "incremental"), line
+            # only the incremental engine reports peak_t
+            assert ("peak_t" in stats) == (stats["algo"] == "incremental")
+
+    def test_trace_runs_incremental(self, tmp_path, capsys):
+        self.decompose(tmp_path, ["--trace", "--stats"])
+        err = capsys.readouterr().err.splitlines()
+        stats = [l for l in err if l.startswith("stats:")]
+        assert len(stats) == len(self.CORPUS)
+        assert all(" algo=incremental " in l for l in stats)
+        assert any(l.startswith("{") for l in err)
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

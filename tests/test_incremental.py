@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle, gen_random)
 from monideal.core import leq, strictly_below
+from monideal import incremental
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie, slice_chain
 from monideal.trie import build
-from conftest import fourvar, match_variables, random_ideal, showcase
+from conftest import SHOWCASE_GENS, fourvar, match_variables, random_ideal, showcase
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -31,6 +36,11 @@ def power_ideal(n, d):
     """m^d: every monomial of total degree ``d`` in ``n`` variables."""
     return GeneratorSet.from_vectors(
         n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
+
+
+def keep_every_lowering(beta, divisors, counter=None):
+    """A broken ``lowering_limits`` under which no lowered copy is blocked."""
+    return [-INF] * len(beta)
 
 
 def lex_run_ideals():
@@ -356,6 +366,30 @@ class TestAddGenerator:
         for _ in range(50):
             g = random_ideal(rng)
             decompose_incremental(g, cross_check=True)
+
+    def test_cross_check_raises_on_a_wrong_update(self, monkeypatch):
+        monkeypatch.setattr(incremental, "lowering_limits", keep_every_lowering)
+        with pytest.raises(RuntimeError, match="disagrees with full reduction"):
+            decompose_incremental(showcase(), cross_check=True)
+
+    def test_cross_check_raises_under_optimize(self, tmp_path):
+        # the check must not be an assert, which ``python -O`` strips: the
+        # sabotaged run would then return 9 components instead of 6
+        script = (
+            "from monideal import INF, GeneratorSet, decompose_incremental, incremental\n"
+            "incremental.lowering_limits = lambda beta, divisors, counter=None: "
+            "[-INF] * len(beta)\n"
+            f"g = GeneratorSet.from_vectors(3, {SHOWCASE_GENS!r})\n"
+            "try:\n"
+            "    print(len(decompose_incremental(g, cross_check=True)))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "exact update disagrees with full reduction\n"
 
     def test_zero_exponent_candidates_never_kept(self):
         # adding a generator with a zero coordinate must not produce a
