@@ -5,7 +5,7 @@ example of this library: five generators, six irreducible components, two of
 them unbounded in z.
 """
 
-from monideal import GeneratorSet, artinianize, decompose_recursive
+from monideal import GeneratorSet, decompose_recursive
 from monideal.recursive import decompose_trie, slice_chain
 from monideal.trie import build, top_slices
 
@@ -16,7 +16,7 @@ g = GeneratorSet.from_vectors(3, gens, names=("x", "y", "z"))
 # which compares z first, then y, then x.
 t = build(3, g.gens)
 print("generator trie (lex order, z compared first):")
-for v in t.vectors:
+for v in t:
     print(" ", v)
 
 # Slicing on z groups the generators by their z-degree.  These are the
@@ -24,11 +24,12 @@ for v in t.vectors:
 # its (x, y) vectors in lex order.
 print("\nz-degrees and their coefficient vectors:")
 for d, sub in top_slices(t):
-    print(f"  z^{d}: {list(sub.vectors)}")
+    print(f"  z^{d}: {list(sub)}")
 
 # The engine needs a power of every variable; the closure injects z^4 (one
-# more than the largest z-degree) and remembers that it did.
-art = artinianize(g)
+# more than the largest z-degree) and remembers that it did.  It is built
+# once per generator set, and every engine reads the same one.
+art = g.closure
 print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added) if a],
       "with bounds", art.bounds)
 
@@ -38,7 +39,7 @@ print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added)
 # pair of consecutive corners (a, b), (a', b') gives the component (a, b').
 for d, link in slice_chain(build(art.n, art.gens)):
     if d == 2:
-        print("\nchain link at z^2, corners (y rising, x falling):", list(link.vectors))
+        print("\nchain link at z^2, corners (y rising, x falling):", list(link))
         print("  its components, read off consecutive corners:", decompose_trie(link))
 
 # Decompose.  Components unbounded in z come back with an inf coordinate.

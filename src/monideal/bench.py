@@ -14,11 +14,8 @@ Artinian closure (zeros and injected bounds included).
 The envelope constants were calibrated once over the default generic sweep
 (worst observed incremental ratio 0.112, worst recursive ratio 0.015 across
 the twelve seeded instances) and pinned with double headroom; changing them
-is a reviewed change, not a knob.  Since the incremental engine stopped
-scanning the components a lex-order run has finished, its worst ratio on
-that sweep is 0.091 (0.111 just before).  Since the recursive engine's
-chain merge stopped filtering the slice against the link, its worst ratio
-there is 0.0080 (0.0104 just before).
+is a reviewed change, not a knob.  The worst ratios on that sweep are now
+0.091 (incremental) and 0.0080 (recursive).
 """
 
 import csv
@@ -27,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .core import GeneratorSet, artinianize
+from .core import GeneratorSet
 from .counting import OpCounter
 from .incremental import decompose_incremental
 from .oracle import DEFAULT_BUDGET, decompose_oracle
@@ -86,15 +83,11 @@ def preferred_engine(g):
 
     The recursive envelope is p^2 * prod(s_j); when prod(s_j) stays within
     ``RECURSIVE_BOX_RATIO * p^2`` the degrees repeat enough for slicing to
-    win.  The closure only adds degrees, so the generators' own distinct
-    degrees bound prod(s_j) from below.  On generic input that bound
-    already exceeds the limit, which spares building the closure.
+    win.  The statistic is read off ``g.closure``, which either engine then
+    reuses.
     """
-    limit = RECURSIVE_BOX_RATIO * g.p ** 2
-    if math.prod(len(set(col)) for col in zip(*g.gens)) > limit:
-        return "incremental"
-    box = math.prod(distinct_degree_counts(artinianize(g)))
-    return "recursive" if box <= limit else "incremental"
+    box = math.prod(distinct_degree_counts(g.closure))
+    return "recursive" if box <= RECURSIVE_BOX_RATIO * g.p ** 2 else "incremental"
 
 
 def measure(g, algorithm, instance="", *, trace=None, budget=DEFAULT_BUDGET):
@@ -103,9 +96,12 @@ def measure(g, algorithm, instance="", *, trace=None, budget=DEFAULT_BUDGET):
     ``trace`` (a list) receives the incremental engine's step records and
     ``budget`` bounds the oracle's box.  The oracle counts no operations, so
     its record has ``ops=None``; only the incremental engine has a ``peak_t``.
+    ``wall_s`` leaves out the closure ``g.closure``, built before the clock
+    starts: an earlier engine or the engine rule may already have built it.
     """
     counter = OpCounter()
     sizes = []
+    g.closure
     start = time.perf_counter()
     if algorithm == "incremental":
         comps = decompose_incremental(g, counter=counter, trace=trace, t_sizes=sizes)

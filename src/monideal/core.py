@@ -9,6 +9,7 @@ partial order drives everything in this package.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -158,6 +159,12 @@ def unit_vector(n, i, e):
     return tuple(e if j == i else 0 for j in range(n))
 
 
+def _validate_variable_count(n):
+    # bool is an int, and emit_ideal would write True as the count
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"variable count must be a positive integer, got {n!r}")
+
+
 def _validate_generator_vector(n, v):
     if len(v) != n:
         raise ValueError(f"generator {v} has length {len(v)}, expected {n}")
@@ -180,8 +187,7 @@ class GeneratorSet:
     @classmethod
     def from_vectors(cls, n, vectors, names=None):
         """Validate, deduplicate and minimalize ``vectors``."""
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"variable count must be a positive integer, got {n!r}")
+        _validate_variable_count(n)
         vs = [tuple(v) for v in vectors]
         for v in vs:
             _validate_generator_vector(n, v)
@@ -208,6 +214,12 @@ class GeneratorSet:
     def p(self):
         return len(self.gens)
 
+    @cached_property
+    def closure(self):
+        """``artinianize(self)``, built on the first read and kept; equality
+        and hashing read the declared fields only."""
+        return artinianize(self)
+
     def is_zero(self):
         """No generators: the zero ideal."""
         return not self.gens
@@ -227,6 +239,7 @@ class ComponentSet:
 
     @classmethod
     def from_vectors(cls, n, vectors):
+        _validate_variable_count(n)
         vs = []
         for v in vectors:
             v = tuple(v)

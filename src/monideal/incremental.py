@@ -43,8 +43,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import eq, gt, le
 
-from .core import (ComponentSet, INF, artinianize, deartinianize, leq,
-                   lex_key, maximalize, replace_coord, unit_vector)
+from .core import (ComponentSet, INF, deartinianize, leq, lex_key, maximalize,
+                   replace_coord, unit_vector)
 
 
 def partition_components(comps, alpha, counter=None):
@@ -315,7 +315,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
         if t_sizes is not None:
             t_sizes.append(0)
         return ComponentSet.from_vectors(g.n, [])
-    art = artinianize(g)
+    art = g.closure
     state = IncrementalState.start(art, counter)
     if t_sizes is not None:
         t_sizes.append(len(state))

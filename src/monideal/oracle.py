@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import ComponentSet, INF, artinianize, deartinianize, increment
+from .core import ComponentSet, INF, deartinianize, increment
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -74,7 +74,7 @@ def decompose_oracle(g, budget=DEFAULT_BUDGET):
     """Decompose a generator set by exhaustive staircase enumeration."""
     if g.is_unit():
         return ComponentSet.from_vectors(g.n, [])
-    return irr_oracle(artinianize(g), budget)
+    return irr_oracle(g.closure, budget)
 
 
 def components_generate(c, g, budget=DEFAULT_BUDGET):

@@ -6,11 +6,12 @@ increasing chain of ideals in one fewer variable; the components of the full
 ideal are exactly the components that disappear from one link of the chain
 to the next, tagged with the degree at which they disappear.  Recursing on
 the chain links reaches the two-variable base case, whose components are
-read off the corners of the staircase.
+read off the corners of the staircase.  Tries are the lex-sorted tuples of
+``trie.build``, and every trie the engine decomposes is nonempty.
 """
 
-from .core import ComponentSet, INF, artinianize, deartinianize, minimalize
-from .trie import Trie, build, min_merge, top_slices
+from .core import ComponentSet, INF, deartinianize, minimalize
+from .trie import build, min_merge, top_slices
 
 
 def decompose_bivariate(vectors):
@@ -19,18 +20,18 @@ def decompose_bivariate(vectors):
     Missing pure powers are treated as infinite: ``(INF, 0)`` and
     ``(0, INF)`` join the minimal generators, which ``minimalize`` returns in
     lex order, and the engine's height-2 base case pairs up consecutive
-    corners (see ``decompose_trie``).
+    corners (see ``decompose_trie``).  The zero ideal gets both corners, and
+    so its one component ``(INF, INF)``.
     """
     vs = minimalize(vectors)
     for v in vs:
         if len(v) != 2:
             raise ValueError(f"expected 2 variables, got vector {v}")
-    if vs:
-        if vs[0][1] != 0:
-            vs.insert(0, (INF, 0))
-        if vs[-1][0] != 0:
-            vs.append((0, INF))
-    return ComponentSet.from_vectors(2, decompose_trie(Trie(2, tuple(vs))))
+    if not vs or vs[0][1] != 0:
+        vs.insert(0, (INF, 0))
+    if vs[-1][0] != 0:
+        vs.append((0, INF))
+    return ComponentSet.from_vectors(2, decompose_trie(tuple(vs)))
 
 
 def difference(a, b, counter=None):
@@ -63,7 +64,7 @@ def slice_chain(t, counter=None):
 
 
 def decompose_trie(t, counter=None):
-    """Components of the ideal encoded by a minimal Artinian trie.
+    """Components of the ideal encoded by a nonempty minimal Artinian trie.
 
     Height one is a single pure power, whose degree is the lone component.
     Above height two, walk the slice chain on the last variable and emit the
@@ -83,20 +84,18 @@ def decompose_trie(t, counter=None):
     emitted.  This is charged to ``counter`` as one operation per adjacent
     pair, fewer than the chain's merges and differences would charge.
     """
-    vs = t.vectors
-    if not vs:
-        return [(INF,) * t.height]
-    if not any(vs[0]):  # the zero vector sorts first
+    if not any(t[0]):  # the zero vector sorts first
         return []
-    if t.height == 1:
-        return [vs[-1]]
-    if vs[0][-1] != 0:
+    height = len(t[0])
+    if height == 1:
+        return [t[-1]]
+    if t[0][-1] != 0:
         raise ValueError("no generator is free of the last variable; "
                          "the encoded ideal is not Artinian in the others")
-    if t.height == 2:
+    if height == 2:
         if counter is not None:
-            counter.add(len(vs) - 1)
-        return [(vs[k][0], vs[k + 1][1]) for k in range(len(vs) - 1)]
+            counter.add(len(t) - 1)
+        return [(t[k][0], t[k + 1][1]) for k in range(len(t) - 1)]
 
     chain = slice_chain(t, counter)
     _, link = next(chain)
@@ -114,6 +113,6 @@ def decompose_recursive(g, counter=None):
     """Decompose a generator set with the staircase-recursive engine."""
     if g.is_unit():
         return ComponentSet.from_vectors(g.n, [])
-    art = artinianize(g)
+    art = g.closure
     comps = decompose_trie(build(art.n, art.gens), counter)
     return deartinianize(comps, art)

@@ -1,45 +1,35 @@
 """Lex-sorted tuple encoding of exponent-vector sets.
 
-A set of length-``n`` vectors is stored as a height ``n`` and the tuple of
-its distinct vectors sorted by ``lex_key``, which compares the last
-coordinate first.  That is the depth-first order of the prefix tree whose
-root-to-leaf paths read the coordinates from position ``n-1`` down to 0, so
-each tree operation is a plain operation on the tuple: the subtrees below
-the root are the runs of equal last coordinate, and merging a chain link
-with the next slice drops the link's vectors that the slice divides and
-interleaves the rest with the slice.
-Tries are immutable; all operations return new tries.
+A trie is the tuple of a set's distinct vectors, sorted by ``lex_key``,
+which compares the last coordinate first; its height is the vectors'
+length, read off the first one.  That is the depth-first order of the
+prefix tree whose root-to-leaf paths read the coordinates from position
+``n-1`` down to 0, so each tree operation is a plain operation on the tuple:
+the subtrees below the root are the runs of equal last coordinate, and
+merging a chain link with the next slice drops the link's vectors that the
+slice divides and interleaves the rest with the slice.
 """
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import le
 
 from .core import lex_key
 
 
-@dataclass(frozen=True)
-class Trie:
-    """Distinct length-``height`` vectors, sorted by ``lex_key``."""
-
-    height: int
-    vectors: tuple
-
-
 def build(n, vectors):
-    """Trie containing exactly the distinct vectors of ``vectors``."""
+    """Trie of exactly the distinct vectors of ``vectors``, each of length ``n``."""
     distinct = set()
     for v in vectors:
         v = tuple(v)
         if len(v) != n:
             raise ValueError(f"vector {v} has length {len(v)}, expected {n}")
         distinct.add(v)
-    return Trie(n, tuple(sorted(distinct, key=lex_key)))
+    return tuple(sorted(distinct, key=lex_key))
 
 
 def paths(t):
     """The stored vectors, in lex order."""
-    return list(t.vectors)
+    return list(t)
 
 
 def min_merge(a, b, counter=None):
@@ -61,21 +51,21 @@ def min_merge(a, b, counter=None):
     Each vector of ``a`` is charged to ``counter`` one comparison per vector
     of ``b`` it is tested against, up to its first divisor.
     """
-    if a.height != b.height:
-        raise ValueError(f"cannot merge tries of heights {a.height} and {b.height}")
+    if a and b and len(a[0]) != len(b[0]):
+        raise ValueError(f"cannot merge tries of heights {len(a[0])} and {len(b[0])}")
     kept = []
     compared = 0
-    for v in a.vectors:
-        for k, m in enumerate(b.vectors, 1):
+    for v in a:
+        for k, m in enumerate(b, 1):
             if all(map(le, m, v)):
                 compared += k
                 break
         else:
-            compared += len(b.vectors)
+            compared += len(b)
             kept.append(v)
     if counter is not None:
         counter.add(compared)
-    return Trie(a.height, tuple(sorted(kept + list(b.vectors), key=lex_key)))
+    return tuple(sorted(kept + list(b), key=lex_key))
 
 
 def top_slices(t):
@@ -83,9 +73,8 @@ def top_slices(t):
 
     The labels are the distinct last coordinates of the stored vectors, in
     increasing order; each subtree holds the matching vectors with that
-    coordinate dropped, still in lex order.
+    coordinate dropped, still in lex order.  The empty trie has no slices.
     """
-    if t.height < 2:
-        raise ValueError(f"cannot slice a trie of height {t.height}")
-    return [(d, Trie(t.height - 1, tuple(v[:-1] for v in run)))
-            for d, run in groupby(t.vectors, key=lambda v: v[-1])]
+    if t and len(t[0]) < 2:
+        raise ValueError(f"cannot slice a trie of height {len(t[0])}")
+    return [(d, tuple(v[:-1] for v in run)) for d, run in groupby(t, key=lambda v: v[-1])]

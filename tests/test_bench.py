@@ -58,8 +58,8 @@ def test_rule_reads_the_box_against_p_squared():
 
 
 def test_rule_is_exactly_the_closure_statistic():
-    # the generators' own distinct degrees only bound prod(s_j) from below,
-    # so reading them first must never change the choice
+    # the rule reads prod(s_j) off the cached closure g.closure; recompute
+    # it from a fresh artinianize(g) and check the choice against it
     rng = random.Random(11)
     cases = 0
     for _ in range(400):

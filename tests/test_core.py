@@ -313,6 +313,15 @@ class TestSets:
         with pytest.raises(ValueError):
             GeneratorSet.from_vectors(0, [])
 
+    @pytest.mark.parametrize("n", [True, 0, -1, 2.0])
+    def test_sets_reject_bad_variable_counts(self, n):
+        # bool is an int, but the file headers would read 'ideal True' and
+        # 'components True 0', and a count below 1 fails to parse back
+        with pytest.raises(ValueError, match="variable count"):
+            GeneratorSet.from_vectors(n, [])
+        with pytest.raises(ValueError, match="variable count"):
+            ComponentSet.from_vectors(n, [])
+
     def test_unit_and_zero(self):
         assert GeneratorSet.from_vectors(2, [(0, 0), (1, 2)]).is_unit()
         assert GeneratorSet.from_vectors(2, []).is_zero()

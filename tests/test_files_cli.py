@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from monideal import (ComponentSet, FormatError, GeneratorSet,
+from monideal import (ComponentSet, FormatError, GeneratorSet, core,
                       decompose_incremental, decompose_recursive,
                       emit_components, emit_ideal, gen_random,
                       parse_components, parse_ideal)
@@ -94,8 +94,11 @@ class TestIdealFormat:
 
 class TestComponentFormat:
     def test_round_trip(self):
-        c = decompose_incremental(showcase())
-        assert parse_components(emit_components(c)) == c
+        # the unit ideal's empty sets too: their header carries only n
+        comps = [decompose_incremental(showcase())]
+        comps += [ComponentSet.from_vectors(n, []) for n in (1, 2, 5)]
+        for c in comps:
+            assert parse_components(emit_components(c)) == c
 
     def test_showcase_emission_order(self):
         text = emit_components(decompose_incremental(showcase()))
@@ -434,6 +437,29 @@ class TestDefaultEngine:
                                      else "incremental"), line
             # only the incremental engine reports peak_t
             assert ("peak_t" in stats) == (stats["algo"] == "incremental")
+
+    def test_closure_built_once_per_file(self, tmp_path, capsys, monkeypatch):
+        # the engine rule and the engine it picks read one cached closure
+        g = gen_random(4, 30, 60, seed=1, generic=True)
+        assert g.closure is g.closure
+        closed = []
+        inner = core.artinianize
+
+        def spy(ideal):
+            closed.append(ideal.n)
+            return inner(ideal)
+
+        monkeypatch.setattr(core, "artinianize", spy)
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        (src / "power.ideal").write_text(
+            emit_ideal(GeneratorSet.from_vectors(3, degree_shell(3, 6))))
+        (src / "generic.ideal").write_text(emit_ideal(g))
+        assert cli_main(["decompose", "--stats", str(src), str(out)]) == 0
+        stats = capsys.readouterr().err
+        assert "power.ideal algo=recursive " in stats
+        assert "generic.ideal algo=incremental " in stats
+        assert sorted(closed) == [3, 4]
 
     def test_trace_runs_incremental(self, tmp_path, capsys):
         self.decompose(tmp_path, ["--trace", "--stats"])

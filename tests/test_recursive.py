@@ -153,7 +153,7 @@ class TestHeightTwoBase:
         inner = recursive.decompose_trie
 
         def spy(t, counter=None):
-            heights.append(t.height)
+            heights.append(len(t[0]))
             return inner(t, counter)
 
         monkeypatch.setattr(recursive, "decompose_trie", spy)
@@ -178,9 +178,9 @@ class TestSliceChain:
         inner = recursive.min_merge
 
         def spy(a, b, counter=None):
-            assert is_antichain(a.vectors) and is_antichain(b.vectors)
-            assert not any(x != y and leq(x, y) for x in a.vectors for y in b.vectors)
-            merged.append(a.height)
+            assert is_antichain(a) and is_antichain(b)
+            assert not any(x != y and leq(x, y) for x in a for y in b)
+            merged.append(len(a[0]))
             return inner(a, b, counter)
 
         monkeypatch.setattr(recursive, "min_merge", spy)
