@@ -2,8 +2,9 @@
 
 ``decompose`` without ``--algo`` picks the engine per ideal (per file in
 directory mode) with ``bench.preferred_engine``: recursive when the closure's
-prod(s_j) is at most 10 p^2, incremental otherwise, and incremental whenever
-``--trace`` is given.  ``--stats`` names the engine that ran.
+prod(s_j) is at most ``bench.RECURSIVE_BOX_RATIO`` times p^2, incremental
+otherwise, and incremental whenever ``--trace`` is given.  ``--stats``
+names the engine that ran.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 3 oracle budget exceeded.  ``decompose`` on a directory handles one file at
@@ -17,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import measure, preferred_engine, run_sweep, write_csv
+from .bench import RECURSIVE_BOX_RATIO, measure, preferred_engine, run_sweep, write_csv
 from .core import INF
 from .files import FormatError, emit_components, emit_ideal, parse_components, parse_ideal
 from .oracle import BudgetError, DEFAULT_BUDGET, components_generate
@@ -142,8 +143,8 @@ def _build_parser():
     d = sub.add_parser("decompose", help="decompose an ideal file (or directory of them)")
     d.add_argument("--algo", choices=["recursive", "incremental", "oracle"],
                    help="force an engine; by default each ideal gets the one it "
-                        "favours (recursive when prod(s_j) <= 10 p^2, incremental "
-                        "otherwise or with --trace)")
+                        f"favours (recursive when prod(s_j) <= {RECURSIVE_BOX_RATIO} "
+                        "p^2, incremental otherwise or with --trace)")
     d.add_argument("--trace", action="store_true",
                    help="emit one JSON record per incremental step on stderr")
     d.add_argument("--stats", action="store_true",

@@ -9,13 +9,14 @@ clears the blocking degree computed from the generators dividing the
 component, so no reduction pass over the whole list is ever needed.
 
 A step does only that partition, the divisor probe and the lowering; the
-proofs are in ``IncrementalState.add_generator``.  Whether ``alpha`` extends
-the minimal generating set is read off the partition (it is divisible by a
-generator iff no component lies strictly above it) plus a scan of the
-lex-sorted generators from ``alpha``'s position on, which in the lex order
-of ``decompose_incremental`` holds at most ``n`` pure powers.  Lowered
-copies are distinct from each other and from the untouched components, so
-no duplicate check is made.
+proofs are in ``IncrementalState.add_generator``.  It is the sum rule
+Irr(I + <X^alpha>) = max{beta ^ gamma} with a principal ideal, exact for any
+``alpha`` in any order: an ``alpha`` already in the ideal has no component
+strictly above it and changes nothing, and one that divides absorbed
+generators needs no special case.  The absorbed generators and their degree
+index only grow; an entry that a later ``alpha`` divides never changes a
+lowering limit.  Lowered copies are distinct from each other and from the
+untouched components, so no duplicate check is made.
 
 Components are kept in insertion order, in two lists.  The partition
 scans only the active ones.  A copy lowered at the last variable takes
@@ -39,11 +40,10 @@ The individual operations also accept vectors with INF coordinates, where a
 generator containing INF stands for the zero polynomial and divides nothing.
 """
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import eq, gt, le
 
-from .core import (ComponentSet, INF, deartinianize, leq, lex_key, maximalize,
+from .core import (ComponentSet, INF, deartinianize, lex_key, maximalize,
                    replace_coord, unit_vector)
 
 
@@ -151,11 +151,11 @@ class TraceStep:
 class IncrementalState:
     """Single-owner state of one incremental run.
 
-    Holds the generators absorbed so far (an antichain, lex-sorted), their
-    degree index ``{(u, degree): [generators]}``, and the current
-    components, which always equal the decomposition of the ideal the
-    absorbed generators span.  They are split in two lists, each in
-    insertion order:
+    Holds the generators absorbed so far in absorb order and their degree
+    index ``{(u, degree): [generators]}``, both append-only (see
+    ``add_generator``), and the current components, which always equal the
+    decomposition of the ideal the absorbed generators span.  They are
+    split in two lists, each in insertion order:
 
     - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable,
@@ -171,7 +171,7 @@ class IncrementalState:
         self.active = [tuple(c) for c in components]
         self.retired = []
         self.floor = -INF
-        self.generators = sorted((tuple(m) for m in generators), key=lex_key)
+        self.generators = [tuple(m) for m in generators]
         self.index = {}
         for m in self.generators:
             self._index(m)
@@ -203,23 +203,26 @@ class IncrementalState:
     def add_generator(self, alpha, trace=None, cross_check=False):
         """Absorb one generator and update the components exactly.
 
-        ``alpha`` must extend the current minimal generating set: divide and
-        be divided by none of it, else ``ValueError``.  Both halves of that
-        check are exact without a scan of all generators:
+        ``alpha`` is any exponent vector of length ``n`` (else
+        ``ValueError``), absorbed in any order.  The components ``beta``
+        decompose the ideal I of the generators, and X^alpha lies outside
+        the irreducible ideal of ``beta`` iff ``alpha_i < beta_i`` for every
+        ``i``.  So X^alpha is already in I iff no component lies strictly
+        above ``alpha``; the components are then left as they are, ``alpha``
+        is not recorded and no trace step is written.  (An ``alpha`` with an
+        INF coordinate stands for zero, which lies in every ideal, and no
+        component lies above it.)
 
-        - Some generator divides ``alpha`` iff ``affected`` is empty.  The
-          components ``beta`` decompose the ideal I of the generators, and
-          X^alpha lies outside the irreducible ideal of ``beta`` iff
-          ``alpha_i < beta_i`` for every ``i``.  So X^alpha is in I, i.e.
-          some generator divides it, iff no component lies strictly above
-          ``alpha``.  (An ``alpha`` with an INF coordinate stands for zero,
-          which lies in every ideal, and no component lies above it.)
-        - ``alpha <= m`` implies ``lex_key(alpha) <= lex_key(m)``, so every
-          generator that ``alpha`` divides sits at or after
-          ``bisect_left(generators, lex_key(alpha))`` and only that suffix
-          is scanned.  In the lex order of ``decompose_incremental`` every
-          absorbed non-pure generator is lex-smaller than ``alpha``, so the
-          suffix holds at most the ``n`` pure powers.
+        Otherwise ``alpha`` is appended to ``generators`` and the degree
+        index, and no generator it divides is removed: the index holds
+        elements of I, every minimal generator among them.  Such a stale
+        entry changes nothing.  A divisor ``e`` of a component ``beta`` is in
+        I, so it cannot lie strictly below ``beta`` and matches it in some
+        variable: the divisor probe stays complete.  If ``e`` is a lone
+        matcher of ``beta`` at ``k``, some minimal generator ``g <= e`` is in
+        the index, and ``g`` cannot lie strictly below ``beta`` either, so
+        ``g_k = beta_k`` and ``g`` is a lone matcher at ``k`` too.  So every
+        minimum that ``lowering_limits`` takes is unchanged.
 
         Only the active components are partitioned.  A retired ``beta``
         has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
@@ -228,13 +231,13 @@ class IncrementalState:
         the exactness guard for out-of-order callers;
         ``decompose_incremental`` never triggers it.  So ``beta_n <=
         alpha_n`` and ``beta`` is not strictly above ``alpha``.  Therefore
-        ``beta`` is untouched by the step, a generator divides ``alpha`` iff
-        no *active* component lies strictly above it, and the divisor probe
-        and the lowering limits, which run on affected components only,
-        never see ``beta``.  A kept candidate lowered at the last variable
-        has last coordinate ``alpha_n``, so it is retired and ``floor``
-        becomes ``alpha_n``, which keeps the same argument valid for every
-        later ``alpha`` with ``alpha_n >= floor``.
+        ``beta`` is untouched by the step, X^alpha is in I iff no *active*
+        component lies strictly above it, and the divisor probe and the
+        lowering limits, which run on affected components only, never see
+        ``beta``.  A kept candidate lowered at the last variable has last
+        coordinate ``alpha_n``, so it is retired and ``floor`` becomes
+        ``alpha_n``, which keeps the same argument valid for every later
+        ``alpha`` with ``alpha_n >= floor``.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -255,17 +258,12 @@ class IncrementalState:
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError(f"generator {alpha} has length {len(alpha)}, expected {self.n}")
-        gens = self.generators
-        for m in gens[bisect_left(gens, lex_key(alpha), key=lex_key):]:
-            if leq(alpha, m):
-                raise ValueError(f"{alpha} does not extend the minimal set: it divides {m}")
         if alpha[-1] < self.floor:
             self.active.extend(self.retired)
             self.retired, self.floor = [], -INF
         untouched, affected = partition_components(self.active, alpha, self.counter)
         if not affected:
-            raise ValueError(f"{alpha} does not extend the minimal set: "
-                             "a generator divides it")
+            return self
 
         last = self.n - 1
         kept, rejected, lowered, retiring = [], [], [], []
@@ -290,7 +288,7 @@ class IncrementalState:
                 raise RuntimeError("exact update disagrees with full reduction")
 
         self.active = untouched + lowered
-        insort(gens, alpha, key=lex_key)
+        self.generators.append(alpha)
         self._index(alpha)
         self.steps += 1
         if trace is not None:

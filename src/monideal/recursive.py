@@ -6,12 +6,12 @@ increasing chain of ideals in one fewer variable; the components of the full
 ideal are exactly the components that disappear from one link of the chain
 to the next, tagged with the degree at which they disappear.  Recursing on
 the chain links reaches the two-variable base case, whose components are
-read off the corners of the staircase.  Tries are the lex-sorted tuples of
-``trie.build``, and every trie the engine decomposes is nonempty.
+read off the corners of the staircase.  Tries are lex-sorted tuples of
+distinct vectors, such as the closure's ``gens``, and never empty.
 """
 
 from .core import ComponentSet, INF, deartinianize, minimalize
-from .trie import build, min_merge, top_slices
+from .trie import min_merge, top_slices
 
 
 def decompose_bivariate(vectors):
@@ -114,5 +114,5 @@ def decompose_recursive(g, counter=None):
     if g.is_unit():
         return ComponentSet.from_vectors(g.n, [])
     art = g.closure
-    comps = decompose_trie(build(art.n, art.gens), counter)
+    comps = decompose_trie(art.gens, counter)
     return deartinianize(comps, art)

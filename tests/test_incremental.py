@@ -281,23 +281,33 @@ class TestAddGenerator:
         assert after < before
         assert len(after) == 5
 
-    def test_rejects_comparable_generator(self):
+    def test_absorbs_generators_in_the_ideal_or_dividing_it(self):
+        # a generator already in the ideal changes nothing and is not
+        # recorded; one dividing an absorbed generator just extends the ideal
         state = inf_state()
+        gens = list(state.generators)
+        trace = []
+        for alpha in [(4, 0, 0), (5, 1, 0), (4, 4, INF)]:
+            state.add_generator(alpha, trace=trace, cross_check=True)
+            assert state.components == [(4, 4, INF)] and state.generators == gens
+            assert len(state) == 1 and state.steps == 0 and trace == []
+        state.add_generator((3, 0, 0), trace=trace, cross_check=True)
+        assert state.components == [(3, 4, INF)] and state.steps == 1
+        assert len(trace) == 1
         with pytest.raises(ValueError):
-            state.add_generator((4, 0, 0))
-        with pytest.raises(ValueError):
-            state.add_generator((5, 1, 0))
+            state.add_generator((1, 1))
 
-    def test_extension_check_matches_brute_force(self):
-        # add_generator raises exactly when a scan of every absorbed generator
-        # finds one comparable to alpha.  Absorbing in random order leaves
-        # non-pure generators lex-above later draws (and must still give the
-        # lex-order components); alphas are drawn at random in the closure's
-        # box, at random below a component (outside the ideal), and as
-        # divisors of absorbed non-pure generators.
+    def test_any_generator_gives_the_decomposition_of_all_absorbed(self):
+        # after each absorbed alpha, in any order, the state decomposes the
+        # ideal of everything absorbed so far.  Absorbing in random order
+        # leaves non-pure generators lex-above later draws (and must still
+        # give the lex-order components); alphas are then drawn as strict
+        # divisors of absorbed non-pure generators, at random below a
+        # component (outside the ideal), and at random in the closure's box.
+        # Finally alpha = 0 gives the unit ideal, which has no components.
         rng = random.Random(61)
-        outcomes = {True: 0, False: 0}
-        strict_divisors = 0
+        draws = {"divisor": 0, "below": 0, "box": 0}
+        strict_divisors = in_ideal = divides_absorbed = zeros = 0
         for _ in range(300):
             g = random_ideal(rng, max_p=10)
             if g.is_unit():
@@ -318,21 +328,36 @@ class TestAddGenerator:
                     m = rng.choice(non_pure)
                     alpha = tuple(rng.randint(max(e - 1, 0), e) for e in m)
                     strict_divisors += alpha != m
-                elif draw < 0.7:
+                    draws["divisor"] += 1
+                elif state.components and draw < 0.7:
                     beta = rng.choice(state.components)
                     alpha = tuple(rng.randint(max(b - 2, 0), b - 1) for b in beta)
+                    draws["below"] += 1
                 else:
                     alpha = tuple(rng.randint(0, d) for d in degs)
-                expected = any(leq(m, alpha) or leq(alpha, m) for m in state.generators)
-                try:
-                    state.add_generator(alpha, cross_check=True)
-                    raised = False
-                except ValueError:
-                    raised = True
-                assert raised == expected, (state.generators, alpha)
-                outcomes[raised] += 1
-        assert outcomes[True] > 1000 and outcomes[False] > 100
-        assert strict_divisors > 300
+                    draws["box"] += 1
+                before = (state.components, len(state), state.steps, list(state.generators))
+                inside = any(leq(m, alpha) for m in state.generators)
+                in_ideal += inside
+                divides_absorbed += not inside and any(leq(alpha, m)
+                                                       for m in state.generators)
+                state.add_generator(alpha, cross_check=True)
+                if inside:
+                    assert (state.components, len(state), state.steps,
+                            state.generators) == before
+                want = decompose_oracle(GeneratorSet.from_vectors(
+                    art.n, state.generators + [alpha]))
+                assert sorted(state.components) == sorted(want.comps), alpha
+            if state.components:
+                state.add_generator((0,) * art.n, cross_check=True)
+                assert state.components == [] and len(state) == 0
+                zeros += 1
+        assert draws["divisor"] > 700 and draws["below"] > 500 and draws["box"] > 1500
+        assert strict_divisors > 500 and zeros > 80
+        # steps inside the ideal, and outside it while dividing an absorbed
+        # generator, which the minimal-set check used to refuse
+        assert in_ideal > 2000 and sum(draws.values()) - in_ideal > 900
+        assert divides_absorbed > 700
 
     def test_shuffled_runs_reactivate_retired_components(self):
         # out of lex order an alpha may have a smaller last coordinate than

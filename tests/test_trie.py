@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from monideal import INF, OpCounter, artinianize
+from monideal import INF, GeneratorSet, OpCounter, artinianize
 from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
 from conftest import SHOWCASE_GENS, showcase
@@ -38,6 +38,12 @@ class TestBuildAndPaths:
     def test_round_trip(self, nvs):
         n, vs = nvs
         assert paths(build(n, vs)) == sorted(set(map(tuple, vs)), key=lex_key)
+
+    @given(vector_lists())
+    def test_closure_generators_are_already_a_trie(self, nvs):
+        # the recursive engine decomposes ``art.gens`` without ``build``
+        art = artinianize(GeneratorSet.from_vectors(*nvs))
+        assert build(art.n, art.gens) == art.gens
 
     @given(vector_lists())
     def test_sibling_labels_strictly_increase(self, nvs):
