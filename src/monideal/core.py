@@ -272,7 +272,7 @@ class ComponentSet:
 
 @dataclass(frozen=True)
 class ArtinianizedIdeal:
-    """A generator set closed up with a pure power of every variable.
+    """A generator set in ``n`` variables closed up with a pure power of each.
 
     ``bounds[i]`` is one more than the largest degree of variable ``i`` over
     the original generators; ``added[i]`` says whether ``x_i^bounds[i]`` was
@@ -281,25 +281,20 @@ class ArtinianizedIdeal:
     generators plus the injected powers, lex-sorted.
     """
 
-    base: GeneratorSet
+    n: int
     bounds: tuple
     added: tuple
     gens: tuple
 
-    @property
-    def n(self):
-        return self.base.n
-
     def pure_degrees(self):
-        """Degree of the unique pure power of each variable in ``gens``."""
-        degs = [None] * self.n
-        for v in self.gens:
-            nz = [i for i, e in enumerate(v) if e]
-            if len(nz) == 1:
-                degs[nz[0]] = v[nz[0]]
-        if any(d is None for d in degs):
-            raise ValueError("generator set is not Artinian (is it the unit ideal?)")
-        return tuple(degs)
+        """Degree of the unique pure power of each variable in ``gens``.
+
+        An injected power has degree ``bounds[i]``.  A native power
+        ``x_i^d`` has degree ``bounds[i] - 1``: minimality keeps every other
+        generator's degree in ``x_i`` below ``d``, so ``d`` is the largest.
+        The unit ideal has no pure powers; callers handle it first.
+        """
+        return tuple(b if a else b - 1 for b, a in zip(self.bounds, self.added))
 
     def alphas(self):
         """The non-pure generators, in lex order."""
@@ -348,7 +343,7 @@ def artinianize(g):
     added = tuple(not h for h in has_pure)
     injected = () if g.is_unit() else tuple(
         unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
-    return ArtinianizedIdeal(g, bounds, added,
+    return ArtinianizedIdeal(n, bounds, added,
                              tuple(sorted(g.gens + injected, key=lex_key)))
 
 

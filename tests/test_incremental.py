@@ -15,6 +15,7 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle, gen_random)
 from monideal.core import leq, strictly_below
 from monideal import incremental
+from monideal.bench import INCREMENTAL_ENVELOPE
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie, slice_chain
@@ -556,3 +557,16 @@ class TestDecompose:
         for rec in trace:
             assert set(rec) == {"step", "alpha", "t1_size", "t2_size", "kept", "rejected"}
         assert counter.ops > 0
+
+    @pytest.mark.parametrize("n, p, l", [(6, 300, 7277), (7, 120, 14831),
+                                         (8, 80, 17875)])
+    def test_generic_storage_bound_past_ten_thousand(self, n, p, l):
+        """The paper's bounds on generic lex runs with up to 17,875
+        components: the component count never shrinks, so the peak storage
+        is the output size l, and ops stay inside the incremental envelope."""
+        g = gen_random(n, p, 2 * p, seed=1, generic=True)
+        sizes, counter = [], OpCounter()
+        assert len(decompose_incremental(g, counter=counter, t_sizes=sizes)) == l
+        assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+        assert max(sizes) == l
+        assert counter.ops <= INCREMENTAL_ENVELOPE * n ** 2 * g.p * l

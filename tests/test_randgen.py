@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from monideal import decompose_oracle, gen_random
+from monideal import decompose_oracle, decompose_recursive, gen_random
 from monideal.core import is_generic
-from monideal.recursive import decompose_bivariate
 
 
 def test_deterministic():
@@ -53,5 +52,5 @@ def test_bivariate_output_matches_closed_form():
     for _ in range(100):
         g = gen_random(2, rng.randint(1, 8), rng.randint(1, 9),
                        seed=rng.randrange(2 ** 32))
-        assert set(decompose_bivariate(g.gens).comps) == \
+        assert set(decompose_recursive(g).comps) == \
             set(decompose_oracle(g).comps)

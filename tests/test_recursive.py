@@ -12,43 +12,44 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
 from monideal import recursive
 from monideal.core import leq
 from monideal.oracle import staircase
-from monideal.recursive import (adjoin, decompose_bivariate, decompose_trie,
-                                difference, slice_chain)
+from monideal.recursive import decompose_trie, difference, slice_chain
 from monideal.trie import build, min_merge, paths
 from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
 
+def bivariate(vectors):
+    """The recursive engine on a two-variable ideal: the closure supplies
+    missing pure powers and the height-2 base case pairs the corners."""
+    return decompose_recursive(GeneratorSet.from_vectors(2, vectors))
+
+
 class TestBivariate:
     def test_missing_pure_powers_become_inf(self):
-        got = decompose_bivariate([(2, 3)])
+        got = bivariate([(2, 3)])
         assert set(got.comps) == {(INF, 3), (2, INF)}
 
     def test_two_pure_powers(self):
-        assert decompose_bivariate([(3, 0), (0, 2)]).comps == ((3, 2),)
+        assert bivariate([(3, 0), (0, 2)]).comps == ((3, 2),)
 
     def test_three_step_staircase(self):
-        got = decompose_bivariate([(3, 0), (1, 1), (0, 2)])
+        got = bivariate([(3, 0), (1, 1), (0, 2)])
         assert set(got.comps) == {(3, 1), (1, 2)}
 
-    def test_explicit_inf_powers(self):
-        got = decompose_bivariate([(INF, 0), (2, 3), (0, INF)])
-        assert set(got.comps) == {(INF, 3), (2, INF)}
-
     def test_unit_and_zero(self):
-        assert decompose_bivariate([(0, 0)]).comps == ()
-        assert decompose_bivariate([]).comps == ((INF, INF),)
+        assert bivariate([(0, 0)]).comps == ()
+        assert bivariate([]).comps == ((INF, INF),)
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            decompose_bivariate([(1, 2, 3)])
+            bivariate([(1, 2, 3)])
 
     def test_matches_oracle_on_random_staircases(self):
         rng = random.Random(17)
         for _ in range(100):
             g = random_ideal(rng, n_choices=(2,))
-            assert set(decompose_bivariate(g.gens).comps) == \
+            assert set(decompose_recursive(g).comps) == \
                 set(decompose_oracle(g).comps)
 
 
@@ -57,13 +58,6 @@ class TestSetOps:
         assert difference([(4, 2), (3, 3)], [(3, 3)]) == [(4, 2)]
         assert difference([(1, 1)], [(2, 2)]) == [(1, 1)]
         assert difference([(1, 1)], [(1, 1), (2, 2)]) == []
-
-    def test_adjoin(self):
-        assert adjoin([(4, 2)], 3) == [(4, 2, 3)]
-        assert adjoin([], 5) == []
-        assert adjoin([(1, 4)], INF) == [(1, 4, INF)]
-        with pytest.raises(ValueError):
-            adjoin([(1, 1)], 0)
 
 
 class TestEngine:
@@ -98,12 +92,25 @@ class TestEngine:
             g = random_ideal(rng)
             assert set(decompose_recursive(g).comps) == set(decompose_oracle(g).comps)
 
-    def test_no_duplicate_components(self):
+    def test_no_duplicate_components(self, monkeypatch):
+        # the engine keeps no run-time check of the disjointness proof in
+        # ``decompose_trie``'s docstring; check every call, not only the top
+        inner = recursive.decompose_trie
+        heights = []
+
+        def spy(t, counter=None):
+            out = inner(t, counter)
+            assert len(set(out)) == len(out), t
+            heights.append(len(t[0]))
+            return out
+
+        monkeypatch.setattr(recursive, "decompose_trie", spy)
         rng = random.Random(29)
         for _ in range(100):
             g = random_ideal(rng)
             comps = decompose_recursive(g).comps
             assert len(set(comps)) == len(comps)
+        assert set(heights) == {2, 3, 4}
 
 
 def slice_chain_walk(t, counter=None):
@@ -115,7 +122,7 @@ def slice_chain_walk(t, counter=None):
     out = []
     for d, link in chain:
         cur = decompose_trie(link, counter)
-        out.extend(adjoin(difference(prev, cur, counter), d))
+        out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
     return out
 
