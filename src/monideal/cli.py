@@ -41,7 +41,7 @@ def _read(path, parse):
     """``parse`` of the text of ``path``; an error in the text names the file."""
     try:
         return parse(Path(path).read_text())
-    except (FormatError, ValueError) as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -107,6 +107,10 @@ def _cmd_decompose(args):
 def _cmd_verify(args):
     comps = _read(args.components, parse_components)
     g = _read(args.ideal, parse_ideal)
+    if comps.n != g.n:
+        print(f"verification failed: the components live in {comps.n} variables, "
+              f"the ideal in {g.n}", file=sys.stderr)
+        return EXIT_VERIFY
     try:
         comps.validate()
     except ValueError as exc:

@@ -175,6 +175,28 @@ def _validate_generator_vector(n, v):
             raise ValueError(f"generator exponent {e} outside [0, 2^32]")
 
 
+def _validate_component_vector(n, v):
+    if len(v) != n:
+        raise ValueError(f"component {v} has length {len(v)}, expected {n}")
+    for e in v:
+        # bool is an int, and a numpy float64 a float: both rejected
+        finite = isinstance(e, int) and not isinstance(e, bool)
+        if not (finite and 1 <= e <= MAX_EXPONENT or type(e) is float and e == INF):
+            raise ValueError("component exponents must be inf, or >= 1 and at most "
+                             f"2^32; got {e!r}")
+
+
+def _validate_names(n, names):
+    if len(names) != n:
+        raise ValueError(f"expected {n} variable names, got {len(names)}")
+    for name in names:
+        # the ideal file's header lists the names split by whitespace, and
+        # '#' starts a comment there
+        if not isinstance(name, str) or "#" in name or name.split() != [name]:
+            raise ValueError(f"variable name {name!r} must be a nonempty "
+                             "string without whitespace or '#'")
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Finite antichain of all-finite exponent vectors: the minimal generators
@@ -193,14 +215,7 @@ class GeneratorSet:
             _validate_generator_vector(n, v)
         if names is not None:
             names = tuple(names)
-            if len(names) != n:
-                raise ValueError(f"expected {n} variable names, got {len(names)}")
-            for name in names:
-                # the ideal file's header lists the names split by whitespace,
-                # and '#' starts a comment there
-                if not isinstance(name, str) or "#" in name or name.split() != [name]:
-                    raise ValueError(f"variable name {name!r} must be a nonempty "
-                                     "string without whitespace or '#'")
+            _validate_names(n, names)
         keep = set(minimalize(vs))
         seen = set()
         out = []
@@ -240,17 +255,9 @@ class ComponentSet:
     @classmethod
     def from_vectors(cls, n, vectors):
         _validate_variable_count(n)
-        vs = []
-        for v in vectors:
-            v = tuple(v)
-            if len(v) != n:
-                raise ValueError(f"component {v} has length {len(v)}, expected {n}")
-            for e in v:
-                # bool is an int, and a numpy float64 a float: both rejected
-                finite = isinstance(e, int) and not isinstance(e, bool)
-                if not (finite and 1 <= e <= MAX_EXPONENT or type(e) is float and e == INF):
-                    raise ValueError(f"component exponent {e!r} outside N-bar")
-            vs.append(v)
+        vs = [tuple(v) for v in vectors]
+        for v in vs:
+            _validate_component_vector(n, v)
         return cls(n, tuple(sorted(vs, key=lex_key)))
 
     def __len__(self):

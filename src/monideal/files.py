@@ -1,148 +1,124 @@
 """Plain-text formats for ideals and component lists.
 
 Both formats are line oriented: a header naming the kind and the variable
-count, one vector per body line, and an explicit ``end`` terminator that
-catches truncated files.  Blank lines and ``#`` comments are ignored on
-input.  ``inf`` is a legal component exponent but is rejected in ideals,
-since generators must be genuine monomials.
+count, one vector per body line, and an ``end`` terminator that catches
+truncated files.  Blank lines and ``#`` comments are ignored.  A token is
+ASCII decimal digits or ``inf``.  Every rule on the values is ``core``'s: the
+reader runs the ``from_vectors`` validators on the header and on each row, so
+that an error names its line.
 """
 
-from .core import ComponentSet, GeneratorSet, INF, MAX_EXPONENT
+from contextlib import contextmanager
+
+from .core import (ComponentSet, GeneratorSet, INF, _validate_component_vector,
+                   _validate_generator_vector, _validate_names,
+                   _validate_variable_count)
 
 
 class FormatError(Exception):
     """Malformed input text; the message carries the offending line number."""
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+@contextmanager
+def _at(lineno):
+    """Report a ValueError raised inside as a FormatError on line ``lineno``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def _int(token):
-    """``int(token)`` for ASCII decimal digits with an optional minus sign;
-    ``int`` alone also reads ``1_0``, ``+3`` and non-ASCII digits."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {token!r}")
+def _value(token):
+    """``INF`` for ``inf``, else ``int(token)`` for ASCII decimal digits;
+    ``int`` alone also reads ``-0``, ``1_0``, ``+3`` and non-ASCII digits."""
+    if token == "inf":
+        return INF
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a nonnegative integer")
     return int(token)
 
 
-def _parse_exponent(token, lineno, allow_inf):
-    if token == "inf":
-        if allow_inf:
-            return INF
-        raise FormatError(f"line {lineno}: 'inf' is not allowed in an ideal; "
-                          "generators must be genuine monomials")
+def _frames(text, usage):
+    """Yield ``(lineno, tokens)`` for the header, kind dropped, then each body row."""
+    kind = usage.split()[0]
+    header_seen = terminated = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if terminated:
+            raise FormatError(f"line {lineno}: content after 'end'")
+        if not header_seen:
+            if tokens[0] != kind:
+                raise FormatError(f"line {lineno}: expected {usage!r}, got {raw.strip()!r}")
+            header_seen = True
+            yield lineno, tokens[1:]
+        elif tokens == ["end"]:
+            terminated = True
+        else:
+            yield lineno, tokens
+    if not header_seen:
+        raise FormatError(f"line 1: empty input, expected {usage!r}")
+    if not terminated:
+        raise FormatError("missing 'end' terminator")
+
+
+def _rows(frames, n, validate):
+    """The remaining frames as value tuples, each checked by ``validate(n, row)``."""
+    rows = []
     try:
-        e = _int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: {token!r} is not a nonnegative integer") from None
-    if e < 0:
-        raise FormatError(f"line {lineno}: negative exponent {e}")
-    if e > MAX_EXPONENT:
-        raise FormatError(f"line {lineno}: exponent {e} exceeds 2^32")
-    return e
-
-
-def _parse_row(line, lineno, n, allow_inf):
-    tokens = line.split()
-    if len(tokens) != n:
-        raise FormatError(f"line {lineno}: expected {n} exponents, got {len(tokens)}")
-    return tuple(_parse_exponent(t, lineno, allow_inf) for t in tokens)
+        # one handler for every row: a context manager per row made parses 8-24% slower
+        for lineno, tokens in frames:
+            row = tuple(map(_value, tokens))
+            validate(n, row)
+            rows.append(row)
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+    return rows
 
 
 def parse_ideal(text):
     """Parse an ideal file into a (minimalized) GeneratorSet."""
-    rows, names, n = [], None, None
-    header_seen = terminated = False
-    for lineno, line in _lines(text):
-        if terminated:
-            raise FormatError(f"line {lineno}: content after 'end'")
-        if not header_seen:
-            tokens = line.split()
-            if tokens[0] != "ideal":
-                raise FormatError(f"line {lineno}: expected 'ideal <n> [names...]', got {line!r}")
-            if len(tokens) < 2:
-                raise FormatError(f"line {lineno}: missing variable count")
-            try:
-                n = _int(tokens[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: variable count {tokens[1]!r} "
-                                  "is not an integer") from None
-            if n < 1:
-                raise FormatError(f"line {lineno}: variable count must be >= 1")
-            if len(tokens) > 2:
-                names = tuple(tokens[2:])
-                if len(names) != n:
-                    raise FormatError(f"line {lineno}: expected {n} names, got {len(names)}")
-            header_seen = True
-        elif line == "end":
-            terminated = True
-        else:
-            rows.append(_parse_row(line, lineno, n, allow_inf=False))
-    if not header_seen:
-        raise FormatError("line 1: empty input, expected an 'ideal' header")
-    if not terminated:
-        raise FormatError("missing 'end' terminator")
+    frames = _frames(text, "ideal <n> [names...]")
+    lineno, header = next(frames)
+    with _at(lineno):
+        if not header:
+            raise ValueError("missing variable count")
+        n, names = _value(header[0]), tuple(header[1:]) or None
+        _validate_variable_count(n)
+        if names:
+            _validate_names(n, names)
+    rows = _rows(frames, n, _validate_generator_vector)
     return GeneratorSet.from_vectors(n, rows, names=names)
-
-
-def _render_exponent(e):
-    return "inf" if e == INF else str(e)
-
-
-def emit_ideal(g):
-    """Render a GeneratorSet in the ideal file format."""
-    header = f"ideal {g.n}"
-    if g.names:
-        header += " " + " ".join(g.names)
-    lines = [header]
-    lines.extend(" ".join(str(e) for e in v) for v in g.gens)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
 
 
 def parse_components(text):
     """Parse a component file into a ComponentSet."""
-    rows, n, count = [], None, None
-    header_seen = terminated = False
-    for lineno, line in _lines(text):
-        if terminated:
-            raise FormatError(f"line {lineno}: content after 'end'")
-        if not header_seen:
-            tokens = line.split()
-            if tokens[0] != "components" or len(tokens) != 3:
-                raise FormatError(f"line {lineno}: expected 'components <n> <count>', got {line!r}")
-            try:
-                n, count = _int(tokens[1]), _int(tokens[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 1 or count < 0:
-                raise FormatError(f"line {lineno}: bad header values")
-            header_seen = True
-        elif line == "end":
-            terminated = True
-        else:
-            row = _parse_row(line, lineno, n, allow_inf=True)
-            if any(e != INF and e < 1 for e in row):
-                raise FormatError(f"line {lineno}: component exponents must be >= 1")
-            rows.append(row)
-    if not header_seen:
-        raise FormatError("line 1: empty input, expected a 'components' header")
-    if not terminated:
-        raise FormatError("missing 'end' terminator")
+    frames = _frames(text, "components <n> <count>")
+    lineno, header = next(frames)
+    with _at(lineno):
+        if len(header) != 2:
+            raise ValueError("expected a variable count and a component count")
+        n, count = map(_value, header)
+        _validate_variable_count(n)
+    rows = _rows(frames, n, _validate_component_vector)
     if len(rows) != count:
-        raise FormatError(f"header announced {count} components, found {len(rows)}")
+        raise FormatError(f"line {lineno}: header announced {count} components, "
+                          f"found {len(rows)}")
     return ComponentSet.from_vectors(n, rows)
 
 
+def _emit(header, vectors):
+    """A file of ``header``, one row per vector and ``end``."""
+    rows = (" ".join("inf" if e == INF else str(e) for e in v) for v in vectors)
+    return "\n".join([header, *rows, "end"]) + "\n"
+
+
+def emit_ideal(g):
+    """Render a GeneratorSet in the ideal file format."""
+    return _emit(" ".join(["ideal", str(g.n), *(g.names or ())]), g.gens)
+
+
 def emit_components(c):
-    """Render a ComponentSet in the component file format, in its stored
-    lex order."""
-    lines = [f"components {c.n} {len(c.comps)}"]
-    lines.extend(" ".join(_render_exponent(e) for e in v) for v in c.comps)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    """Render a ComponentSet in the component file format, in lex order."""
+    return _emit(f"components {c.n} {len(c.comps)}", c.comps)

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monideal import (ComponentSet, FormatError, GeneratorSet, core,
+from monideal import (INF, ComponentSet, FormatError, GeneratorSet, core,
                       decompose_incremental, decompose_recursive,
                       emit_components, emit_ideal, gen_random,
                       parse_components, parse_ideal)
@@ -126,10 +127,10 @@ class TestComponentFormat:
             parse_components("components 2 1\n0 1\nend\n")
 
 
-@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"],
-                         ids=["underscore", "plus-sign", "arabic-indic-digit"])
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "-0"],
+                         ids=["underscore", "plus-sign", "arabic-indic-digit", "minus-zero"])
 def test_only_ascii_decimal_integers_parse(token):
-    # int() accepts all three, as 10, 3 and 3
+    # int() accepts all four, as 10, 3, 3 and 0
     cases = [(parse_ideal, f"ideal 2\n{token} 0\nend\n"),
              (parse_ideal, f"ideal {token}\nend\n"),
              (parse_components, f"components 2 1\n{token} 1\nend\n"),
@@ -137,6 +138,72 @@ def test_only_ascii_decimal_integers_parse(token):
              (parse_components, f"components 1 {token}\nend\n")]
     for parse, text in cases:
         with pytest.raises(FormatError, match="line [12]"):
+            parse(text)
+
+
+# tokens at every boundary of the value rules, and two the syntax rule rejects
+ROW_TOKENS = ["0", "1", "2", str(MAX_EXPONENT), str(MAX_EXPONENT + 1), "inf", "-1", "1_0"]
+
+
+def as_value(token):
+    """What ``from_vectors`` gets for a token: the int or INF that the syntax
+    rule reads, else the token itself, which no constructor accepts."""
+    if token == "inf":
+        return INF
+    return int(token) if token.isascii() and token.isdigit() else token
+
+
+def accepts(construct, *args):
+    try:
+        construct(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_reader_accepts_exactly_what_the_constructors_accept(data):
+    """Both readers succeed exactly when ``from_vectors`` accepts the same
+    header values and rows, and name the first line it rejects."""
+    draw = data.draw
+    ideal = draw(st.booleans())
+    # valid header values three times as often as each kind of invalid one
+    n_token = draw(st.sampled_from(["1", "2", "3"] * 3 + ["0", "-0", "inf"]))
+    n = as_value(n_token)
+    width = n if isinstance(n, int) else 2
+    # a row without tokens would be a blank line
+    row = st.lists(st.sampled_from(ROW_TOKENS), min_size=max(width - 1, 1),
+                   max_size=width + 1)
+    ones = st.lists(st.just("1"), min_size=max(width, 1), max_size=max(width, 1))
+    rows = draw(st.lists(st.one_of(ones, row), max_size=4))
+    vectors = [tuple(map(as_value, r)) for r in rows]
+    if ideal:
+        k = draw(st.sampled_from([0, 0, width, width, width - 1, width + 1]))
+        names = tuple(f"x{i}" for i in range(k)) or None
+        header = ["ideal", n_token, *(names or ())]
+        construct, parse, extra = GeneratorSet.from_vectors, parse_ideal, (names,)
+        count = len(rows)  # an ideal file announces no count
+    else:
+        count_token = draw(st.sampled_from(
+            [str(len(rows))] * 3 + [str(len(rows) + 1), str(max(len(rows) - 1, 0)),
+                                    "-0", "inf"]))
+        header = ["components", n_token, count_token]
+        construct, parse, extra = ComponentSet.from_vectors, parse_components, ()
+        count = as_value(count_token)
+    text = "\n".join([" ".join(header), *map(" ".join, rows), "end"]) + "\n"
+
+    # the header's values come first (a count that breaks the syntax rule
+    # among them), then each row, then whether the count matches the rows
+    checks = [(1, accepts(construct, n, [], *extra) and not isinstance(count, str))]
+    checks += [(i, accepts(construct, n, [v], *extra)) for i, v in enumerate(vectors, 2)]
+    checks += [(1, count == len(rows))]
+    line = next((i for i, ok in checks if not ok), None)
+    assert (line is None) == (accepts(construct, n, vectors, *extra) and count == len(rows))
+    if line is None:
+        assert parse(text) == construct(n, vectors, *extra)
+    else:
+        with pytest.raises(FormatError, match=f"^line {line}: "):
             parse(text)
 
 
@@ -303,6 +370,25 @@ class TestCli:
         assert cli_main(["verify", str(out), str(src)]) == 2
         assert capsys.readouterr().err == \
             f"error: {bad}: line 3: 'foo' is not a nonnegative integer\n"
+
+    def test_verify_mismatched_variable_counts_fails_verification(self, tmp_path, capsys):
+        # both files are well formed; only the claim that one decomposes the
+        # other is wrong
+        ideal = tmp_path / "two.ideal"
+        ideal.write_text("ideal 2\n1 1\nend\n")
+        comps = tmp_path / "three.components"
+        comps.write_text("components 3 1\n1 inf inf\nend\n")
+        assert cli_main(["verify", str(comps), str(ideal)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ")
+        assert "3 variables" in err and "in 2" in err
+
+    def test_verify_names_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        src = self.write_showcase(tmp_path)
+        bad = tmp_path / "bad.components"
+        bad.write_bytes(b"components 3 0\n\xff\nend\n")
+        assert cli_main(["verify", str(bad), str(src)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_budget_exit_code(self, tmp_path):
         big = tmp_path / "big.ideal"
