@@ -6,8 +6,8 @@ them unbounded in z.
 """
 
 from monideal import GeneratorSet, decompose_recursive
-from monideal.recursive import decompose_trie, slice_chain
-from monideal.trie import build, top_slices
+from monideal.recursive import decompose_trie
+from monideal.trie import build, min_merge, top_slices
 
 gens = [(4, 0, 0), (0, 4, 0), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
 g = GeneratorSet.from_vectors(3, gens, names=("x", "y", "z"))
@@ -33,11 +33,14 @@ art = g.closure
 print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added) if a],
       "with bounds", art.bounds)
 
-# The chain links are two-variable staircases, where the recursion stops.
-# The link at z^2 holds the (x, y) parts of every generator of z-degree at
-# most 2; in lex order its y-degrees rise and its x-degrees fall, and each
-# pair of consecutive corners (a, b), (a', b') gives the component (a, b').
-for d, link in slice_chain(build(art.n, art.gens)):
+# Merging the slices in turn gives the chain links, two-variable staircases
+# where the recursion stops.  The link at z^2 holds the minimal (x, y) parts
+# of every generator of z-degree at most 2; in lex order its y-degrees rise
+# and its x-degrees fall, and each pair of consecutive corners (a, b),
+# (a', b') gives the component (a, b').
+link = None
+for d, sub in top_slices(build(art.n, art.gens)):
+    link = sub if link is None else min_merge(link, sub)
     if d == 2:
         print("\nchain link at z^2, corners (y rising, x falling):", list(link))
         print("  its components, read off consecutive corners:", decompose_trie(link))

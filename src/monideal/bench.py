@@ -74,7 +74,10 @@ def distinct_degree_counts(art):
 # random sets and shells mixed with generic points; table in the README),
 # every ideal over 0.5 ms with prod(s_j)/p^2 <= 10 ran faster under the
 # recursive engine (0.12-0.54 of the incremental time), while generic
-# ladders in 3-5 variables lie at 14-33,000, up to 48 times slower there.
+# ladders in 3-5 variables lie at 14-33,000.  Those ran up to 48 times
+# slower under the recursive engine until it absorbed each chain's
+# one-vector tail with the incremental step; re-measured since, 18 of them
+# take 0.66-1.48 of the incremental time (README).
 RECURSIVE_BOX_RATIO = 10
 
 

@@ -25,10 +25,11 @@ smaller one, so it can never again lie strictly above a generator: it is
 final output and is retired to a list that the partition never scans.
 What stays active is the decomposition of the current link of the
 recursive engine's slice chain, with the last coordinate at its pure-power
-degree.  A caller that absorbs out of lex order gets retired components
-moved back first, so every order stays exact.  Both lists are sorted once,
-together, by the final ``ComponentSet``.  The partition, the divisor probe
-and the lowering limits run in plain Python and C builtins (a set union of
+degree.  A caller that absorbs out of lex order, such as that engine's
+chain tail, gets retired components moved back first, so every order stays
+exact.  Both lists are sorted once, together, by the final
+``ComponentSet``.  The partition, the divisor probe and the lowering
+limits run in plain Python and C builtins (a set union of
 the probed buckets, ``map`` over ``operator.gt``, ``operator.le``,
 ``operator.eq`` and ``min``): a step scans only one chain link's
 components, most of which its first coordinates reject, and lowers a few,
@@ -163,7 +164,9 @@ class IncrementalState:
       coordinate among them (-INF while there are none).
 
     ``components`` returns all current components, active then retired, as
-    a new list; ``len(state)`` counts them without building it.
+    a new list; ``len(state)`` counts them without building it.  ``_lost``
+    holds the components the last ``add_generator`` call removed, which the
+    recursive engine emits from its chain tail.
     """
 
     def __init__(self, n, components, generators, counter=None):
@@ -177,6 +180,7 @@ class IncrementalState:
             self._index(m)
         self.counter = counter
         self.steps = 0
+        self._lost = []
 
     @property
     def components(self):
@@ -228,16 +232,22 @@ class IncrementalState:
         has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
         when ``alpha`` breaks lex order with ``alpha_n < floor``, every
         retired component moves back into ``active``.  That reactivation is
-        the exactness guard for out-of-order callers;
-        ``decompose_incremental`` never triggers it.  So ``beta_n <=
-        alpha_n`` and ``beta`` is not strictly above ``alpha``.  Therefore
-        ``beta`` is untouched by the step, X^alpha is in I iff no *active*
-        component lies strictly above it, and the divisor probe and the
-        lowering limits, which run on affected components only, never see
-        ``beta``.  A kept candidate lowered at the last variable has last
-        coordinate ``alpha_n``, so it is retired and ``floor`` becomes
-        ``alpha_n``, which keeps the same argument valid for every later
-        ``alpha`` with ``alpha_n >= floor``.
+        the exactness guard for out-of-order callers, such as the recursive
+        engine's chain tail; ``decompose_incremental`` never triggers it.
+        So ``beta_n <= alpha_n`` and ``beta`` is not strictly above
+        ``alpha``.  Therefore ``beta`` is untouched by the step, X^alpha is
+        in I iff no *active* component lies strictly above it, and the
+        divisor probe and the lowering limits, which run on affected
+        components only, never see ``beta``.  A kept candidate lowered at
+        the last variable has last coordinate ``alpha_n``, so it is retired
+        and ``floor`` becomes ``alpha_n``, which keeps the same argument
+        valid for every later ``alpha`` with ``alpha_n >= floor``.
+
+        The affected components are the ones the step removes: every kept
+        candidate is new, as shown next.  They are left in ``_lost``.  An
+        ``alpha`` of zeros generates the unit ideal: every component is
+        affected and every lowering is rejected, so without a ``trace`` the
+        divisor probe and the lowering limits are skipped.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -262,17 +272,21 @@ class IncrementalState:
             self.active.extend(self.retired)
             self.retired, self.floor = [], -INF
         untouched, affected = partition_components(self.active, alpha, self.counter)
+        self._lost = affected
         if not affected:
             return self
 
         last = self.n - 1
         kept, rejected, lowered, retiring = [], [], [], []
-        for beta in sorted(affected, key=lex_key):
+        # a zero exponent would denote the unit ideal, never a component, so
+        # an alpha of zeros keeps no lowering and only a trace needs its
+        # rejected candidates and their limits
+        probed = sorted(affected, key=lex_key) if any(alpha) or trace is not None else []
+        for beta in probed:
             divisors = dividing_generators(beta, self.index, self.counter)
             limits = lowering_limits(beta, divisors, self.counter)
             for u in range(self.n):
                 cand = replace_coord(beta, u, alpha[u])
-                # a zero exponent would denote the unit ideal, never a component
                 if alpha[u] >= 1 and limits[u] < alpha[u]:
                     kept.append((beta, u, limits[u], cand))
                     (retiring if u == last else lowered).append(cand)

@@ -8,9 +8,17 @@ to the next, tagged with the degree at which they disappear.  Recursing on
 the chain links reaches the two-variable base case, whose components are
 read off the corners of the staircase.  Tries are lex-sorted tuples of
 distinct vectors, such as the closure's ``gens``, and never empty.
+
+From height four up, the chain's tail of one-vector slices is not decomposed
+link by link: each such link is the previous one plus a single generator,
+and the incremental engine's step updates the previous link's components to
+the next one's, reporting the lost ones directly.  On generic input every
+slice above degree 0 holds one vector, so everything after the first link
+goes through that step.
 """
 
 from .core import deartinianize
+from .incremental import IncrementalState
 from .trie import min_merge, top_slices
 
 
@@ -22,20 +30,6 @@ def difference(a, b, counter=None):
     return [v for v in a if v not in drop]
 
 
-def slice_chain(t, counter=None):
-    """Degrees of the last variable and the accumulated slice tries.
-
-    Yields ``(d, link)`` pairs in increasing ``d``, lazily, so a caller that
-    walks the chain holds only the current link.  ``link`` generates the
-    ideal of all coefficient vectors of generators whose last-variable
-    degree is at most ``d``; the chain is strictly increasing.
-    """
-    link = None
-    for d, tk in top_slices(t):
-        link = tk if link is None else min_merge(link, tk, counter=counter)
-        yield d, link
-
-
 def decompose_trie(t, counter=None):
     """Components of the ideal encoded by a nonempty minimal Artinian trie.
 
@@ -44,14 +38,43 @@ def decompose_trie(t, counter=None):
     Height one is a single pure power, whose degree is the lone component.
     Above height two, walk the slice chain on the last variable and emit the
     components lost at each step tagged with the degree where they vanish.
+    Link ``k`` is the ``min_merge`` of link ``k - 1`` and slice ``k``.
     INF labels are allowed and flow through untouched.
+
+    From height four up, the walk decomposes links from scratch only up to
+    the last slice holding more than one vector, link ``K``.  Its components
+    and its vectors seed an ``IncrementalState``, and each later slice
+    ``(d, (v,))`` is absorbed with ``add_generator``: link ``k`` is link
+    ``k - 1`` plus X^v, and the step leaves exactly Irr(link ``k``), in any
+    absorb order.  The step's affected components, those strictly above
+    ``v``, are exactly Irr(link ``k - 1``) minus Irr(link ``k``).  The
+    untouched ones stay.  Each kept lowering equals ``v`` at the coordinate
+    it lowers, while an affected component lies strictly above ``v`` there,
+    so no kept lowering equals an affected component.  So the affected ones
+    are emitted with ``d`` and the tail needs no merge and no
+    ``difference``.  Tail vectors come in the order of the last variable,
+    not in lex order, so the state's reactivation branch is in use here.
+    Height three keeps the walk, whose height-2 links are read off the
+    corners in time linear in the link, so that on three variables the
+    engine stays the paper's recursive algorithm.
+
+    INF on the tail: a minimal Artinian trie holds INF only in pure powers.
+    A vector outside slice 0 with INF at coordinate ``i`` would be divided
+    by the pure power of ``x_i``, which slice 0 holds.  So a tail vector is
+    finite, and ``add_generator`` never sees the INF generator that it would
+    treat as zero.  The last slice's label ``d`` may be INF; it only tags
+    what is emitted.  Link ``K`` may hold pure powers with label INF.
+    ``dividing_generators`` skips them, which changes no lowering: such a
+    power of ``x_i`` would only raise the limit of every other variable to
+    0, and the zero-exponent rule already rejects exponent 0.
 
     The output has no duplicates.  Every vector emitted at the step to
     degree ``d`` ends in ``d``, and the degrees strictly rise along the
     chain, so two steps never emit the same vector.  Within one step,
     ``difference`` returns a sublist of ``prev``, the output of a recursive
     call, which is duplicate-free by induction on the height (the base
-    cases below plainly are).
+    cases below plainly are).  A tail step emits a sublist of the state's
+    components, which are duplicate-free (``add_generator``).
 
     Height two is read off the corners.  Write the vectors, in lex order, as
     ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
@@ -79,14 +102,24 @@ def decompose_trie(t, counter=None):
             counter.add(len(t) - 1)
         return [(t[k][0], t[k + 1][1]) for k in range(len(t) - 1)]
 
-    chain = slice_chain(t, counter)
-    _, link = next(chain)
+    slices = top_slices(t)
+    tail = len(slices)  # slices[tail:] hold one vector each
+    if height >= 4:
+        while tail > 1 and len(slices[tail - 1][1]) == 1:
+            tail -= 1
+    link = slices[0][1]
     prev = decompose_trie(link, counter)
     out = []
-    for d, link in chain:
+    for d, tk in slices[1:tail]:
+        link = min_merge(link, tk, counter=counter)
         cur = decompose_trie(link, counter)
         out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
+    if tail < len(slices):
+        state = IncrementalState(height - 1, prev, link, counter)
+        for d, (v,) in slices[tail:]:
+            state.add_generator(v)
+            out.extend(b + (d,) for b in state._lost)
     return out
 
 

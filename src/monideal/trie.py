@@ -41,7 +41,7 @@ def min_merge(a, b, counter=None):
     unequal vector of ``b``.  Then ``b`` needs no filter: a kept ``x`` of
     ``a`` dividing ``y`` of ``b`` would equal ``y``, which divides it, so
     ``x`` was dropped.  The result is the antichain of minimal elements of
-    the union.  ``slice_chain`` merges only such pairs.  A vector of its
+    the union.  ``decompose_trie`` merges only such pairs.  A vector of its
     link projects a generator whose last coordinate ``c`` is below the slice
     degree ``d``, and a vector of the slice projects a generator with last
     coordinate ``d``.  If ``x`` of the link divided ``y`` of the slice,

@@ -4,6 +4,7 @@ import random
 
 from monideal import GeneratorSet, gen_random
 from monideal.core import leq
+from monideal.trie import min_merge, top_slices
 
 # The five-generator showcase ideal x^4, y^4, x^3y^2z^2, xy^3z^2, x^2yz^3
 # and its published six-component decomposition.
@@ -43,3 +44,17 @@ def is_antichain(vectors):
             if a is not b and leq(a, b):
                 return False
     return True
+
+
+def slice_chain(t, counter=None):
+    """Degrees of the last variable and the accumulated slice tries.
+
+    Yields ``(d, link)`` pairs in increasing ``d``, lazily.  ``link``
+    generates the ideal of all coefficient vectors of generators whose
+    last-variable degree is at most ``d``; the chain is strictly increasing.
+    These are the links ``decompose_trie`` walks.
+    """
+    link = None
+    for d, tk in top_slices(t):
+        link = tk if link is None else min_merge(link, tk, counter=counter)
+        yield d, link

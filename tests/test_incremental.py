@@ -18,9 +18,10 @@ from monideal import incremental
 from monideal.bench import INCREMENTAL_ENVELOPE
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
-from monideal.recursive import decompose_trie, slice_chain
+from monideal.recursive import decompose_trie
 from monideal.trie import build
-from conftest import SHOWCASE_GENS, fourvar, match_variables, random_ideal, showcase
+from conftest import (SHOWCASE_GENS, fourvar, match_variables, random_ideal, showcase,
+                      slice_chain)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -359,6 +360,26 @@ class TestAddGenerator:
         # generator, which the minimal-set check used to refuse
         assert in_ideal > 2000 and sum(draws.values()) - in_ideal > 900
         assert divides_absorbed > 700
+
+    def test_zero_alpha_skips_the_probe_unless_traced(self):
+        # alpha = 0 gives the unit ideal: every component is lost and every
+        # lowering has a zero exponent, so only a trace needs the divisor
+        # probe and the limits of its rejections
+        art = artinianize(fourvar())
+        for traced in (False, True):
+            counter = OpCounter()
+            state = IncrementalState.start(art, counter)
+            for alpha in art.alphas():
+                state.add_generator(alpha)
+            before, ops = state.components, counter.ops
+            trace = [] if traced else None
+            state.add_generator((0, 0, 0, 0), trace=trace, cross_check=True)
+            assert state.components == [] and sorted(state._lost) == sorted(before)
+            if traced:
+                assert not trace[0].kept and len(trace[0].rejected) == 4 * len(before)
+                assert counter.ops > ops + len(before)
+            else:
+                assert counter.ops == ops + len(before)
 
     def test_shuffled_runs_reactivate_retired_components(self):
         # out of lex order an alpha may have a smaller last coordinate than

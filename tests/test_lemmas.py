@@ -14,7 +14,7 @@ from monideal.core import increment, replace_coord, strictly_below
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits)
 from monideal.oracle import maximal_points, staircase
-from conftest import match_variables, random_ideal
+from conftest import match_variables, random_ideal, slice_chain
 
 INSTANCES = 300
 
@@ -149,7 +149,6 @@ def test_lowering_criterion_matches_oracle():
 def test_slice_membership_reduction():
     # see also test_recursive.TestSliceChain; here with fresh seeds and the
     # instance count pinned
-    from monideal.recursive import slice_chain
     from monideal.trie import build, paths
 
     checked = 0

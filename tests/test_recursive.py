@@ -10,11 +10,15 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
 from monideal import recursive
+from monideal.bench import degree_shell
 from monideal.core import leq
+from monideal.files import emit_components
+from monideal.incremental import IncrementalState
 from monideal.oracle import staircase
-from monideal.recursive import decompose_trie, difference, slice_chain
-from monideal.trie import build, min_merge, paths
-from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase
+from monideal.recursive import decompose_trie, difference
+from monideal.trie import build, min_merge, paths, top_slices
+import conftest
+from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase, slice_chain
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
@@ -114,17 +118,126 @@ class TestEngine:
 
 
 def slice_chain_walk(t, counter=None):
-    """Reference for the height-2 base case: decompose every height-1 link
-    of the slice chain and tag what each step loses."""
+    """Reference for the height-2 base case and the chain tail: decompose
+    every link of the slice chain from scratch, walking its own chain down
+    to height one, and tag what each step loses."""
+
+    def walk(link):
+        return decompose_trie(link, counter) if len(link[0]) == 1 \
+            else slice_chain_walk(link, counter)
+
     chain = slice_chain(t, counter)
     _, link = next(chain)
-    prev = decompose_trie(link, counter)
+    prev = walk(link)
     out = []
     for d, link in chain:
-        cur = decompose_trie(link, counter)
+        cur = walk(link)
         out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
     return out
+
+
+def mixed_ideal(n, p, d, seed):
+    """A degree-``d`` shell subset scaled to the size of a generic ladder
+    of ``p`` points, plus the ladder: the shell's slices hold several
+    vectors, and the ladder's points add one-vector slices after them."""
+    rng = random.Random(seed)
+    shell = degree_shell(n, d)
+    scale = max(1, p // d)
+    vectors = [tuple(scale * e for e in v)
+               for v in rng.sample(shell, rng.randint(1, len(shell)))]
+    return GeneratorSet.from_vectors(
+        n, vectors + list(gen_random(n, p, 2 * p, seed, generic=True).gens))
+
+
+@st.composite
+def chain_ideals(draw):
+    """Generic ladders, degree-shell subsets and the two mixed, in 3-6
+    variables."""
+    n = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    p = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5 if n <= 4 else 3))
+    kind = draw(st.sampled_from(("generic", "shell", "mixed")))
+    if kind == "generic":
+        return gen_random(n, p, 2 * p, seed, generic=True)
+    if kind == "shell":
+        shell = degree_shell(n, d)
+        k = draw(st.integers(1, len(shell)))
+        return GeneratorSet.from_vectors(n, random.Random(seed).sample(shell, k))
+    return mixed_ideal(n, p, d, seed)
+
+
+def spy_tails(monkeypatch):
+    """Record ``(height, K)`` for every chain tail ``decompose_trie``
+    starts, ``K`` being the index of the last multi-vector slice, and check
+    that the tail's state starts from link ``K``."""
+    tails, stack = [], []
+    inner = recursive.decompose_trie
+
+    def spy(t, counter=None):
+        stack.append(t)
+        try:
+            return inner(t, counter)
+        finally:
+            stack.pop()
+
+    class Recording(IncrementalState):
+        def __init__(self, n, components, generators, counter=None):
+            super().__init__(n, components, generators, counter)
+            slices = top_slices(stack[-1])
+            k = max(i for i, (_, tk) in enumerate(slices) if i == 0 or len(tk) > 1)
+            assert k < len(slices) - 1
+            assert tuple(generators) == list(slice_chain(stack[-1]))[k][1]
+            tails.append((n + 1, k))
+
+    monkeypatch.setattr(recursive, "decompose_trie", spy)
+    monkeypatch.setattr(recursive, "IncrementalState", Recording)
+    return tails
+
+
+class TestChainTail:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_ideals())
+    def test_matches_incremental_byte_for_byte(self, g):
+        assert emit_components(decompose_recursive(g)) == \
+            emit_components(decompose_incremental(g))
+
+    def test_tail_runs_on_generic_input(self, monkeypatch):
+        tails = spy_tails(monkeypatch)
+        for n in (4, 5, 6):
+            for seed in range(3):
+                del tails[:]
+                g = gen_random(n, 30, 60, seed, generic=True)
+                assert decompose_recursive(g) == decompose_incremental(g)
+                # the top trie's tail starts after its first link
+                assert (n, 0) in tails
+                assert {h for h, _ in tails} == set(range(4, n + 1))
+
+    def test_tail_after_a_multi_vector_slice(self, monkeypatch):
+        tails = spy_tails(monkeypatch)
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(4, 6)
+            g = mixed_ideal(n, rng.randint(5, 30), rng.randint(2, 3), rng.randrange(2 ** 32))
+            assert decompose_recursive(g) == decompose_incremental(g)
+        assert sum(k > 0 for _, k in tails) > 20
+
+    def test_inf_labelled_tail(self, monkeypatch):
+        # every pure power of a generic ladder is missing, so the trie holds
+        # them with label INF: the head's pure powers enter the tail's state
+        # and the last slice, the power of x_4, has label INF
+        tails = spy_tails(monkeypatch)
+        for seed in range(20):
+            g = gen_random(4, 25, 50, seed, generic=True)
+            t = inf_padded_trie(g)
+            assert top_slices(t)[-1] == (INF, ((0, 0, 0),))
+            del tails[:]
+            got = recursive.decompose_trie(t)
+            assert (4, 0) in tails
+            assert sorted(got) == sorted(slice_chain_walk(t))
+            assert set(got) == set(decompose_recursive(g).comps)
+            assert any(v[-1] == INF for v in got)
 
 
 @st.composite
@@ -180,7 +293,7 @@ class TestSliceChain:
     def test_merges_only_antichains(self, monkeypatch):
         # ``min_merge`` filters only the link against the slice, which is
         # exact on antichains where no link vector divides an unequal slice
-        # vector: check every merge the engine makes
+        # vector: check every merge the engine and the reference walk make
         merged = []
         inner = recursive.min_merge
 
@@ -191,6 +304,7 @@ class TestSliceChain:
             return inner(a, b, counter)
 
         monkeypatch.setattr(recursive, "min_merge", spy)
+        monkeypatch.setattr(conftest, "min_merge", spy)
         rng = random.Random(43)
         for _ in range(200):
             g = random_ideal(rng, n_choices=(2, 3, 4, 5))
@@ -275,4 +389,14 @@ class TestPaperComparison:
     def test_recursive_has_no_merge_cliff(self):
         # every link merge costs about its own size, not a re-minimalization
         # of the union
-        assert ops(decompose_recursive, gen_random(4, 60, 120, 1, generic=True)) <= 113891
+        assert ops(decompose_recursive, gen_random(4, 60, 120, 1, generic=True)) <= 4051
+
+    def test_recursive_has_no_generic_cliff(self):
+        # past the first link every slice holds one vector, absorbed by one
+        # incremental step instead of decomposing the link again (13.2M ops)
+        g = gen_random(5, 100, 200, 1, generic=True)
+        counter = OpCounter()
+        got = decompose_recursive(g, counter=counter)
+        assert len(got) == 871
+        assert emit_components(got) == emit_components(decompose_incremental(g))
+        assert counter.ops <= 21124
