@@ -5,8 +5,8 @@ antichain.  A new generator exponent ``alpha`` splits it in two: components
 whose open corner does not contain ``alpha`` survive untouched, while each
 component strictly above ``alpha`` is replaced by up to ``n`` lowered copies,
 one per variable.  A lowered copy survives exactly when its new exponent
-clears the blocking degree computed from the generators dividing the
-component, so no reduction pass over the whole list is ever needed.
+clears the blocking degree read off the generators matching the component
+in one variable alone, so no reduction pass over the whole list is needed.
 
 A step does only that partition, the divisor probe and the lowering; the
 proofs are in ``IncrementalState.add_generator``.  It is the sum rule
@@ -29,11 +29,11 @@ degree.  A caller that absorbs out of lex order, such as that engine's
 chain tail, gets retired components moved back first, so every order stays
 exact.  Both lists are sorted once, together, by the final
 ``ComponentSet``.  The partition, the divisor probe and the lowering
-limits run in plain Python and C builtins (a set union of
-the probed buckets, ``map`` over ``operator.gt``, ``operator.le``,
-``operator.eq`` and ``min``): a step scans only one chain link's
-components, most of which its first coordinates reject, and lowers a few,
-so numpy's fixed cost per call would exceed the work.
+limits run in plain Python and C builtins (``map`` over ``operator.gt``,
+``operator.lt``, ``min`` and ``max``): a step scans only one chain link's
+components, most of which its first coordinates reject, and probes one
+degree bucket per variable for each of the few it lowers, so numpy's fixed
+cost per call would exceed the work.
 
 Engines run on the finite Artinian closure (every internal comparison is
 between integers) and the injected bounds are mapped back to INF at the end.
@@ -42,7 +42,7 @@ generator containing INF stands for the zero polynomial and divides nothing.
 """
 
 from dataclasses import dataclass
-from operator import eq, gt, le
+from operator import gt, lt
 
 from .core import (ComponentSet, INF, deartinianize, lex_key, maximalize,
                    replace_coord, unit_vector)
@@ -73,54 +73,64 @@ def partition_components(comps, alpha, counter=None):
 
 
 def dividing_generators(beta, index, counter=None):
-    """Generators dividing X^beta, probed through the degree index.
+    """Lone matchers of ``beta`` as ``(k, m)`` pairs, ``k`` ascending.
 
-    ``index`` maps ``(u, d)`` to the generators of ``x_u``-degree ``d``
-    (``IncrementalState.index``).  Correct whenever ``beta`` is a current
-    component: every divisor of such a component matches its degree in at
-    least one variable, hence shows up in a probed bucket.  Generators with
-    an INF coordinate divide nothing.  Charges one op per distinct candidate
-    (a generator in several probed buckets counts once).  The divisors come
-    back in no particular order.
+    A lone matcher at ``k`` is a generator ``m`` with ``m_k = beta_k`` and
+    ``m_j < beta_j`` for ``j != k``: it divides X^beta and meets it in
+    ``x_k`` alone.  ``index`` maps ``(u, d)`` to the generators of
+    ``x_u``-degree ``d`` (``IncrementalState.index``), so those at ``k`` are
+    the members of bucket ``(k, beta_k)`` that lie below ``bump`` in every
+    coordinate, ``bump`` being ``beta`` with coordinate ``k`` raised by one.
+    A generator with an INF coordinate, standing for zero, never passes
+    (``INF + 1`` is INF).  Charges one op per bucket member compared.
     """
-    candidates = set().union(*[index.get(key, ()) for key in enumerate(beta)])
+    lone, compared = [], 0
+    bump = list(beta)
+    for k, b in enumerate(beta):
+        bucket = index.get((k, b))
+        if bucket:
+            compared += len(bucket)
+            bump[k] = b + 1
+            for m in bucket:
+                if all(map(lt, m, bump)):
+                    lone.append((k, m))
+            bump[k] = b
     if counter is not None:
-        counter.add(len(candidates))
-    return [m for m in candidates if INF not in m and all(map(le, m, beta))]
+        counter.add(compared)
+    return lone
 
 
-def lowering_limits(beta, divisors, counter=None):
+def lowering_limits(beta, lone, counter=None):
     """Per-variable blocking degrees for lowering component ``beta``.
 
-    For each variable ``u`` the limit is the largest, over the other
-    variables ``k``, of the smallest ``x_u``-degree among divisors that match
-    ``beta`` in ``x_k`` alone.  The lowered component with new exponent ``a``
-    at ``u`` survives exactly when ``a`` exceeds the limit, i.e.
-    ``limit < a``.  Variables with no single-variable matcher contribute
-    nothing (the limit of an empty set is -INF).  Charges one op per divisor;
-    the result does not depend on the divisors' order.
+    ``lone`` holds ``beta``'s lone matchers from ``dividing_generators``.
+    The limit at ``u`` is the largest, over the other variables ``k``, of
+    the smallest ``x_u``-degree among the lone matchers at ``k`` (-INF when
+    there are none).  The copy lowered to exponent ``a`` at ``u`` survives
+    exactly when ``limit < a``.  Charges no ops.
+
+    Raises ``RuntimeError`` when a finite ``beta_k`` has no lone matcher,
+    which no component of the current ideal I allows.  Add x_i^N for every
+    variable, N above every finite degree of ``beta`` and of I's minimal
+    generators.  By the sum rule ``beta'``, ``beta`` with INF set to N, is a
+    component of the result: one above it would come from a component of I
+    above ``beta``.  So some generator divides X^(beta' - 1 + e_k) but not
+    X^(beta' - 1): its ``x_k``-degree is ``beta_k`` and every other degree
+    is below ``beta'``.  No x_i^N does that, so it is a finite minimal
+    generator of I, which the index holds, and a lone matcher at ``k``.
     """
     n = len(beta)
-    min_only = [None] * n  # per matched variable k: coordinatewise min of its lone matchers
-    for m in divisors:
-        eqs = list(map(eq, m, beta))
-        if eqs.count(True) == 1:
-            k = eqs.index(True)
-            row = min_only[k]
-            min_only[k] = m if row is None else tuple(map(min, row, m))
-    if counter is not None:
-        counter.add(len(divisors))
-    if divisors and n > 1 and all(row is None for row in min_only):
-        raise RuntimeError(f"no generator matches {beta} in a single variable; "
+    rows = {}  # per matched variable k: coordinatewise min of its lone matchers
+    for k, m in lone:
+        row = rows.get(k)
+        rows[k] = m if row is None else tuple(map(min, row, m))
+    if len(rows) + beta.count(INF) < n:
+        raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher; "
                            "it cannot be a component of the current ideal")
-    limits = []
-    for u in range(n):
-        best = -INF
-        for k in range(n):
-            if k != u and min_only[k] is not None and min_only[k][u] > best:
-                best = min_only[k][u]
-        limits.append(best)
-    return limits
+    # a variable's own row never limits it; the -INF seed column gives every
+    # coordinate a maximum when no row matched (a component of all INF)
+    masked = [row[:k] + (-INF,) + row[k + 1:] for k, row in rows.items()]
+    return list(map(max, zip((-INF,) * n, *masked)))
 
 
 @dataclass
@@ -153,7 +163,8 @@ class IncrementalState:
     """Single-owner state of one incremental run.
 
     Holds the generators absorbed so far in absorb order and their degree
-    index ``{(u, degree): [generators]}``, both append-only (see
+    index ``{(u, degree): [generators]}`` over nonzero degrees, both
+    append-only (see
     ``add_generator``), and the current components, which always equal the
     decomposition of the ideal the absorbed generators span.  They are
     split in two lists, each in insertion order:
@@ -190,8 +201,11 @@ class IncrementalState:
         return len(self.active) + len(self.retired)
 
     def _index(self, m):
-        for u in range(self.n):
-            self.index.setdefault((u, m[u]), []).append(m)
+        """File ``m`` under each nonzero degree.  A probed component has no
+        zero coordinate, so no probe reads a bucket ``(u, 0)``."""
+        for u, d in enumerate(m):
+            if d:
+                self.index.setdefault((u, d), []).append(m)
 
     @classmethod
     def start(cls, art, counter=None):
@@ -220,11 +234,12 @@ class IncrementalState:
         Otherwise ``alpha`` is appended to ``generators`` and the degree
         index, and no generator it divides is removed: the index holds
         elements of I, every minimal generator among them.  Such a stale
-        entry changes nothing.  A divisor ``e`` of a component ``beta`` is in
-        I, so it cannot lie strictly below ``beta`` and matches it in some
-        variable: the divisor probe stays complete.  If ``e`` is a lone
-        matcher of ``beta`` at ``k``, some minimal generator ``g <= e`` is in
-        the index, and ``g`` cannot lie strictly below ``beta`` either, so
+        entry changes nothing.  A lone matcher of ``beta`` at ``k`` has
+        ``x_k``-degree ``beta_k`` by definition, so it lies in the bucket
+        ``(k, beta_k)`` that the divisor probe scans: the probe stays
+        complete.  If a stale entry ``e`` is a lone matcher of a component
+        ``beta`` at ``k``, some minimal generator ``g <= e`` is in the index,
+        and ``g``, an element of I, cannot lie strictly below ``beta``, so
         ``g_k = beta_k`` and ``g`` is a lone matcher at ``k`` too.  So every
         minimum that ``lowering_limits`` takes is unchanged.
 
@@ -283,8 +298,8 @@ class IncrementalState:
         # rejected candidates and their limits
         probed = sorted(affected, key=lex_key) if any(alpha) or trace is not None else []
         for beta in probed:
-            divisors = dividing_generators(beta, self.index, self.counter)
-            limits = lowering_limits(beta, divisors, self.counter)
+            lone = dividing_generators(beta, self.index, self.counter)
+            limits = lowering_limits(beta, lone)
             for u in range(self.n):
                 cand = replace_coord(beta, u, alpha[u])
                 if alpha[u] >= 1 and limits[u] < alpha[u]:

@@ -63,10 +63,14 @@ def decompose_trie(t, counter=None):
     by the pure power of ``x_i``, which slice 0 holds.  So a tail vector is
     finite, and ``add_generator`` never sees the INF generator that it would
     treat as zero.  The last slice's label ``d`` may be INF; it only tags
-    what is emitted.  Link ``K`` may hold pure powers with label INF.
-    ``dividing_generators`` skips them, which changes no lowering: such a
-    power of ``x_i`` would only raise the limit of every other variable to
-    0, and the zero-exponent rule already rejects exponent 0.
+    what is emitted.  Link ``K`` may hold pure powers with label INF.  The
+    divisor probe compares such a power of ``x_i`` only in the bucket
+    ``(i, INF)`` of a component with INF at ``i``, and never returns it
+    (``INF + 1`` is INF), which changes no lowering: as a lone matcher at
+    ``x_i`` it would only raise the limit of every other variable to 0, and
+    the zero-exponent rule already rejects exponent 0.  That INF coordinate
+    needs no lone matcher, so the internal-error guard of
+    ``lowering_limits`` stays quiet.
 
     The output has no duplicates.  Every vector emitted at the step to
     degree ``d`` ends in ``d``, and the degrees strictly rise along the

@@ -1,6 +1,7 @@
 """Incremental engine: partitions, divisor lookup, lowering criterion."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -15,7 +16,10 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle, gen_random)
 from monideal.core import leq, strictly_below
 from monideal import incremental
-from monideal.bench import INCREMENTAL_ENVELOPE
+from monideal.bench import INCREMENTAL_ENVELOPE, degree_shell
+from monideal.cli import cli_main
+from monideal.core import unit_vector
+from monideal.files import emit_ideal
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie
@@ -40,7 +44,7 @@ def power_ideal(n, d):
         n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
 
 
-def keep_every_lowering(beta, divisors, counter=None):
+def keep_every_lowering(beta, lone, counter=None):
     """A broken ``lowering_limits`` under which no lowered copy is blocked."""
     return [-INF] * len(beta)
 
@@ -92,21 +96,30 @@ class TestPartition:
 class TestDividingGenerators:
     def test_pure_powers_only(self):
         state = inf_state()
-        got = dividing_generators((4, 4, INF), state.index)
-        assert set(got) == {(4, 0, 0), (0, 4, 0)}  # the infinite power divides nothing
+        counter = OpCounter()
+        got = dividing_generators((4, 4, INF), state.index, counter)
+        # the infinite power is compared in bucket (2, INF) and never passes
+        assert got == [(0, (4, 0, 0)), (1, (0, 4, 0))]
+        assert counter.ops == 3
 
     def test_after_first_generator(self):
         state = inf_state()
         state.add_generator((3, 2, 2))
         got = dividing_generators((3, 4, INF), state.index)
-        assert set(got) == {(0, 4, 0), (3, 2, 2)}
+        assert got == [(0, (3, 2, 2)), (1, (0, 4, 0))]
 
     def test_third_step(self):
         state = inf_state()
         state.add_generator((3, 2, 2))
         state.add_generator((1, 3, 2))
         got = dividing_generators((3, 3, INF), state.index)
-        assert set(got) == {(3, 2, 2), (1, 3, 2)}
+        assert got == [(0, (3, 2, 2)), (1, (1, 3, 2))]
+
+    def test_multi_matcher_compared_in_each_bucket_and_never_returned(self):
+        index = IncrementalState(3, [], [(1, 1, 0), (0, 0, 2)]).index
+        counter = OpCounter()
+        assert dividing_generators((1, 1, 2), index, counter) == [(2, (0, 0, 2))]
+        assert counter.ops == 3
 
 
 class TestMatchVariables:
@@ -122,140 +135,200 @@ class TestMatchVariables:
 
 class TestLoweringLimits:
     def test_two_pure_powers(self):
-        limits = lowering_limits((4, 4, INF), [(4, 0, 0), (0, 4, 0)])
+        limits = lowering_limits((4, 4, INF), [(0, (4, 0, 0)), (1, (0, 4, 0))])
         assert limits == [0, 0, 0]
 
     def test_blocked_in_first_variable(self):
-        limits = lowering_limits((4, 2, INF), [(4, 0, 0), (3, 2, 2)])
+        limits = lowering_limits((4, 2, INF), [(0, (4, 0, 0)), (1, (3, 2, 2))])
         assert limits == [3, 0, 2]
 
     def test_nongeneric_counterexample(self):
         beta = (2, 2, 2, 2)
-        divisors = [(2, 1, 1, 0), (1, 2, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)]
-        assert lowering_limits(beta, divisors) == [1, 1, 1, 1]
+        lone = [(0, (2, 1, 1, 0)), (1, (1, 2, 0, 1)), (2, (0, 0, 2, 0)),
+                (3, (0, 0, 0, 2))]
+        assert lowering_limits(beta, lone) == [1, 1, 1, 1]
+
+    def test_no_finite_lone_matcher(self):
+        # the zero ideal with every pure power INF: its lone component has no
+        # finite coordinate, the probe returns nothing and nothing blocks
+        state = IncrementalState(3, [(INF, INF, INF)],
+                                 [(INF, 0, 0), (0, INF, 0), (0, 0, INF)])
+        lone = dividing_generators((INF, INF, INF), state.index)
+        assert lone == [] and lowering_limits((INF, INF, INF), lone) == [-INF] * 3
 
     def test_all_multimatch_is_internal_error(self):
-        with pytest.raises(RuntimeError):
-            lowering_limits((1, 1), [(1, 1)])
+        # (1, 1) matches the generator (1, 1) in both variables, so it has no
+        # lone matcher and cannot be a component of <xy>
+        index = IncrementalState(2, [], [(1, 1)]).index
+        lone = dividing_generators((1, 1), index)
+        assert lone == []
+        with pytest.raises(RuntimeError, match="no lone matcher"):
+            lowering_limits((1, 1), lone)
+        with pytest.raises(RuntimeError, match="no lone matcher"):
+            lowering_limits((2, 3), [(0, (2, 1))])
 
 
-def ref_dividing_generators(beta, index, counter=None):
-    """Reference for ``dividing_generators``: one Python step per candidate."""
+def brute_lone_matchers(beta, generators):
+    """``(k, m)`` for every finite generator ``m`` with ``m_k = beta_k`` and
+    ``m_j < beta_j`` elsewhere, by a scan of all generators."""
+    return [(k, m) for m in generators if INF not in m
+            for k in range(len(beta)) if m[k] == beta[k]
+            and all(e < b for j, (e, b) in enumerate(zip(m, beta)) if j != k)]
+
+
+def ref_lowering_limits(beta, lone):
+    """Reference for ``lowering_limits``: for each ``u``, the max over
+    ``k != u`` of the min of ``m_u`` over the lone matchers at ``k``; a
+    finite coordinate with no lone matcher raises."""
     n = len(beta)
-    candidates, seen = [], set()
-    for u in range(n):
-        for m in index.get((u, beta[u]), ()):
-            if m not in seen:
-                seen.add(m)
-                candidates.append(m)
-    out = []
-    for m in candidates:
-        if all(e != INF for e in m) and leq(m, beta):
-            out.append(m)
-    if counter is not None:
-        counter.add(len(candidates))
-    return out
-
-
-def ref_lowering_limits(beta, divisors, counter=None):
-    """Reference for ``lowering_limits``: profiles through ``match_variables``
-    and row minima updated one coordinate at a time."""
-    n = len(beta)
-    min_only = [None] * n
-    for m in divisors:
-        prof = match_variables(m, beta)
-        if len(prof) == 1:
-            k = prof[0]
-            if min_only[k] is None:
-                min_only[k] = list(m)
-            else:
-                row = min_only[k]
-                for u in range(n):
-                    if m[u] < row[u]:
-                        row[u] = m[u]
-    if counter is not None:
-        counter.add(len(divisors))
-    if divisors and n > 1 and all(row is None for row in min_only):
-        raise RuntimeError(f"no generator matches {beta} in a single variable; "
-                           "it cannot be a component of the current ideal")
-    limits = []
-    for u in range(n):
-        best = -INF
-        for k in range(n):
-            if k != u and min_only[k] is not None and min_only[k][u] > best:
-                best = min_only[k][u]
-        limits.append(best)
-    return limits
+    matched = {k for k, _ in lone}
+    if any(beta[k] != INF and k not in matched for k in range(n)):
+        raise RuntimeError("no lone matcher")
+    return [max([min(m[u] for j, m in lone if j == k) for k in matched if k != u],
+                default=-INF) for u in range(n)]
 
 
 def outcome(fn, *args):
-    """``(result, ops charged)`` of ``fn(*args, counter)``, or the error raised."""
+    """``(result, ops charged)`` of ``fn(*args, counter)``, or
+    ``"RuntimeError"`` in place of the result if it raised one."""
     counter = OpCounter()
     try:
         return fn(*args, counter), counter.ops
-    except RuntimeError as e:
-        return ("RuntimeError", str(e)), counter.ops
+    except RuntimeError:
+        return "RuntimeError", counter.ops
 
 
-def run_states(g, inf_flavour):
+def run_states(g, inf_flavour, rng=None):
     """The state of an incremental run over ``g``'s closure before each step
     and after the last.  With ``inf_flavour`` the run starts, as
     ``inf_state`` does, from the injected powers and the lone component
-    relabelled to INF, so INF generators and components are probed."""
+    relabelled to INF, so INF generators and components are probed.  With
+    ``rng`` the generators are absorbed in a shuffled order, which
+    reactivates retired components."""
     art = artinianize(g)
     state = IncrementalState.start(art)
     if inf_flavour:
         state = IncrementalState(art.n, map(art.relabel, state.components),
                                  map(art.relabel, state.generators))
+    alphas = list(art.alphas())
+    if rng is not None:
+        rng.shuffle(alphas)
     yield state
-    for alpha in art.alphas():
+    for alpha in alphas:
         state.add_generator(alpha)
         yield state
 
 
+def check_probe(beta, state):
+    """The probe returns exactly the brute-force lone matchers with their
+    variables, charges every generator in a probed bucket, and its limits
+    agree with the reference."""
+    lone, charged = outcome(dividing_generators, beta, state.index)
+    assert sorted(lone) == sorted(brute_lone_matchers(beta, state.generators))
+    assert charged == sum(m[k] == beta[k] for m in state.generators
+                          for k in range(state.n))
+    try:
+        want = ref_lowering_limits(beta, lone)
+    except RuntimeError:
+        want = "RuntimeError"
+    assert outcome(lowering_limits, beta, lone) == (want, 0)
+    return want
+
+
 class TestProbeReference:
-    """``dividing_generators`` and ``lowering_limits`` against the
-    per-candidate loops they replaced: same divisors, limits, errors and
-    charges on every state of random generic and non-generic runs."""
+    """``dividing_generators`` and ``lowering_limits`` against brute force:
+    the same lone matchers, limits and errors on every state of random
+    generic and non-generic runs, in lex and shuffled order."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
-           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
-                              st.integers(0, 6), st.integers(0, 6)), max_size=3))
-    def test_states_match_reference(self, seed, generic, inf_flavour, probes):
-        g = random_ideal(random.Random(seed), max_p=10, generic=generic)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(), st.booleans(),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                              st.integers(1, 6), st.integers(1, 6)), max_size=3))
+    def test_states_match_reference(self, seed, generic, inf_flavour, shuffled, probes):
+        rng = random.Random(seed)
+        g = random_ideal(rng, max_p=10, generic=generic)
         if g.is_unit():
             return
-        for state in run_states(g, inf_flavour):
-            # the components, plus a few vectors that are not components
-            betas = state.components + [p[:state.n] for p in probes]
-            for beta in betas:
-                got, charged = outcome(dividing_generators, beta, state.index)
-                want, ref_charged = outcome(ref_dividing_generators, beta, state.index)
-                assert sorted(got) == sorted(want) and len(got) == len(set(got))
-                assert charged == ref_charged
-                assert (outcome(lowering_limits, beta, got)
-                        == outcome(ref_lowering_limits, beta, want))
+        for state in run_states(g, inf_flavour, rng if shuffled else None):
+            for beta in state.components:
+                assert check_probe(beta, state) != "RuntimeError"
+            # vectors free of zeros that need not be components
+            for beta in probes:
+                check_probe(beta[:state.n], state)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_ideal_states_match_reference(self, n):
+        # no non-pure generator: with INF powers the lone component has no
+        # finite lone matcher, and every limit comes from the -INF seed
+        for inf_flavour in (False, True):
+            for state in run_states(GeneratorSet.from_vectors(n, []), inf_flavour):
+                for beta in state.components:
+                    want = check_probe(beta, state)
+                    assert want == ([-INF] * n if inf_flavour or n == 1 else [0] * n)
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
         st.tuples(*([st.integers(1, 5)] * n)),
         st.lists(st.tuples(*([st.integers(0, 5)] * n)), min_size=1, max_size=8),
         st.lists(st.sets(st.integers(0, n - 1), min_size=2), max_size=8))))
     def test_multi_match_inputs_match_reference(self, case):
-        """``multi`` holds divisors that each equal ``beta`` in at least two
-        variables, so alone they must raise; ``clipped`` holds random
-        vectors cut down to ``beta``, which match it in any pattern."""
+        """``multi`` holds generators that each equal ``beta`` in at least two
+        variables, so the probe returns none of them and alone they make
+        ``lowering_limits`` raise; ``clipped`` holds random vectors cut down
+        to ``beta``, which match it in any pattern."""
         beta, drawn, shared = case
+        n = len(beta)
         clipped = [tuple(min(e, b) for e, b in zip(m, beta)) for m in drawn]
         multi = [tuple(b if u in keep else b - 1 for u, b in enumerate(beta))
                  for keep in shared]
         if multi:
-            got = outcome(lowering_limits, beta, multi)
-            assert got[0][0] == "RuntimeError"
-            assert got == outcome(ref_lowering_limits, beta, multi)
-        for divisors in (clipped, clipped + multi, multi + clipped):
-            assert (outcome(lowering_limits, beta, divisors)
-                    == outcome(ref_lowering_limits, beta, divisors))
+            state = IncrementalState(n, [], multi)
+            assert check_probe(beta, state) == "RuntimeError"
+            assert dividing_generators(beta, state.index) == []
+        for gens in (clipped, clipped + multi, multi + clipped):
+            check_probe(beta, IncrementalState(n, [], dict.fromkeys(gens)))
+
+
+def shell_ideals(rng, count):
+    """Seeded non-generic ideals in 2-5 variables: subsets of a degree shell,
+    half of them mixed with a few generic points."""
+    for i in range(count):
+        n = 2 + i % 4
+        shell = degree_shell(n, rng.randint(2, {2: 12, 3: 7, 4: 5, 5: 4}[n]))
+        vectors = rng.sample(shell, rng.randint(1, len(shell)))
+        if i % 2:
+            vectors += gen_random(n, rng.randint(1, 4), 8, rng.randrange(2 ** 32),
+                                  generic=True).gens
+        yield GeneratorSet.from_vectors(n, vectors)
+
+
+class TestTraceLimits:
+    def test_trace_limits_follow_the_definition(self, tmp_path, capsys):
+        """Every kept and rejected record of ``decompose --trace`` carries in
+        ``d`` the limit computed from the generators absorbed before its
+        step, beyond the three golden files."""
+        ideals = list(shell_ideals(random.Random(71), 80))
+        src = tmp_path / "in"
+        src.mkdir()
+        for i, g in enumerate(ideals):
+            (src / f"{i:03d}.ideal").write_text(emit_ideal(g))
+        assert cli_main(["decompose", "--trace", str(src), str(tmp_path / "out")]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        checked = set()
+        for rec in records:
+            art = artinianize(ideals[int(Path(rec["file"]).stem)])
+            degs, alphas = art.pure_degrees(), art.alphas()
+            # a lex run absorbs every alpha, one step each
+            assert rec["alpha"] == list(alphas[rec["step"] - 1])
+            generators = ([unit_vector(art.n, i, d) for i, d in enumerate(degs)]
+                          + list(alphas[:rec["step"] - 1]))
+            for e in rec["kept"] + rec["rejected"]:
+                beta = tuple(b if c == "inf" else c for c, b in zip(e["beta"], art.bounds))
+                lone = brute_lone_matchers(beta, generators)
+                assert e["d"] == ref_lowering_limits(beta, lone)[e["u"] - 1]
+                checked.add((e["d"] > 0, e in rec["kept"]))
+        # zero and blocking limits, on kept and rejected records
+        assert checked == {(a, b) for a in (False, True) for b in (False, True)}
+        assert len(records) > 200
 
 
 class TestAddGenerator:
@@ -424,7 +497,7 @@ class TestAddGenerator:
         # sabotaged run would then return 9 components instead of 6
         script = (
             "from monideal import INF, GeneratorSet, decompose_incremental, incremental\n"
-            "incremental.lowering_limits = lambda beta, divisors, counter=None: "
+            "incremental.lowering_limits = lambda beta, lone, counter=None: "
             "[-INF] * len(beta)\n"
             f"g = GeneratorSet.from_vectors(3, {SHOWCASE_GENS!r})\n"
             "try:\n"
@@ -511,14 +584,17 @@ class TestDegreeIndex:
                     assert len(bucket) == 1
 
     def test_partition_property(self):
+        # each generator sits in the bucket of each of its nonzero degrees;
+        # zero degrees are never probed and have no bucket
         g = showcase()
         index = self.index_of(g)
+        assert all(d for _, d in index)
         for u in range(g.n):
             found = []
             for (var, _), bucket in index.items():
                 if var == u:
                     found.extend(bucket)
-            assert sorted(found) == sorted(g.gens)
+            assert sorted(found) == sorted(m for m in g.gens if m[u])
 
     def test_empty(self):
         assert self.index_of(GeneratorSet.from_vectors(2, [])) == {}
@@ -537,7 +613,7 @@ class TestDecompose:
         assert set(got.comps) == {(3, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 2),
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
 
-    @pytest.mark.parametrize("n, d, ops", [(4, 12, 54511), (3, 20, 7239), (5, 6, 21467)])
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 53460), (3, 20, 6365), (5, 6, 21522)])
     def test_power_ideal_ops_pinned(self, n, d, ops):
         """The many-divisor path: m^d charges exactly these ops and has the
         binomial(d + n - 2, n - 1) components of its staircase."""
