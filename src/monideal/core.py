@@ -35,13 +35,6 @@ def leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def strictly_below(a, b):
-    """True iff every coordinate of ``a`` is strictly less than in ``b``."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(x < y for x, y in zip(a, b))
-
-
 def lex_key(v):
     """Sort key for the lex order that compares the last coordinate first."""
     return tuple(reversed(v))
@@ -147,13 +140,6 @@ def replace_coord(b, j, e):
     return b[:j] + (e,) + b[j + 1:]
 
 
-def lcm_vector(a, b):
-    """Exponent vector of lcm(X^a, X^b): the componentwise maximum."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(map(max, a, b))
-
-
 def unit_vector(n, i, e):
     """Length-``n`` vector that is ``e`` at position ``i`` and 0 elsewhere."""
     return tuple(e if j == i else 0 for j in range(n))
@@ -235,10 +221,6 @@ class GeneratorSet:
         and hashing read the declared fields only."""
         return artinianize(self)
 
-    def is_zero(self):
-        """No generators: the zero ideal."""
-        return not self.gens
-
     def is_unit(self):
         """The monomial 1 generates: the whole ring."""
         return any(not any(v) for v in self.gens)
@@ -283,7 +265,8 @@ class ArtinianizedIdeal:
 
     ``bounds[i]`` is one more than the largest degree of variable ``i`` over
     the original generators; ``added[i]`` says whether ``x_i^bounds[i]`` was
-    injected (it is exactly when no pure power of ``x_i`` was present).
+    injected (it is exactly when no pure power of ``x_i`` was present, and
+    never for the unit ideal).
     ``gens`` is the closure's minimal generating set: the original
     generators plus the injected powers, lex-sorted.
     """
@@ -334,7 +317,7 @@ def artinianize(g):
     power of ``x_i``; no generator is one, because ``x_i`` has no pure power
     and 1 generates only the unit ideal.  Two injected powers live in
     different variables.  The unit ideal is ``{1}``, which divides every
-    injected power, so its closure is ``{1}`` itself.
+    injected power, so its closure is ``{1}`` itself and nothing is added.
     """
     n = g.n
     maxdeg = [0] * n
@@ -347,9 +330,9 @@ def artinianize(g):
         if len(nz) == 1:
             has_pure[nz[0]] = True
     bounds = tuple(d + 1 for d in maxdeg)
-    added = tuple(not h for h in has_pure)
-    injected = () if g.is_unit() else tuple(
-        unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
+    unit = g.is_unit()
+    added = tuple(not (h or unit) for h in has_pure)
+    injected = tuple(unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
     return ArtinianizedIdeal(n, bounds, added,
                              tuple(sorted(g.gens + injected, key=lex_key)))
 
@@ -384,30 +367,3 @@ def is_generic(g):
                 seen.add(e)
     return True
 
-
-def ideal_sum(g1, g2):
-    """Minimal generators of the sum of two monomial ideals."""
-    if g1.n != g2.n:
-        raise ValueError("ideals live in different variable counts")
-    return GeneratorSet.from_vectors(g1.n, list(g1.gens) + list(g2.gens))
-
-
-def ideal_intersection(g1, g2):
-    """Minimal generators of the intersection: pairwise lcms, minimalized."""
-    if g1.n != g2.n:
-        raise ValueError("ideals live in different variable counts")
-    lcms = [lcm_vector(a, b) for a in g1.gens for b in g2.gens]
-    return GeneratorSet.from_vectors(g1.n, lcms)
-
-
-def ideals_equal(g1, g2):
-    """True iff two generator sets span the same ideal.
-
-    A monomial ideal has a unique minimal generating set (Miller-Sturmfels,
-    *Combinatorial Commutative Algebra*, Lemma 1.2), so the ideals are equal
-    exactly when their generators minimalize to the same set, at any
-    exponent size.
-    """
-    if g1.n != g2.n:
-        raise ValueError("ideals live in different variable counts")
-    return minimalize(g1.gens) == minimalize(g2.gens)

@@ -8,15 +8,16 @@ one per variable.  A lowered copy survives exactly when its new exponent
 clears the blocking degree read off the generators matching the component
 in one variable alone, so no reduction pass over the whole list is needed.
 
-A step does only that partition, the divisor probe and the lowering; the
-proofs are in ``IncrementalState.add_generator``.  It is the sum rule
+A step does only that partition, the divisor probe and the lowering, and
+returns the components it removed; the proofs are in
+``IncrementalState.add_generator``.  It is the sum rule
 Irr(I + <X^alpha>) = max{beta ^ gamma} with a principal ideal, exact for any
 ``alpha`` in any order: an ``alpha`` already in the ideal has no component
 strictly above it and changes nothing, and one that divides absorbed
-generators needs no special case.  The absorbed generators and their degree
-index only grow; an entry that a later ``alpha`` divides never changes a
-lowering limit.  Lowered copies are distinct from each other and from the
-untouched components, so no duplicate check is made.
+generators needs no special case.  The degree index of the absorbed
+generators only grows; an entry that a later ``alpha`` divides never
+changes a lowering limit.  Lowered copies are distinct from each other and
+from the untouched components, so no duplicate check is made.
 
 Components are kept in insertion order, in two lists.  The partition
 scans only the active ones.  A copy lowered at the last variable takes
@@ -44,8 +45,8 @@ generator containing INF stands for the zero polynomial and divides nothing.
 from dataclasses import dataclass
 from operator import gt, lt
 
-from .core import (ComponentSet, INF, deartinianize, lex_key, maximalize,
-                   replace_coord, unit_vector)
+from .core import (ComponentSet, INF, deartinianize, lex_key, replace_coord,
+                   unit_vector)
 
 
 def partition_components(comps, alpha, counter=None):
@@ -141,30 +142,28 @@ class TraceStep:
     alpha: tuple
     t1_size: int
     t2_size: int
-    kept: list       # (beta, u, limit, candidate) tuples, u 0-based
-    rejected: list
+    lowerings: list  # (kept, beta, u, limit) tuples, u 0-based
 
     def record(self, relabel):
-        """External dict form: vectors go through ``relabel`` (the closure's
-        map back to the original ideal) and ``u`` is reported 1-based."""
-
-        def entry(e):
-            beta, u, limit, cand = e
-            return {"beta": list(relabel(beta)), "u": u + 1, "d": limit,
-                    "candidate": list(relabel(cand))}
-
+        """External dict form: each lowering's candidate is ``beta`` with
+        coordinate ``u`` set to ``alpha_u``, vectors go through ``relabel``
+        (the closure's map back to the original ideal) and ``u`` is
+        reported 1-based."""
+        out = {"kept": [], "rejected": []}
+        for kept, beta, u, limit in self.lowerings:
+            cand = replace_coord(beta, u, self.alpha[u])
+            out["kept" if kept else "rejected"].append(
+                {"beta": list(relabel(beta)), "u": u + 1, "d": limit,
+                 "candidate": list(relabel(cand))})
         return {"step": self.step, "alpha": list(self.alpha),
-                "t1_size": self.t1_size, "t2_size": self.t2_size,
-                "kept": [entry(e) for e in self.kept],
-                "rejected": [entry(e) for e in self.rejected]}
+                "t1_size": self.t1_size, "t2_size": self.t2_size, **out}
 
 
 class IncrementalState:
     """Single-owner state of one incremental run.
 
-    Holds the generators absorbed so far in absorb order and their degree
-    index ``{(u, degree): [generators]}`` over nonzero degrees, both
-    append-only (see
+    Holds the degree index ``{(u, degree): [generators]}`` of the generators
+    absorbed so far over their nonzero degrees, append-only (see
     ``add_generator``), and the current components, which always equal the
     decomposition of the ideal the absorbed generators span.  They are
     split in two lists, each in insertion order:
@@ -175,9 +174,7 @@ class IncrementalState:
       coordinate among them (-INF while there are none).
 
     ``components`` returns all current components, active then retired, as
-    a new list; ``len(state)`` counts them without building it.  ``_lost``
-    holds the components the last ``add_generator`` call removed, which the
-    recursive engine emits from its chain tail.
+    a new list; ``len(state)`` counts them without building it.
     """
 
     def __init__(self, n, components, generators, counter=None):
@@ -185,13 +182,11 @@ class IncrementalState:
         self.active = [tuple(c) for c in components]
         self.retired = []
         self.floor = -INF
-        self.generators = [tuple(m) for m in generators]
         self.index = {}
-        for m in self.generators:
-            self._index(m)
+        for m in generators:
+            self._index(tuple(m))
         self.counter = counter
         self.steps = 0
-        self._lost = []
 
     @property
     def components(self):
@@ -218,8 +213,9 @@ class IncrementalState:
         gens = [unit_vector(art.n, i, degs[i]) for i in range(art.n)]
         return cls(art.n, [degs], gens, counter)
 
-    def add_generator(self, alpha, trace=None, cross_check=False):
-        """Absorb one generator and update the components exactly.
+    def add_generator(self, alpha, trace=None):
+        """Absorb one generator, update the components exactly and return
+        the list of components the step removed.
 
         ``alpha`` is any exponent vector of length ``n`` (else
         ``ValueError``), absorbed in any order.  The components ``beta``
@@ -227,21 +223,21 @@ class IncrementalState:
         the irreducible ideal of ``beta`` iff ``alpha_i < beta_i`` for every
         ``i``.  So X^alpha is already in I iff no component lies strictly
         above ``alpha``; the components are then left as they are, ``alpha``
-        is not recorded and no trace step is written.  (An ``alpha`` with an
-        INF coordinate stands for zero, which lies in every ideal, and no
-        component lies above it.)
+        is not indexed, no trace step is written and ``[]`` is returned.
+        (An ``alpha`` with an INF coordinate stands for zero, which lies in
+        every ideal, and no component lies above it.)
 
-        Otherwise ``alpha`` is appended to ``generators`` and the degree
-        index, and no generator it divides is removed: the index holds
-        elements of I, every minimal generator among them.  Such a stale
-        entry changes nothing.  A lone matcher of ``beta`` at ``k`` has
-        ``x_k``-degree ``beta_k`` by definition, so it lies in the bucket
-        ``(k, beta_k)`` that the divisor probe scans: the probe stays
-        complete.  If a stale entry ``e`` is a lone matcher of a component
-        ``beta`` at ``k``, some minimal generator ``g <= e`` is in the index,
-        and ``g``, an element of I, cannot lie strictly below ``beta``, so
-        ``g_k = beta_k`` and ``g`` is a lone matcher at ``k`` too.  So every
-        minimum that ``lowering_limits`` takes is unchanged.
+        Otherwise ``alpha`` is added to the degree index, and no generator
+        it divides is removed: the index holds elements of I, every minimal
+        generator among them.  Such a stale entry changes nothing.  A lone
+        matcher of ``beta`` at ``k`` has ``x_k``-degree ``beta_k`` by
+        definition, so it lies in the bucket ``(k, beta_k)`` that the divisor
+        probe scans: the probe stays complete.  If a stale entry ``e`` is a
+        lone matcher of a component ``beta`` at ``k``, some minimal
+        generator ``g <= e`` is in the index, and ``g``, an element of I,
+        cannot lie strictly below ``beta``, so ``g_k = beta_k`` and ``g`` is
+        a lone matcher at ``k`` too.  So every minimum that
+        ``lowering_limits`` takes is unchanged.
 
         Only the active components are partitioned.  A retired ``beta``
         has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
@@ -258,12 +254,6 @@ class IncrementalState:
         and ``floor`` becomes ``alpha_n``, which keeps the same argument
         valid for every later ``alpha`` with ``alpha_n >= floor``.
 
-        The affected components are the ones the step removes: every kept
-        candidate is new, as shown next.  They are left in ``_lost``.  An
-        ``alpha`` of zeros generates the unit ideal: every component is
-        affected and every lowering is rejected, so without a ``trace`` the
-        divisor probe and the lowering limits are skipped.
-
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
         A candidate lowered from ``beta`` at ``u`` equals ``alpha`` in
@@ -271,14 +261,17 @@ class IncrementalState:
         ``u``; two equal candidates then have parents that agree off ``u``,
         which are comparable, hence equal, as the components form an
         antichain.  An untouched component equal to a candidate would lie
-        strictly below the candidate's parent, against the antichain.
+        strictly below the candidate's parent, against the antichain.  Nor
+        does a kept candidate equal an affected component, which lies
+        strictly above ``alpha`` at ``u``.  So the affected components,
+        returned in the partition's order, are exactly the ones the step
+        removes.
 
-        Components stay in insertion order; ``affected`` is sorted by
-        ``lex_key`` so that the trace lists lowerings in lex order of their
-        parents.  When ``cross_check`` is set, the update is recomputed as a
-        full reduction of all lowered candidates against every untouched
-        component, active and retired, and a ``RuntimeError`` is raised
-        unless both routes agree, which also catches a duplicate.
+        Components stay in insertion order; ``affected`` is probed in
+        ``lex_key`` order, so that the trace lists lowerings in lex order of
+        their parents.  A candidate is built only when it is kept; a trace
+        step holds each lowering's parent, variable and limit, and builds
+        the candidate when it is recorded.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
@@ -287,50 +280,35 @@ class IncrementalState:
             self.active.extend(self.retired)
             self.retired, self.floor = [], -INF
         untouched, affected = partition_components(self.active, alpha, self.counter)
-        self._lost = affected
         if not affected:
-            return self
+            return []
 
         last = self.n - 1
-        kept, rejected, lowered, retiring = [], [], [], []
-        # a zero exponent would denote the unit ideal, never a component, so
-        # an alpha of zeros keeps no lowering and only a trace needs its
-        # rejected candidates and their limits
-        probed = sorted(affected, key=lex_key) if any(alpha) or trace is not None else []
-        for beta in probed:
+        lowered, retiring = [], []
+        lowerings = [] if trace is not None else None
+        for beta in sorted(affected, key=lex_key):
             lone = dividing_generators(beta, self.index, self.counter)
             limits = lowering_limits(beta, lone)
-            for u in range(self.n):
-                cand = replace_coord(beta, u, alpha[u])
-                if alpha[u] >= 1 and limits[u] < alpha[u]:
-                    kept.append((beta, u, limits[u], cand))
-                    (retiring if u == last else lowered).append(cand)
-                else:
-                    rejected.append((beta, u, limits[u], cand))
-
-        if cross_check:
-            rest = untouched + self.retired
-            candidates = [e[3] for e in kept] + [e[3] for e in rejected]
-            reduced = maximalize(rest + [c for c in candidates if min(c) >= 1])
-            if (sorted(reduced, key=lex_key)
-                    != sorted(rest + lowered + retiring, key=lex_key)):
-                raise RuntimeError("exact update disagrees with full reduction")
+            for u, a in enumerate(alpha):
+                kept = a >= 1 and limits[u] < a
+                if kept:
+                    (retiring if u == last else lowered).append(replace_coord(beta, u, a))
+                if lowerings is not None:
+                    lowerings.append((kept, beta, u, limits[u]))
 
         self.active = untouched + lowered
-        self.generators.append(alpha)
         self._index(alpha)
         self.steps += 1
         if trace is not None:
             trace.append(TraceStep(self.steps, alpha, len(untouched) + len(self.retired),
-                                   len(affected), kept, rejected))
+                                   len(affected), lowerings))
         if retiring:
             self.retired.extend(retiring)
             self.floor = alpha[-1]
-        return self
+        return affected
 
 
-def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
-                          cross_check=False):
+def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     """Decompose a generator set by absorbing generators one at a time.
 
     Generators are absorbed in lex order, which keeps the component count
@@ -349,7 +327,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None,
 
     raw_trace = [] if trace is not None else None
     for alpha in art.alphas():
-        state.add_generator(alpha, trace=raw_trace, cross_check=cross_check)
+        state.add_generator(alpha, trace=raw_trace)
         if t_sizes is not None:
             t_sizes.append(len(state))
 

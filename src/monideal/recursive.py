@@ -9,12 +9,14 @@ the chain links reaches the two-variable base case, whose components are
 read off the corners of the staircase.  Tries are lex-sorted tuples of
 distinct vectors, such as the closure's ``gens``, and never empty.
 
-From height four up, the chain's tail of one-vector slices is not decomposed
-link by link: each such link is the previous one plus a single generator,
-and the incremental engine's step updates the previous link's components to
-the next one's, reporting the lost ones directly.  On generic input every
-slice above degree 0 holds one vector, so everything after the first link
-goes through that step.
+The chain's last link is the unit ideal, which has no components, so the
+link before it loses all of its own and needs no merge.  From height four
+up, the one-vector slices before the last are not decomposed link by link:
+each such link is the previous one plus a single generator, and the
+incremental engine's step updates the previous link's components to the
+next one's, returning the lost ones.  On generic input every slice above
+degree 0 holds one vector, so everything after the first link goes through
+that step.
 """
 
 from .core import deartinianize
@@ -41,29 +43,37 @@ def decompose_trie(t, counter=None):
     Link ``k`` is the ``min_merge`` of link ``k - 1`` and slice ``k``.
     INF labels are allowed and flow through untouched.
 
+    The last slice is the zero vector alone, the pure power x_n^D of the
+    last variable (``D`` may be INF); anything else raises ``ValueError``.
+    A minimal Artinian trie holds that power, and every other vector ``v``
+    has ``v_n < D``, else the power would divide it.  So ``D`` is the top
+    degree and its slice holds the zero vector only.  Merged into the link
+    before it, the zero vector divides every vector, so the last link is
+    the unit ideal, with no components: the step to ``D`` loses every
+    component of the link before it.  These are emitted with ``D``, and the
+    step runs no merge, no recursive call and no ``difference``.
+
     From height four up, the walk decomposes links from scratch only up to
-    the last slice holding more than one vector, link ``K``.  Its components
-    and its vectors seed an ``IncrementalState``, and each later slice
+    the last slice before ``D`` holding more than one vector, link ``K``.
+    When one-vector slices come between it and ``D``, link ``K``'s
+    components and vectors seed an ``IncrementalState``, and each such slice
     ``(d, (v,))`` is absorbed with ``add_generator``: link ``k`` is link
     ``k - 1`` plus X^v, and the step leaves exactly Irr(link ``k``), in any
-    absorb order.  The step's affected components, those strictly above
-    ``v``, are exactly Irr(link ``k - 1``) minus Irr(link ``k``).  The
-    untouched ones stay.  Each kept lowering equals ``v`` at the coordinate
-    it lowers, while an affected component lies strictly above ``v`` there,
-    so no kept lowering equals an affected component.  So the affected ones
-    are emitted with ``d`` and the tail needs no merge and no
-    ``difference``.  Tail vectors come in the order of the last variable,
-    not in lex order, so the state's reactivation branch is in use here.
-    Height three keeps the walk, whose height-2 links are read off the
-    corners in time linear in the link, so that on three variables the
-    engine stays the paper's recursive algorithm.
+    absorb order, and returns the components it removed, exactly
+    Irr(link ``k - 1``) minus Irr(link ``k``).  So they are emitted with
+    ``d``, the tail needs no merge and no ``difference``, and the state's
+    components after the tail are the ones emitted with ``D``.  Tail vectors
+    come in the order of the last variable, not in lex order, so the
+    state's reactivation branch is in use here.  Height three keeps the
+    walk, whose height-2 links are read off the corners in time linear in
+    the link, so that on three variables the engine stays the paper's
+    recursive algorithm.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
     by the pure power of ``x_i``, which slice 0 holds.  So a tail vector is
     finite, and ``add_generator`` never sees the INF generator that it would
-    treat as zero.  The last slice's label ``d`` may be INF; it only tags
-    what is emitted.  Link ``K`` may hold pure powers with label INF.  The
+    treat as zero.  Link ``K`` may hold pure powers with label INF.  The
     divisor probe compares such a power of ``x_i`` only in the bucket
     ``(i, INF)`` of a component with INF at ``i``, and never returns it
     (``INF + 1`` is INF), which changes no lowering: as a lone matcher at
@@ -77,8 +87,9 @@ def decompose_trie(t, counter=None):
     chain, so two steps never emit the same vector.  Within one step,
     ``difference`` returns a sublist of ``prev``, the output of a recursive
     call, which is duplicate-free by induction on the height (the base
-    cases below plainly are).  A tail step emits a sublist of the state's
-    components, which are duplicate-free (``add_generator``).
+    cases below plainly are), and the step to ``D`` emits ``prev`` itself.
+    A tail step emits a sublist of the state's components, which are
+    duplicate-free (``add_generator``).
 
     Height two is read off the corners.  Write the vectors, in lex order, as
     ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
@@ -107,6 +118,10 @@ def decompose_trie(t, counter=None):
         return [(t[k][0], t[k + 1][1]) for k in range(len(t) - 1)]
 
     slices = top_slices(t)
+    d_last, last = slices.pop()
+    if any(last[0]) or len(last) > 1:
+        raise ValueError("the last slice is not the pure power of the last "
+                         "variable alone; the encoded ideal is not Artinian in it")
     tail = len(slices)  # slices[tail:] hold one vector each
     if height >= 4:
         while tail > 1 and len(slices[tail - 1][1]) == 1:
@@ -122,8 +137,9 @@ def decompose_trie(t, counter=None):
     if tail < len(slices):
         state = IncrementalState(height - 1, prev, link, counter)
         for d, (v,) in slices[tail:]:
-            state.add_generator(v)
-            out.extend(b + (d,) for b in state._lost)
+            out.extend(b + (d,) for b in state.add_generator(v))
+        prev = state.components
+    out.extend(v + (d_last,) for v in prev)
     return out
 
 

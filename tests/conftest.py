@@ -3,7 +3,7 @@
 import random
 
 from monideal import GeneratorSet, gen_random
-from monideal.core import leq
+from monideal.core import leq, lex_key, maximalize, minimalize, replace_coord
 from monideal.trie import min_merge, top_slices
 
 # The five-generator showcase ideal x^4, y^4, x^3y^2z^2, xy^3z^2, x^2yz^3
@@ -35,6 +35,74 @@ def random_ideal(rng, n_choices=(2, 3, 4), max_p=8, max_deg=6, generic=False):
 def match_variables(m, beta):
     """Variables (0-based) where the degree of ``m`` meets that of ``beta``."""
     return tuple(u for u in range(len(beta)) if m[u] == beta[u])
+
+
+def strictly_below(a, b):
+    """True iff every coordinate of ``a`` is strictly less than in ``b``."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return all(x < y for x, y in zip(a, b))
+
+
+def lcm_vector(a, b):
+    """Exponent vector of lcm(X^a, X^b): the componentwise maximum."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return tuple(map(max, a, b))
+
+
+def is_zero(g):
+    """No generators: the zero ideal."""
+    return not g.gens
+
+
+def ideal_sum(g1, g2):
+    """Minimal generators of the sum of two monomial ideals."""
+    if g1.n != g2.n:
+        raise ValueError("ideals live in different variable counts")
+    return GeneratorSet.from_vectors(g1.n, list(g1.gens) + list(g2.gens))
+
+
+def ideal_intersection(g1, g2):
+    """Minimal generators of the intersection: pairwise lcms, minimalized."""
+    if g1.n != g2.n:
+        raise ValueError("ideals live in different variable counts")
+    lcms = [lcm_vector(a, b) for a in g1.gens for b in g2.gens]
+    return GeneratorSet.from_vectors(g1.n, lcms)
+
+
+def ideals_equal(g1, g2):
+    """True iff two generator sets span the same ideal.
+
+    A monomial ideal has a unique minimal generating set (Miller-Sturmfels,
+    *Combinatorial Commutative Algebra*, Lemma 1.2), so the ideals are equal
+    exactly when their generators minimalize to the same set, at any
+    exponent size.
+    """
+    if g1.n != g2.n:
+        raise ValueError("ideals live in different variable counts")
+    return minimalize(g1.gens) == minimalize(g2.gens)
+
+
+def checked_step(state, alpha, trace=None):
+    """``state.add_generator(alpha, trace)``, checked against a full reduction.
+
+    The components are partitioned again with ``strictly_below``; the step
+    must leave ``maximalize`` of the untouched ones plus every lowered
+    candidate free of zeros, and return exactly the components it removed.
+    Returns what the step returned.
+    """
+    alpha = tuple(alpha)
+    before = state.components
+    untouched = [b for b in before if not strictly_below(alpha, b)]
+    candidates = [replace_coord(b, u, alpha[u]) for b in before
+                  if strictly_below(alpha, b) for u in range(len(alpha))]
+    lost = state.add_generator(alpha, trace)
+    after = state.components
+    assert sorted(after, key=lex_key) == maximalize(
+        untouched + [c for c in candidates if min(c) >= 1]), alpha
+    assert sorted(lost) == sorted(set(before) - set(after)), alpha
+    return lost
 
 
 def is_antichain(vectors):

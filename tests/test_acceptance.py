@@ -15,12 +15,12 @@ import pytest
 from monideal import (INF, artinianize, components_generate,
                       decompose_incremental, decompose_oracle,
                       decompose_recursive, gen_random)
-from monideal.core import ideal_intersection, ideal_sum, ideals_equal, is_generic
 from monideal.incremental import IncrementalState
 from monideal.bench import (INCREMENTAL_ENVELOPE, RECURSIVE_ENVELOPE,
                             distinct_degree_counts, measure, sweep_ideals)
 from monideal.cli import cli_main
-from conftest import SHOWCASE_GENS, fourvar, is_antichain, showcase
+from conftest import (SHOWCASE_GENS, fourvar, ideal_intersection, ideal_sum,
+                      ideals_equal, is_antichain, showcase)
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 FOURVAR_PUBLISHED = {(3, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 2),

@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
                       decompose_incremental, decompose_recursive, gen_random)
 from monideal import core
-from monideal.core import (deartinianize, ideal_intersection, ideal_sum,
-                           is_generic, lcm_vector, leq, lex_key, maximalize,
-                           minimalize, replace_coord, strictly_below,
-                           unit_vector)
-from conftest import SHOWCASE_GENS, is_antichain, showcase
+from monideal.core import (deartinianize, is_generic, leq, lex_key, maximalize,
+                           minimalize, replace_coord, unit_vector)
+from conftest import (SHOWCASE_GENS, ideal_intersection, ideal_sum, is_antichain,
+                      is_zero, lcm_vector, random_ideal, showcase, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -214,6 +213,22 @@ class TestArtinianize:
         assert set(art.gens) == {(1, 0), (0, 1)}
         assert art.bounds == (1, 1)
 
+    def test_unit_ideal_adds_nothing(self):
+        art = artinianize(GeneratorSet.from_vectors(3, [(0, 0, 0)]))
+        assert art.gens == ((0, 0, 0),)
+        assert art.added == (False, False, False)
+
+    def test_added_iff_pure_power_injected(self):
+        # added[i] holds exactly when the closure gained x_i^bounds[i]
+        rng = random.Random(19)
+        ideals = [random_ideal(rng, n_choices=(1, 2, 3, 4)) for _ in range(200)]
+        ideals += [GeneratorSet.from_vectors(n, [(0,) * n]) for n in (1, 2, 3)]
+        assert sum(g.is_unit() for g in ideals) >= 3
+        for g in ideals:
+            art = artinianize(g)
+            for i in range(g.n):
+                assert art.added[i] == (unit_vector(g.n, i, art.bounds[i]) in art.gens), g
+
     def test_pure_degrees_and_alphas(self):
         art = artinianize(showcase())
         assert art.pure_degrees() == (4, 4, 4)
@@ -357,7 +372,7 @@ class TestSets:
 
     def test_unit_and_zero(self):
         assert GeneratorSet.from_vectors(2, [(0, 0), (1, 2)]).is_unit()
-        assert GeneratorSet.from_vectors(2, []).is_zero()
+        assert is_zero(GeneratorSet.from_vectors(2, []))
 
     def test_component_set_sorted_and_validated(self):
         c = ComponentSet.from_vectors(2, [(2, INF), (INF, 3)])

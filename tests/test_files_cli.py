@@ -18,7 +18,7 @@ from monideal import (INF, ComponentSet, FormatError, GeneratorSet, core,
 from monideal.bench import degree_shell, measure, preferred_engine
 from monideal.cli import cli_main
 from monideal.core import MAX_EXPONENT
-from conftest import SHOWCASE_GENS, fourvar, showcase
+from conftest import SHOWCASE_GENS, fourvar, is_zero, showcase
 
 # exact `decompose --trace` stderr: the records, their fields and the order of
 # the lowerings within a step (lex order of the parent component) are output
@@ -72,7 +72,7 @@ class TestIdealFormat:
 
     def test_empty_body_is_zero_ideal(self):
         g = parse_ideal("ideal 2\nend\n")
-        assert g.is_zero()
+        assert is_zero(g)
 
     def test_error_carries_line_number(self):
         with pytest.raises(FormatError, match="line 3"):

@@ -3,10 +3,7 @@
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle, gen_random)
-from monideal.core import leq, strictly_below
+from monideal.core import leq
 from monideal import incremental
 from monideal.bench import INCREMENTAL_ENVELOPE, degree_shell
 from monideal.cli import cli_main
@@ -24,8 +21,8 @@ from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie
 from monideal.trie import build
-from conftest import (SHOWCASE_GENS, fourvar, match_variables, random_ideal, showcase,
-                      slice_chain)
+from conftest import (checked_step, fourvar, match_variables, random_ideal, showcase,
+                      slice_chain, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -199,33 +196,38 @@ def outcome(fn, *args):
 
 
 def run_states(g, inf_flavour, rng=None):
-    """The state of an incremental run over ``g``'s closure before each step
-    and after the last.  With ``inf_flavour`` the run starts, as
-    ``inf_state`` does, from the injected powers and the lone component
-    relabelled to INF, so INF generators and components are probed.  With
-    ``rng`` the generators are absorbed in a shuffled order, which
-    reactivates retired components."""
+    """``(state, generators)`` of an incremental run over ``g``'s closure
+    before each step and after the last, ``generators`` being those absorbed
+    so far.  With ``inf_flavour`` the run starts, as ``inf_state`` does,
+    from the injected powers and the lone component relabelled to INF, so
+    INF generators and components are probed.  With ``rng`` the generators
+    are absorbed in a shuffled order, which reactivates retired
+    components."""
     art = artinianize(g)
-    state = IncrementalState.start(art)
+    degs = art.pure_degrees()
+    generators = [unit_vector(art.n, i, d) for i, d in enumerate(degs)]
     if inf_flavour:
-        state = IncrementalState(art.n, map(art.relabel, state.components),
-                                 map(art.relabel, state.generators))
+        generators = [art.relabel(m) for m in generators]
+        degs = art.relabel(degs)
+    state = IncrementalState(art.n, [degs], generators)
     alphas = list(art.alphas())
     if rng is not None:
         rng.shuffle(alphas)
-    yield state
+    yield state, generators
     for alpha in alphas:
         state.add_generator(alpha)
-        yield state
+        generators.append(alpha)
+        yield state, generators
 
 
-def check_probe(beta, state):
-    """The probe returns exactly the brute-force lone matchers with their
-    variables, charges every generator in a probed bucket, and its limits
-    agree with the reference."""
+def check_probe(beta, state, generators):
+    """The probe returns exactly the brute-force lone matchers among
+    ``generators``, those indexed by ``state``, with their variables,
+    charges every generator in a probed bucket, and its limits agree with
+    the reference."""
     lone, charged = outcome(dividing_generators, beta, state.index)
-    assert sorted(lone) == sorted(brute_lone_matchers(beta, state.generators))
-    assert charged == sum(m[k] == beta[k] for m in state.generators
+    assert sorted(lone) == sorted(brute_lone_matchers(beta, generators))
+    assert charged == sum(m[k] == beta[k] for m in generators
                           for k in range(state.n))
     try:
         want = ref_lowering_limits(beta, lone)
@@ -249,21 +251,21 @@ class TestProbeReference:
         g = random_ideal(rng, max_p=10, generic=generic)
         if g.is_unit():
             return
-        for state in run_states(g, inf_flavour, rng if shuffled else None):
+        for state, gens in run_states(g, inf_flavour, rng if shuffled else None):
             for beta in state.components:
-                assert check_probe(beta, state) != "RuntimeError"
+                assert check_probe(beta, state, gens) != "RuntimeError"
             # vectors free of zeros that need not be components
             for beta in probes:
-                check_probe(beta[:state.n], state)
+                check_probe(beta[:state.n], state, gens)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_ideal_states_match_reference(self, n):
         # no non-pure generator: with INF powers the lone component has no
         # finite lone matcher, and every limit comes from the -INF seed
         for inf_flavour in (False, True):
-            for state in run_states(GeneratorSet.from_vectors(n, []), inf_flavour):
+            for state, gens in run_states(GeneratorSet.from_vectors(n, []), inf_flavour):
                 for beta in state.components:
-                    want = check_probe(beta, state)
+                    want = check_probe(beta, state, gens)
                     assert want == ([-INF] * n if inf_flavour or n == 1 else [0] * n)
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
@@ -282,10 +284,11 @@ class TestProbeReference:
                  for keep in shared]
         if multi:
             state = IncrementalState(n, [], multi)
-            assert check_probe(beta, state) == "RuntimeError"
+            assert check_probe(beta, state, multi) == "RuntimeError"
             assert dividing_generators(beta, state.index) == []
         for gens in (clipped, clipped + multi, multi + clipped):
-            check_probe(beta, IncrementalState(n, [], dict.fromkeys(gens)))
+            gens = list(dict.fromkeys(gens))
+            check_probe(beta, IncrementalState(n, [], gens), gens)
 
 
 def shell_ideals(rng, count):
@@ -357,16 +360,17 @@ class TestAddGenerator:
         assert len(after) == 5
 
     def test_absorbs_generators_in_the_ideal_or_dividing_it(self):
-        # a generator already in the ideal changes nothing and is not
-        # recorded; one dividing an absorbed generator just extends the ideal
+        # a generator already in the ideal changes nothing, removes nothing
+        # and is not indexed; one dividing an absorbed generator just extends
+        # the ideal
         state = inf_state()
-        gens = list(state.generators)
+        index = {key: list(bucket) for key, bucket in state.index.items()}
         trace = []
         for alpha in [(4, 0, 0), (5, 1, 0), (4, 4, INF)]:
-            state.add_generator(alpha, trace=trace, cross_check=True)
-            assert state.components == [(4, 4, INF)] and state.generators == gens
+            assert checked_step(state, alpha, trace) == []
+            assert state.components == [(4, 4, INF)] and state.index == index
             assert len(state) == 1 and state.steps == 0 and trace == []
-        state.add_generator((3, 0, 0), trace=trace, cross_check=True)
+        assert checked_step(state, (3, 0, 0), trace) == [(4, 4, INF)]
         assert state.components == [(3, 4, INF)] and state.steps == 1
         assert len(trace) == 1
         with pytest.raises(ValueError):
@@ -394,10 +398,11 @@ class TestAddGenerator:
             rng.shuffle(alphas)
             for alpha in alphas:
                 state.add_generator(alpha)
+            generators = list(art.gens)
             lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
             assert set(state.components) == set(lex.comps)
             for _ in range(12):
-                non_pure = [m for m in state.generators if sum(1 for e in m if e) > 1]
+                non_pure = [m for m in generators if sum(1 for e in m if e) > 1]
                 draw = rng.random()
                 if non_pure and draw < 0.4:
                     m = rng.choice(non_pure)
@@ -411,20 +416,19 @@ class TestAddGenerator:
                 else:
                     alpha = tuple(rng.randint(0, d) for d in degs)
                     draws["box"] += 1
-                before = (state.components, len(state), state.steps, list(state.generators))
-                inside = any(leq(m, alpha) for m in state.generators)
+                before = (state.components, len(state), state.steps)
+                inside = any(leq(m, alpha) for m in generators)
                 in_ideal += inside
-                divides_absorbed += not inside and any(leq(alpha, m)
-                                                       for m in state.generators)
-                state.add_generator(alpha, cross_check=True)
+                divides_absorbed += not inside and any(leq(alpha, m) for m in generators)
+                checked_step(state, alpha)
                 if inside:
-                    assert (state.components, len(state), state.steps,
-                            state.generators) == before
-                want = decompose_oracle(GeneratorSet.from_vectors(
-                    art.n, state.generators + [alpha]))
+                    assert (state.components, len(state), state.steps) == before
+                else:
+                    generators.append(alpha)
+                want = decompose_oracle(GeneratorSet.from_vectors(art.n, generators))
                 assert sorted(state.components) == sorted(want.comps), alpha
             if state.components:
-                state.add_generator((0,) * art.n, cross_check=True)
+                checked_step(state, (0,) * art.n)
                 assert state.components == [] and len(state) == 0
                 zeros += 1
         assert draws["divisor"] > 700 and draws["below"] > 500 and draws["box"] > 1500
@@ -434,25 +438,23 @@ class TestAddGenerator:
         assert in_ideal > 2000 and sum(draws.values()) - in_ideal > 900
         assert divides_absorbed > 700
 
-    def test_zero_alpha_skips_the_probe_unless_traced(self):
-        # alpha = 0 gives the unit ideal: every component is lost and every
-        # lowering has a zero exponent, so only a trace needs the divisor
-        # probe and the limits of its rejections
+    def test_zero_alpha_leaves_no_component(self):
+        # alpha = 0 gives the unit ideal: every component, retired ones
+        # included, is removed, and every lowering has a zero exponent and
+        # is rejected, traced or not
         art = artinianize(fourvar())
         for traced in (False, True):
-            counter = OpCounter()
-            state = IncrementalState.start(art, counter)
+            state = IncrementalState.start(art)
             for alpha in art.alphas():
                 state.add_generator(alpha)
-            before, ops = state.components, counter.ops
+            before = state.components
+            assert state.retired
             trace = [] if traced else None
-            state.add_generator((0, 0, 0, 0), trace=trace, cross_check=True)
-            assert state.components == [] and sorted(state._lost) == sorted(before)
+            assert sorted(checked_step(state, (0, 0, 0, 0), trace)) == sorted(before)
+            assert state.components == [] and len(state) == 0
             if traced:
-                assert not trace[0].kept and len(trace[0].rejected) == 4 * len(before)
-                assert counter.ops > ops + len(before)
-            else:
-                assert counter.ops == ops + len(before)
+                rec = trace[0].record(art.relabel)
+                assert rec["kept"] == [] and len(rec["rejected"]) == 4 * len(before)
 
     def test_shuffled_runs_reactivate_retired_components(self):
         # out of lex order an alpha may have a smaller last coordinate than
@@ -471,7 +473,7 @@ class TestAddGenerator:
             rng.shuffle(alphas)
             for alpha in alphas:
                 reactivate = alpha[-1] < state.floor
-                state.add_generator(alpha, cross_check=True)
+                checked_step(state, alpha)
                 if reactivate:
                     reactivations += 1
                     assert all(b[-1] == alpha[-1] for b in state.retired)
@@ -481,35 +483,26 @@ class TestAddGenerator:
             assert sorted(state.components) == sorted(lex.comps)
         assert reactivations > 0
 
-    def test_cross_check_agrees(self):
+    def test_lex_runs_agree_with_full_reduction(self):
         rng = random.Random(41)
         for _ in range(50):
             g = random_ideal(rng)
-            decompose_incremental(g, cross_check=True)
+            if g.is_unit():
+                continue
+            art = artinianize(g)
+            state = IncrementalState.start(art)
+            for alpha in art.alphas():
+                checked_step(state, alpha)
 
-    def test_cross_check_raises_on_a_wrong_update(self, monkeypatch):
+    def test_full_reduction_catches_a_wrong_update(self, monkeypatch):
+        # with no lowered copy blocked, the showcase's second step keeps a
+        # copy that an untouched component dominates
         monkeypatch.setattr(incremental, "lowering_limits", keep_every_lowering)
-        with pytest.raises(RuntimeError, match="disagrees with full reduction"):
-            decompose_incremental(showcase(), cross_check=True)
-
-    def test_cross_check_raises_under_optimize(self, tmp_path):
-        # the check must not be an assert, which ``python -O`` strips: the
-        # sabotaged run would then return 9 components instead of 6
-        script = (
-            "from monideal import INF, GeneratorSet, decompose_incremental, incremental\n"
-            "incremental.lowering_limits = lambda beta, lone, counter=None: "
-            "[-INF] * len(beta)\n"
-            f"g = GeneratorSet.from_vectors(3, {SHOWCASE_GENS!r})\n"
-            "try:\n"
-            "    print(len(decompose_incremental(g, cross_check=True)))\n"
-            "except RuntimeError as exc:\n"
-            "    print(exc)\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=str(src)),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "exact update disagrees with full reduction\n"
+        art = artinianize(showcase())
+        state = IncrementalState.start(art)
+        with pytest.raises(AssertionError):
+            for alpha in art.alphas():
+                checked_step(state, alpha)
 
     def test_zero_exponent_candidates_never_kept(self):
         # adding a generator with a zero coordinate must not produce a
@@ -638,10 +631,11 @@ class TestDecompose:
                 continue
             art = artinianize(g)
             state = IncrementalState.start(art)
+            generators = [m for m in art.gens if m not in art.alphas()]
             for alpha in art.alphas():
                 state.add_generator(alpha)
-                sofar = GeneratorSet.from_vectors(g.n, state.generators)
-                expected = decompose_oracle(sofar)
+                generators.append(alpha)
+                expected = decompose_oracle(GeneratorSet.from_vectors(g.n, generators))
                 assert set(state.components) == set(expected.comps)
 
     def test_sizes_and_trace_shapes(self):

@@ -10,11 +10,11 @@ import random
 import numpy as np
 
 from monideal import GeneratorSet, artinianize, decompose_oracle
-from monideal.core import increment, replace_coord, strictly_below
+from monideal.core import increment, replace_coord
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits)
 from monideal.oracle import maximal_points, staircase
-from conftest import match_variables, random_ideal, slice_chain
+from conftest import match_variables, random_ideal, slice_chain, strictly_below
 
 INSTANCES = 300
 
@@ -38,12 +38,17 @@ def proper_ideal_stream(seed, **kwargs):
 
 
 def incremental_steps(g):
-    """Yield (state-before, alpha) pairs along a lex-order run."""
+    """Yield ``(state-before, generators, alpha)`` along a lex-order run,
+    ``generators`` being those absorbed so far: the pure powers and the
+    earlier alphas."""
     art = artinianize(g)
     state = IncrementalState.start(art)
-    for alpha in art.alphas():
-        yield state, alpha
+    alphas = art.alphas()
+    generators = [v for v in art.gens if v not in alphas]
+    for alpha in alphas:
+        yield state, generators, alpha
         state.add_generator(alpha)
+        generators.append(alpha)
 
 
 def test_basis_membership_iff_strictly_below_some_component():
@@ -81,11 +86,11 @@ def test_untouched_components_stay_components():
     # survive the update verbatim
     checked = 0
     for g in proper_ideal_stream(107, max_p=6, max_deg=5):
-        for state, alpha in incremental_steps(g):
+        for state, generators, alpha in incremental_steps(g):
             before = [b for b in state.components if not strictly_below(alpha, b)]
-            after = set(IncrementalState(state.n, state.components,
-                                         state.generators)
-                        .add_generator(alpha).components)
+            fresh = IncrementalState(state.n, state.components, generators)
+            fresh.add_generator(alpha)
+            after = set(fresh.components)
             assert all(b in after for b in before)
             checked += 1
         if checked >= INSTANCES:
@@ -106,7 +111,7 @@ def test_single_variable_matchers_exist():
         for alpha in art.alphas():
             state.add_generator(alpha)
         for beta in state.components:
-            divisors = brute_divisors(beta, state.generators)
+            divisors = brute_divisors(beta, art.gens)
             profiles = [match_variables(m, beta) for m in divisors]
             for u in range(art.n):
                 assert any(pr == (u,) for pr in profiles)
@@ -121,7 +126,7 @@ def test_divisor_envelope_equals_component():
         for alpha in art.alphas():
             state.add_generator(alpha)
         for beta in state.components:
-            divisors = brute_divisors(beta, state.generators)
+            divisors = brute_divisors(beta, art.gens)
             envelope = tuple(max(m[u] for m in divisors) for u in range(art.n))
             assert envelope == beta
 
@@ -131,12 +136,11 @@ def test_lowering_criterion_matches_oracle():
     # its new exponent clears the blocking degree, in both directions
     checked = 0
     for g in proper_ideal_stream(127, max_p=5, max_deg=5):
-        for state, alpha in incremental_steps(g):
+        for state, generators, alpha in incremental_steps(g):
             affected = [b for b in state.components if strictly_below(alpha, b)]
             if not affected:
                 continue
-            extended = GeneratorSet.from_vectors(
-                state.n, state.generators + [alpha])
+            extended = GeneratorSet.from_vectors(state.n, generators + [alpha])
             target = set(decompose_oracle(extended).comps)
             # the extended ideal is Artinian, so its components stay finite
             for beta in affected:

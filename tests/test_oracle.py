@@ -7,9 +7,8 @@ import pytest
 
 from monideal import (BudgetError, ComponentSet, GeneratorSet, INF,
                       artinianize, components_generate, decompose_oracle)
-from monideal.core import ideals_equal
 from monideal.oracle import irr_oracle, maximal_points, staircase
-from conftest import is_antichain, random_ideal, showcase
+from conftest import ideals_equal, is_antichain, random_ideal, showcase
 
 
 def basis_points(box):

@@ -170,25 +170,32 @@ def chain_ideals(draw):
 
 def spy_tails(monkeypatch):
     """Record ``(height, K)`` for every chain tail ``decompose_trie``
-    starts, ``K`` being the index of the last multi-vector slice, and check
-    that the tail's state starts from link ``K``."""
+    starts, ``K`` being the index of the last multi-vector slice before the
+    last slice.  Check that the tail's state starts from link ``K``, and
+    that a trie builds one state exactly when its height is at least four
+    and the slice before its last holds one vector and is not its first."""
     tails, stack = [], []
     inner = recursive.decompose_trie
 
     def spy(t, counter=None):
-        stack.append(t)
+        stack.append([t, 0])
         try:
-            return inner(t, counter)
+            out = inner(t, counter)
         finally:
-            stack.pop()
+            _, built = stack.pop()
+        slices = top_slices(t) if len(t[0]) >= 4 else []
+        assert built == (len(slices) > 2 and len(slices[-2][1]) == 1)
+        return out
 
     class Recording(IncrementalState):
         def __init__(self, n, components, generators, counter=None):
             super().__init__(n, components, generators, counter)
-            slices = top_slices(stack[-1])
-            k = max(i for i, (_, tk) in enumerate(slices) if i == 0 or len(tk) > 1)
-            assert k < len(slices) - 1
-            assert tuple(generators) == list(slice_chain(stack[-1]))[k][1]
+            t = stack[-1][0]
+            stack[-1][1] += 1
+            slices = top_slices(t)
+            k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
+            assert k < len(slices) - 2
+            assert tuple(generators) == list(slice_chain(t))[k][1]
             tails.append((n + 1, k))
 
     monkeypatch.setattr(recursive, "decompose_trie", spy)
@@ -206,13 +213,26 @@ class TestChainTail:
     def test_tail_runs_on_generic_input(self, monkeypatch):
         tails = spy_tails(monkeypatch)
         for n in (4, 5, 6):
+            heights = set()
             for seed in range(3):
                 del tails[:]
                 g = gen_random(n, 30, 60, seed, generic=True)
                 assert decompose_recursive(g) == decompose_incremental(g)
-                # the top trie's tail starts after its first link
+                # the top trie's tail starts after its first link; a lower
+                # trie has a tail unless it holds pure powers alone
                 assert (n, 0) in tails
-                assert {h for h, _ in tails} == set(range(4, n + 1))
+                heights |= {h for h, _ in tails}
+            assert heights == set(range(4, n + 1))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_power_ideal_builds_no_state(self, monkeypatch, n):
+        # every slice of m^6 but the last holds several vectors, at every
+        # height, so no trie has a tail before its last slice
+        tails = spy_tails(monkeypatch)
+        g = GeneratorSet.from_vectors(
+            n, [v for v in itertools.product(range(7), repeat=n) if sum(v) == 6])
+        assert decompose_recursive(g) == decompose_incremental(g)
+        assert tails == []
 
     def test_tail_after_a_multi_vector_slice(self, monkeypatch):
         tails = spy_tails(monkeypatch)
@@ -281,6 +301,27 @@ class TestHeightTwoBase:
         for _ in range(100):
             decompose_recursive(random_ideal(rng))
         assert set(heights) == {2, 3, 4}
+
+
+class TestLastSlice:
+    def test_last_slice_emits_the_link_before_it(self):
+        # m^2 in three variables: the last slice is z^2 alone, and the
+        # link before it, <x^2, xy, y^2, x, y> = <x, y>, loses (1, 1)
+        t = build(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)])
+        assert top_slices(t)[-1] == (2, ((0, 0),))
+        assert sorted(decompose_trie(t)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+
+    @pytest.mark.parametrize("vectors", [
+        # no pure power of z: the last slice is y-free but not x-free
+        [(2, 0, 0), (0, 2, 0), (1, 0, 1)],
+        # z^3 shares its slice with a vector that it would divide
+        [(2, 0, 0), (0, 2, 0), (1, 1, 3), (0, 0, 3)],
+        # no pure power of the last variable at height four
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1)],
+    ])
+    def test_last_slice_not_a_lone_pure_power_raises(self, vectors):
+        with pytest.raises(ValueError, match="last slice"):
+            decompose_trie(build(len(vectors[0]), vectors))
 
 
 def inf_padded_trie(g):
@@ -377,19 +418,19 @@ class TestPaperComparison:
         g = gen_random(3, 40, 80, 1, generic=True)
         inc, rec = ops(decompose_incremental, g), ops(decompose_recursive, g)
         assert inc == 940
-        assert inc < rec <= 2555
+        assert inc < rec <= 2472
 
     def test_recursive_wins_on_power_of_maximal_ideal(self):
         m8 = GeneratorSet.from_vectors(
             3, [v for v in itertools.product(range(9), repeat=3) if sum(v) == 8])
         inc, rec = ops(decompose_incremental, m8), ops(decompose_recursive, m8)
         assert inc == 511
-        assert rec <= 200 < inc
+        assert rec <= 197 < inc
 
     def test_recursive_has_no_merge_cliff(self):
         # every link merge costs about its own size, not a re-minimalization
         # of the union
-        assert ops(decompose_recursive, gen_random(4, 60, 120, 1, generic=True)) <= 4051
+        assert ops(decompose_recursive, gen_random(4, 60, 120, 1, generic=True)) <= 3623
 
     def test_recursive_has_no_generic_cliff(self):
         # past the first link every slice holds one vector, absorbed by one
@@ -399,4 +440,4 @@ class TestPaperComparison:
         got = decompose_recursive(g, counter=counter)
         assert len(got) == 871
         assert emit_components(got) == emit_components(decompose_incremental(g))
-        assert counter.ops <= 21124
+        assert counter.ops <= 18457
