@@ -90,7 +90,8 @@ def checked_step(state, alpha, trace=None):
     The components are partitioned again with ``strictly_below``; the step
     must leave ``maximalize`` of the untouched ones plus every lowered
     candidate free of zeros, and return exactly the components it removed.
-    Returns what the step returned.
+    Returns what the step returned; raises ``RuntimeError`` otherwise, not
+    an assert, so the check also holds under ``python -O``.
     """
     alpha = tuple(alpha)
     before = state.components
@@ -99,9 +100,10 @@ def checked_step(state, alpha, trace=None):
                   if strictly_below(alpha, b) for u in range(len(alpha))]
     lost = state.add_generator(alpha, trace)
     after = state.components
-    assert sorted(after, key=lex_key) == maximalize(
-        untouched + [c for c in candidates if min(c) >= 1]), alpha
-    assert sorted(lost) == sorted(set(before) - set(after)), alpha
+    if (sorted(after, key=lex_key) != maximalize(
+            untouched + [c for c in candidates if min(c) >= 1])
+            or sorted(lost) != sorted(set(before) - set(after))):
+        raise RuntimeError(f"exact update disagrees with full reduction at {alpha}")
     return lost
 
 

@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -494,15 +497,40 @@ class TestAddGenerator:
             for alpha in art.alphas():
                 checked_step(state, alpha)
 
-    def test_full_reduction_catches_a_wrong_update(self, monkeypatch):
+    def test_cross_check_raises_on_a_wrong_update(self, monkeypatch):
         # with no lowered copy blocked, the showcase's second step keeps a
         # copy that an untouched component dominates
         monkeypatch.setattr(incremental, "lowering_limits", keep_every_lowering)
         art = artinianize(showcase())
         state = IncrementalState.start(art)
-        with pytest.raises(AssertionError):
+        with pytest.raises(RuntimeError, match="disagrees with full reduction"):
             for alpha in art.alphas():
                 checked_step(state, alpha)
+
+    def test_cross_check_raises_under_optimize(self, tmp_path):
+        # checked_step must not rely on an assert, which ``python -O`` strips:
+        # the sabotaged run would then end with 9 components instead of 6
+        script = (
+            "from monideal import INF, artinianize, incremental\n"
+            "from monideal.incremental import IncrementalState\n"
+            "from conftest import checked_step, showcase\n"
+            "incremental.lowering_limits = lambda beta, lone, counter=None: "
+            "[-INF] * len(beta)\n"
+            "art = artinianize(showcase())\n"
+            "state = IncrementalState.start(art)\n"
+            "try:\n"
+            "    for alpha in art.alphas():\n"
+            "        checked_step(state, alpha)\n"
+            "    print(len(state))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("exact update disagrees with full reduction")
 
     def test_zero_exponent_candidates_never_kept(self):
         # adding a generator with a zero coordinate must not produce a
