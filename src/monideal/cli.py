@@ -7,13 +7,20 @@ otherwise, and incremental whenever ``--trace`` is given.  ``--stats``
 names the engine that ran.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
-3 oracle budget exceeded.  ``decompose`` on a directory handles one file at
-a time; a failing file is reported by path and its output file removed,
-every other output is still written, and the exit code is the largest of
-the failing files' codes.
+3 the oracle's box exceeds ``--budget`` cells: ``verify`` and ``decompose
+--algo oracle`` size it as the product over the variables of the number of
+distinct degrees (see ``oracle``), however large the exponents.
+``decompose`` on a directory handles one file at a time; a failing file is
+reported by path and its output file removed, every other output is still
+written, and the exit code is the largest of the failing files' codes.
+
+The argument parser is built once per process, on the first ``cli_main``
+call, and reused: parsing leaves it unchanged, and help and error text are
+written to the streams current at that call.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -138,6 +145,7 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="monideal",

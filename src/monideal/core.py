@@ -128,11 +128,6 @@ def maximalize(vectors):
     return sorted((tuple(-x for x in v) for v in negated), key=lex_key)
 
 
-def increment(v):
-    """Raise every finite coordinate by one; INF stays INF."""
-    return tuple(x + 1 for x in v)
-
-
 def replace_coord(b, j, e):
     """Copy of ``b`` with coordinate ``j`` (0-based) replaced by ``e``."""
     if not 0 <= j < len(b):

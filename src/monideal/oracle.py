@@ -3,15 +3,21 @@
 Fills a boolean box with the membership indicator of the ideal, reads the
 monomials outside the ideal (the staircase basis), and recovers the
 irreducible components as the maximal basis points shifted up by one.  This
-is deliberately exhaustive: it exists to certify the fast engines on small
-inputs, not to compete with them, so box sizes are guarded by a budget.
+is deliberately exhaustive: it exists to certify the fast engines, not to
+compete with them, so box sizes are guarded by a budget.
+
+``components_generate`` and ``irr_oracle`` run on a rank-compressed box:
+each variable's axis holds only its distinct degrees (``_rank_axes``), so
+the box has one cell per combination of distinct degrees, and exponents of
+10^6 cost no more than small ones in the same order.  ``staircase`` keeps
+the plain box over every degree up to the closure's bounds.
 """
 
 import math
 
 import numpy as np
 
-from .core import ComponentSet, INF, deartinianize, increment
+from .core import ComponentSet, INF, deartinianize
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -33,6 +39,38 @@ def _indicator(vectors, shape):
     for v in vectors:
         ind[tuple(slice(int(e), None) for e in v)] = True
     return ind
+
+
+def _rank_axes(n, vectors, budget):
+    """Distinct-degree axes of ``vectors`` and the map onto their ranks.
+
+    Axis ``j`` lists, ascending, 0 and every finite degree of variable ``j``
+    among ``vectors``.  ``rank(v)`` replaces each coordinate of ``v`` by its
+    index on its axis, and INF by the axis length.  Raises BudgetError when
+    the box of ``prod(len(axis))`` cells exceeds ``budget``.
+
+    The box over the axes gives the same answers as the plain box.  X^gamma
+    lies in the ideal of generators ``alpha`` iff some ``alpha <= gamma``,
+    and it lies outside a component m^beta iff ``gamma_j < beta_j`` for
+    every ``j`` (INF bounds nothing).  Each test compares ``gamma_j`` only
+    with degrees on axis ``j``.  Let ``r(gamma)`` lower each ``gamma_j`` to
+    the largest degree ``t <= gamma_j`` on axis ``j``; there is one, since
+    0 is on every axis.  For a degree ``a`` on the axis, ``gamma_j >= a``
+    iff ``t >= a``, so ``gamma`` and ``r(gamma)`` answer both tests alike,
+    and the grid of axis points decides them for all of N^n.  On the grid,
+    comparing degrees is comparing ranks: ``alpha <= t`` iff ``rank(alpha)
+    <= rank(t)``, and ``t < beta`` iff ``rank(t) < rank(beta)``, with INF
+    ranked past every point.  So an indicator filled from ranked generators
+    and corners filled from ranked components are exactly the grid's answers.
+    """
+    axes = [sorted(set(col) - {INF}) for col in zip((0,) * n, *vectors)]
+    _check_budget(map(len, axes), budget)
+    index = [{e: k for k, e in enumerate(axis)} | {INF: len(axis)} for axis in axes]
+
+    def rank(v):
+        return tuple(ix[e] for ix, e in zip(index, v))
+
+    return axes, rank
 
 
 def staircase(art, budget=DEFAULT_BUDGET):
@@ -64,9 +102,21 @@ def maximal_points(box):
 
 
 def irr_oracle(art, budget=DEFAULT_BUDGET):
-    """Components of the original ideal read off the staircase of its closure."""
-    box = staircase(art, budget)
-    comps = [increment(p) for p in maximal_points(box)]
+    """Components of the original ideal read off the staircase of its closure.
+
+    The box is ``_rank_axes``'s over the closure's generators, pure powers
+    included, and a maximal point ``k`` of it gives the closure's component
+    ``beta_j = axes[j][k_j + 1]``.  A maximal basis point ``q`` of the plain
+    staircase has every ``X^(q + e_j)`` in the ideal, so some generator has
+    degree ``q_j + 1`` in ``x_j``: ``q_j + 1`` is on axis ``j``, the next
+    degree after ``r(q)_j``.  Hence ``q -> rank(r(q))`` and ``k -> beta - 1``
+    are inverse bijections between the maximal points of the two boxes, and
+    ``q + 1 = beta``.  The last degree on axis ``j`` is ``x_j``'s pure
+    power, so a point outside the ideal has ``k_j + 1`` on the axis.
+    """
+    axes, rank = _rank_axes(art.n, art.gens, budget)
+    box = _indicator(map(rank, art.gens), tuple(map(len, axes)))
+    comps = [tuple(axis[k + 1] for axis, k in zip(axes, p)) for p in maximal_points(box)]
     return deartinianize(comps, art)
 
 
@@ -80,21 +130,17 @@ def decompose_oracle(g, budget=DEFAULT_BUDGET):
 def components_generate(c, g, budget=DEFAULT_BUDGET):
     """True iff the intersection of the components equals the ideal of ``g``.
 
-    Every box point is tested both ways: divisible by some generator iff not
-    strictly below any component.  The box is widened past every finite
-    component coordinate so that equality on the box certifies equality of
-    the ideals.
+    Every point of the box over the distinct degrees of the generators and
+    of the finite component coordinates (``_rank_axes``) is tested both
+    ways: divisible by some generator iff not strictly below any component.
+    Equality there certifies equality of the ideals.
     """
     if c.n != g.n:
         raise ValueError("components and generators live in different variable counts")
-    # one past the largest finite degree of each variable
-    shape = tuple(1 + max(e for e in col if e != INF)
-                  for col in zip((0,) * g.n, *g.gens, *c.comps))
-    _check_budget(shape, budget)
-    ideal = _indicator(g.gens, shape)
+    axes, rank = _rank_axes(g.n, g.gens + c.comps, budget)
+    shape = tuple(map(len, axes))
+    ideal = _indicator(map(rank, g.gens), shape)
     below_some = np.zeros(shape, dtype=bool)
-    for beta in c.comps:
-        corner = tuple(slice(0, s if e == INF else min(int(e), s))
-                       for e, s in zip(beta, shape))
-        below_some[corner] = True
+    for beta in map(rank, c.comps):
+        below_some[tuple(slice(0, k) for k in beta)] = True
     return bool(np.array_equal(ideal, ~below_some))

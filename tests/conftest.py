@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import random
 
-from monideal import GeneratorSet, gen_random
-from monideal.core import leq, lex_key, maximalize, minimalize, replace_coord
+from monideal import GeneratorSet, INF, gen_random
+from monideal.core import (deartinianize, leq, lex_key, maximalize, minimalize,
+                           replace_coord)
+from monideal.oracle import maximal_points, staircase
 from monideal.trie import min_merge, top_slices
 
 # The five-generator showcase ideal x^4, y^4, x^3y^2z^2, xy^3z^2, x^2yz^3
@@ -42,6 +45,35 @@ def strictly_below(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return all(x < y for x, y in zip(a, b))
+
+
+def increment(v):
+    """Raise every finite coordinate by one; INF stays INF."""
+    return tuple(x + 1 for x in v)
+
+
+def plain_components_generate(c, g):
+    """Uncompressed reference for ``oracle.components_generate``.
+
+    Tests every point of the plain box, 0 up to the largest finite degree
+    of each variable among the generators and components, one at a time
+    with ``leq`` and ``strictly_below``: no ranks and no numpy.
+    """
+    tops = [max(e for e in col if e != INF)
+            for col in zip((0,) * g.n, *g.gens, *c.comps)]
+    for gamma in itertools.product(*(range(t + 1) for t in tops)):
+        inside = any(leq(a, gamma) for a in g.gens)
+        below = any(strictly_below(gamma, beta) for beta in c.comps)
+        if inside == below:
+            return False
+    return True
+
+
+def plain_decompose_oracle(g):
+    """Uncompressed reference for ``oracle.decompose_oracle`` on a proper
+    ideal: the maximal points of the plain ``staircase`` box, shifted up."""
+    art = g.closure
+    return deartinianize([increment(p) for p in maximal_points(staircase(art))], art)
 
 
 def lcm_vector(a, b):

@@ -16,7 +16,7 @@ from monideal import (INF, ComponentSet, FormatError, GeneratorSet, core,
                       emit_components, emit_ideal, gen_random,
                       parse_components, parse_ideal)
 from monideal.bench import degree_shell, measure, preferred_engine
-from monideal.cli import cli_main
+from monideal.cli import _build_parser, cli_main
 from monideal.core import MAX_EXPONENT
 from conftest import SHOWCASE_GENS, fourvar, is_zero, showcase
 
@@ -390,11 +390,46 @@ class TestCli:
         assert cli_main(["verify", str(bad), str(src)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
-    def test_budget_exit_code(self, tmp_path):
+    def test_budget_exit_code(self, tmp_path, capsys):
+        # m^10 in three variables: eleven distinct degrees in each, so the
+        # oracle's box has 11^3 cells
         big = tmp_path / "big.ideal"
-        big.write_text("ideal 3\n400 500 600\nend\n")
+        big.write_text(emit_ideal(GeneratorSet.from_vectors(3, degree_shell(3, 10))))
         assert cli_main(["decompose", "--algo", "oracle", "--budget", "1000",
                          str(big)]) == 3
+        assert capsys.readouterr().err == "error: box of 1331 cells exceeds budget 1000\n"
+
+    def test_verify_million_exponents(self, tmp_path):
+        # x^(10^6), x^500000 y^500000, y^(10^6): the box over every degree
+        # would hold about 10^12 cells, the one over distinct degrees 9
+        src = tmp_path / "big.ideal"
+        src.write_text("ideal 2\n1000000 0\n500000 500000\n0 1000000\nend\n")
+        out = tmp_path / "big.components"
+        assert cli_main(["decompose", str(src), str(out)]) == 0
+        assert cli_main(["verify", str(out), str(src)]) == 0
+        text = out.read_text()
+        assert "\n500000 1000000\n" in text
+        bad = tmp_path / "bad.components"
+        bad.write_text(text.replace("\n500000 1000000\n", "\n500000 999999\n"))
+        assert cli_main(["verify", str(bad), str(src)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "ideal 2\n1000000 0\n500000 500000\n0 1000000\nend\n",
+        emit_ideal(GeneratorSet.from_vectors(3, [tuple(1000 * e for e in v)
+                                                 for v in SHOWCASE_GENS])),
+        emit_ideal(GeneratorSet.from_vectors(4, [tuple(1000 * e for e in v)
+                                                 for v in gen_random(4, 12, 9, seed=5).gens])),
+    ], ids=["million", "showcase-x1000", "generic-x1000"])
+    def test_oracle_on_large_exponents_matches_incremental(self, tmp_path, text):
+        src = tmp_path / "big.ideal"
+        src.write_text(text)
+        outputs = []
+        for algo in ("oracle", "incremental"):
+            out = tmp_path / f"{algo}.components"
+            assert cli_main(["decompose", "--algo", algo, str(src), str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert cli_main(["verify", str(out), str(src)]) == 0
 
     def test_usage_error(self):
         assert cli_main(["decompose", "--algo", "nonsense", "x"]) == 2
@@ -463,6 +498,34 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "instance,n,p,l,algorithm,ops,wall_s,peak_t"
         assert len(lines) > 1
+
+
+class TestParserReuse:
+    """``cli_main`` builds its parser once per process; reusing it changes no
+    exit code and no output."""
+
+    def calls(self, tmp_path):
+        src = tmp_path / "showcase.ideal"
+        src.write_text(SHOWCASE_TEXT)
+        out = tmp_path / "showcase.components"
+        out.write_text(emit_components(decompose_incremental(showcase())))
+        return [(["decompose", str(src)], 0), (["verify", str(out), str(src)], 0),
+                (["decompose", "--algo", "nonsense", str(src)], 2), (["--help"], 0)]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_reused_parser_matches_fresh_calls(self, tmp_path, capsys, order):
+        calls = self.calls(tmp_path)[::order]
+        fresh = []
+        for argv, code in calls:
+            _build_parser.cache_clear()
+            assert cli_main(argv) == code
+            fresh.append(capsys.readouterr())
+        parser = _build_parser()
+        for (argv, code), seen in zip(calls, fresh):
+            assert cli_main(argv) == code
+            assert capsys.readouterr() == seen
+        assert _build_parser() is parser
+        assert all(seen.out or seen.err for seen in fresh)
 
 
 class TestDefaultEngine:

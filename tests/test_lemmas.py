@@ -10,11 +10,12 @@ import random
 import numpy as np
 
 from monideal import GeneratorSet, artinianize, decompose_oracle
-from monideal.core import increment, replace_coord
+from monideal.core import replace_coord
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits)
 from monideal.oracle import maximal_points, staircase
-from conftest import match_variables, random_ideal, slice_chain, strictly_below
+from conftest import (increment, match_variables, random_ideal, slice_chain,
+                      strictly_below)
 
 INSTANCES = 300
 

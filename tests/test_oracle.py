@@ -4,11 +4,53 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monideal import (BudgetError, ComponentSet, GeneratorSet, INF,
-                      artinianize, components_generate, decompose_oracle)
+                      artinianize, components_generate, decompose_incremental,
+                      decompose_oracle)
+from monideal.bench import degree_shell
 from monideal.oracle import irr_oracle, maximal_points, staircase
-from conftest import ideals_equal, is_antichain, random_ideal, showcase
+from conftest import (ideals_equal, is_antichain, plain_components_generate,
+                      plain_decompose_oracle, random_ideal, showcase)
+
+# Degrees with gaps, so that the distinct-degree box is smaller than the plain
+# one, and small enough that the plain reference enumerates its box quickly.
+SPARSE_DEGREES = (0, 1, 4, 6)
+
+SCALE = 1000
+
+
+def scaled(vectors):
+    return [tuple(e if e == INF else e * SCALE for e in v) for v in vectors]
+
+
+def sparse_ideals():
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(SPARSE_DEGREES)] * n), max_size=5).map(
+        lambda vectors: GeneratorSet.from_vectors(n, vectors)))
+
+
+@st.composite
+def decompositions(draw):
+    """An ideal with sparse degrees and its decomposition by the incremental
+    engine, exact or perturbed: a component dropped, one finite coordinate
+    raised or lowered by one, or one finite coordinate turned to INF."""
+    g = draw(sparse_ideals())
+    n = g.n
+    comps = list(decompose_incremental(g).comps)
+    kind = draw(st.sampled_from(["exact", "drop", "raise", "lower", "inf"]))
+    spots = [(i, j) for i, beta in enumerate(comps) for j, e in enumerate(beta)
+             if e != INF and (kind != "lower" or e >= 2)]
+    if kind == "drop" and comps:
+        del comps[draw(st.integers(0, len(comps) - 1))]
+    elif kind in ("raise", "lower", "inf") and spots:
+        i, j = draw(st.sampled_from(spots))
+        e = {"raise": comps[i][j] + 1, "lower": comps[i][j] - 1, "inf": INF}[kind]
+        comps[i] = comps[i][:j] + (e,) + comps[i][j + 1:]
+    else:
+        kind = "exact"
+    return g, ComponentSet.from_vectors(n, comps), kind
 
 
 def basis_points(box):
@@ -136,6 +178,67 @@ class TestMembershipChecks:
         assert not components_generate(truncated, g)
 
     def test_budget_error(self):
-        g = GeneratorSet.from_vectors(3, [(40, 50, 60)])
-        with pytest.raises(BudgetError):
-            components_generate(ComponentSet.from_vectors(3, []), g, budget=10)
+        # eleven distinct degrees in each variable: the compressed box has
+        # 11^3 cells
+        g = GeneratorSet.from_vectors(3, degree_shell(3, 10))
+        with pytest.raises(BudgetError, match="box of 1331 cells exceeds budget 1000"):
+            components_generate(ComponentSet.from_vectors(3, []), g, budget=1000)
+
+
+class TestCompressedBox:
+    """The oracle's box holds one cell per combination of distinct degrees."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(decompositions())
+    def test_certificate_equals_plain_box(self, case):
+        g, comps, kind = case
+        got = components_generate(comps, g)
+        assert got == plain_components_generate(comps, g)
+        if kind == "exact":
+            assert got
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_ideals())
+    def test_oracle_equals_plain_staircase(self, g):
+        if g.is_unit():
+            return
+        got = decompose_oracle(g)
+        assert got == plain_decompose_oracle(g)
+        assert got == decompose_incremental(g)
+
+    def test_scaled_decompositions_certify(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            g = random_ideal(rng)
+            comps = decompose_incremental(g)
+            big_g = GeneratorSet.from_vectors(g.n, scaled(g.gens))
+            big = ComponentSet.from_vectors(g.n, scaled(comps.comps))
+            assert components_generate(big, big_g, budget=10 ** 5)
+            assert decompose_oracle(big_g) == big == decompose_incremental(big_g)
+
+    def test_corrupted_scaled_set_is_rejected(self):
+        rng = random.Random(24)
+        for _ in range(30):
+            g = random_ideal(rng)
+            big_g = GeneratorSet.from_vectors(g.n, scaled(g.gens))
+            comps = list(decompose_incremental(big_g).comps)
+            if not comps:
+                continue
+            i = rng.randrange(len(comps))
+            j = rng.choice([j for j, e in enumerate(comps[i]) if e != INF] or [None])
+            assert not components_generate(
+                ComponentSet.from_vectors(g.n, comps[:i] + comps[i + 1:]), big_g)
+            if j is not None:
+                for e in (comps[i][j] - 1, comps[i][j] + 1, INF):
+                    bent = comps[:i] + [comps[i][:j] + (e,) + comps[i][j + 1:]] + comps[i + 1:]
+                    assert not components_generate(ComponentSet.from_vectors(g.n, bent), big_g)
+
+    def test_million_exponents(self):
+        # the plain box would hold 1,000,002,000,001 cells; this one holds 9
+        e = 10 ** 6
+        g = GeneratorSet.from_vectors(2, [(e, 0), (e // 2, e // 2), (0, e)])
+        comps = decompose_oracle(g)
+        assert comps.comps == ((e, e // 2), (e // 2, e))
+        assert components_generate(comps, g, budget=9)
+        assert not components_generate(
+            ComponentSet.from_vectors(2, [(e, e // 2), (e // 2, e - 1)]), g)
