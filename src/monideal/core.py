@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,9 +36,10 @@ def leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def lex_key(v):
-    """Sort key for the lex order that compares the last coordinate first."""
-    return tuple(reversed(v))
+# Sort key for the lex order that compares the last coordinate first: the
+# reversed vector, sliced in C.  Every caller passes tuples, whose keys are
+# tuples; a list would get a list key.
+lex_key = itemgetter(slice(None, None, -1))
 
 
 def _domination_order(v):
@@ -197,6 +199,12 @@ class GeneratorSet:
         if names is not None:
             names = tuple(names)
             _validate_names(n, names)
+        return cls._build(n, vs, names)
+
+    @classmethod
+    def _build(cls, n, vs, names=None):
+        """Deduplicate and minimalize the validated tuples ``vs``; the file
+        reader, which validates each row with its line number, calls it too."""
         keep = set(minimalize(vs))
         seen = set()
         out = []
@@ -235,6 +243,12 @@ class ComponentSet:
         vs = [tuple(v) for v in vectors]
         for v in vs:
             _validate_component_vector(n, v)
+        return cls._build(n, vs)
+
+    @classmethod
+    def _build(cls, n, vs):
+        """The set of the validated tuples ``vs``, lex-sorted; the file
+        reader, which validates each row with its line number, calls it too."""
         return cls(n, tuple(sorted(vs, key=lex_key)))
 
     def __len__(self):

@@ -5,7 +5,8 @@ count, one vector per body line, and an ``end`` terminator that catches
 truncated files.  Blank lines and ``#`` comments are ignored.  A token is
 ASCII decimal digits or ``inf``.  Every rule on the values is ``core``'s: the
 reader runs the ``from_vectors`` validators on the header and on each row, so
-that an error names its line.
+that an error names its line, and then builds the set from the validated rows
+without checking them again.
 """
 
 from contextlib import contextmanager
@@ -89,7 +90,7 @@ def parse_ideal(text):
         if names:
             _validate_names(n, names)
     rows = _rows(frames, n, _validate_generator_vector)
-    return GeneratorSet.from_vectors(n, rows, names=names)
+    return GeneratorSet._build(n, rows, names)
 
 
 def parse_components(text):
@@ -105,7 +106,7 @@ def parse_components(text):
     if len(rows) != count:
         raise FormatError(f"line {lineno}: header announced {count} components, "
                           f"found {len(rows)}")
-    return ComponentSet.from_vectors(n, rows)
+    return ComponentSet._build(n, rows)
 
 
 def _emit(header, vectors):

@@ -29,9 +29,18 @@ recursive engine's slice chain, with the last coordinate at its pure-power
 degree.  A caller that absorbs out of lex order, such as that engine's
 chain tail, gets retired components moved back first, so every order stays
 exact.  Both lists are sorted once, together, by the final
-``ComponentSet``.  The partition, the divisor probe and the lowering
-limits run in plain Python and C builtins (``map`` over ``operator.gt``,
-``operator.lt``, ``min`` and ``max``): a step scans only one chain link's
+``ComponentSet``.
+
+The divisor probe reads, for each variable ``k``, the degree bucket
+``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept
+sorted by one other coordinate ``c`` (``x_0``, or ``x_1`` when ``k = 0``),
+and a lone matcher, which lies below ``beta`` off ``x_k``, has
+``m_c < beta_c``; so the probe stops at the first member with
+``m_c >= beta_c``, found by bisection, and nothing past it can match.
+
+The partition, the divisor probe and the lowering limits run in plain
+Python and C builtins (``map`` over ``operator.gt``, ``operator.lt``,
+``min``, ``max`` and ``bisect``): a step scans only one chain link's
 components, most of which its first coordinates reject, and probes one
 degree bucket per variable for each of the few it lowers, so numpy's fixed
 cost per call would exceed the work.
@@ -42,8 +51,9 @@ The individual operations also accept vectors with INF coordinates, where a
 generator containing INF stands for the zero polynomial and divides nothing.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import gt, lt
+from operator import gt, itemgetter, lt
 
 from .core import (ComponentSet, INF, deartinianize, lex_key, replace_coord,
                    unit_vector)
@@ -73,6 +83,15 @@ def partition_components(comps, alpha, counter=None):
     return untouched, affected
 
 
+def bucket_coordinate(k, n):
+    """The coordinate that orders degree bucket ``(k, d)``: ``x_1`` when
+    ``k = 0``, else ``x_0``; ``k`` itself in one variable."""
+    return 0 if k else min(1, n - 1)
+
+
+_BY = (itemgetter(0), itemgetter(1))  # sort keys of the bucket coordinates
+
+
 def dividing_generators(beta, index, counter=None):
     """Lone matchers of ``beta`` as ``(k, m)`` pairs, ``k`` ascending.
 
@@ -83,14 +102,33 @@ def dividing_generators(beta, index, counter=None):
     the members of bucket ``(k, beta_k)`` that lie below ``bump`` in every
     coordinate, ``bump`` being ``beta`` with coordinate ``k`` raised by one.
     A generator with an INF coordinate, standing for zero, never passes
-    (``INF + 1`` is INF).  Charges one op per bucket member compared.
+    (``INF + 1`` is INF).
+
+    Each bucket ``(k, d)`` is sorted by its coordinate ``c``, ``x_0``, or
+    ``x_1`` when ``k = 0`` (``bucket_coordinate``), and the scan stops at
+    the first member with ``m_c >= beta_c``.  Since ``c != k``, a lone
+    matcher at ``k`` has ``m_c < beta_c``, and so does every member before
+    it in the sorted bucket: none lies at or past the stopping member.
+    ``bisect_left`` finds that member, unless the last member already has
+    ``m_c < beta_c`` and the whole bucket is read, which is all a singleton
+    bucket of generic input costs.  The probe charges one op per member a
+    scan reads, the stopping member included, so never more than the
+    bucket holds.  In one variable there is no such ``c`` (every member of
+    a bucket shares its only coordinate) and the whole bucket is read.
     """
     lone, compared = [], 0
     bump = list(beta)
+    first = bucket_coordinate(0, len(beta))
     for k, b in enumerate(beta):
         bucket = index.get((k, b))
         if bucket:
-            compared += len(bucket)
+            c = 0 if k else first
+            if c != k and bucket[-1][c] >= beta[c]:
+                end = bisect_left(bucket, beta[c], key=_BY[c])
+                compared += end + 1
+                bucket = bucket[:end]
+            else:
+                compared += len(bucket)
             bump[k] = b + 1
             for m in bucket:
                 if all(map(lt, m, bump)):
@@ -163,10 +201,12 @@ class IncrementalState:
     """Single-owner state of one incremental run.
 
     Holds the degree index ``{(u, degree): [generators]}`` of the generators
-    absorbed so far over their nonzero degrees, append-only (see
-    ``add_generator``), and the current components, which always equal the
-    decomposition of the ideal the absorbed generators span.  They are
-    split in two lists, each in insertion order:
+    absorbed so far over their nonzero degrees, which only grows (see
+    ``add_generator``).  Each bucket is sorted by its ``bucket_coordinate``:
+    the constructor fills the buckets and sorts each once, and a later
+    generator is inserted in order.  It also holds the current components,
+    which always equal the decomposition of the ideal the absorbed
+    generators span.  They are split in two lists, each in insertion order:
 
     - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable,
@@ -183,8 +223,13 @@ class IncrementalState:
         self.retired = []
         self.floor = -INF
         self.index = {}
-        for m in generators:
-            self._index(tuple(m))
+        self._keys = [_BY[bucket_coordinate(u, n)] for u in range(n)]
+        for m in map(tuple, generators):
+            for u, d in enumerate(m):
+                if d:
+                    self.index.setdefault((u, d), []).append(m)
+        for (u, _), bucket in self.index.items():
+            bucket.sort(key=self._keys[u])
         self.counter = counter
         self.steps = 0
 
@@ -196,11 +241,16 @@ class IncrementalState:
         return len(self.active) + len(self.retired)
 
     def _index(self, m):
-        """File ``m`` under each nonzero degree.  A probed component has no
-        zero coordinate, so no probe reads a bucket ``(u, 0)``."""
+        """File ``m`` under each nonzero degree, in bucket order.  A probed
+        component has no zero coordinate, so no probe reads a bucket
+        ``(u, 0)``."""
         for u, d in enumerate(m):
             if d:
-                self.index.setdefault((u, d), []).append(m)
+                bucket = self.index.get((u, d))
+                if bucket is None:
+                    self.index[u, d] = [m]
+                else:
+                    insort(bucket, m, key=self._keys[u])
 
     @classmethod
     def start(cls, art, counter=None):

@@ -207,6 +207,28 @@ def test_reader_accepts_exactly_what_the_constructors_accept(data):
             parse(text)
 
 
+def test_readers_validate_each_row_once(monkeypatch):
+    """The readers check each row with its line number and build the set
+    from the checked rows, with no second pass of the validators."""
+    from monideal import files
+    want = GeneratorSet.from_vectors(3, SHOWCASE_GENS, names=("x", "y", "z"))
+    comps = decompose_incremental(want)
+    calls = []
+    for name in ("_validate_generator_vector", "_validate_component_vector"):
+        check = getattr(core, name)
+
+        def counted(n, v, check=check):
+            calls.append(v)
+            return check(n, v)
+        monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(files, name, counted)
+    assert parse_ideal(SHOWCASE_TEXT) == want
+    assert len(calls) == 5
+    calls.clear()
+    assert parse_components(emit_components(comps)) == comps
+    assert len(calls) == len(comps)
+
+
 class TestCli:
     def write_showcase(self, tmp_path):
         path = tmp_path / "showcase.ideal"

@@ -121,6 +121,25 @@ class TestDividingGenerators:
         assert dividing_generators((1, 1, 2), index, counter) == [(2, (0, 0, 2))]
         assert counter.ops == 3
 
+    def test_stops_at_the_first_member_past_the_component(self):
+        # bucket (0, 2) is sorted by x_1; the scan reads up to (2, 5, 1), the
+        # first member with x_1-degree at least beta_1 = 4, and not (2, 6, 2)
+        index = IncrementalState(3, [], [(2, 6, 2), (2, 2, 1), (2, 5, 1), (2, 1, 3)]).index
+        counter = OpCounter()
+        got = dividing_generators((2, 4, 4), index, counter)
+        assert got == [(0, (2, 1, 3)), (0, (2, 2, 1))]
+        assert counter.ops == 3
+
+    def test_one_variable_reads_the_whole_bucket(self):
+        # no second coordinate orders a bucket in one variable: its members
+        # all share their degree, and every one is read and, finite, returned
+        index = IncrementalState(1, [], [(3,), (5,), (3,), (INF,)]).index
+        counter = OpCounter()
+        assert dividing_generators((3,), index, counter) == [(0, (3,)), (0, (3,))]
+        assert counter.ops == 2
+        assert dividing_generators((INF,), index, counter) == []
+        assert counter.ops == 3
+
 
 class TestMatchVariables:
     def test_multi_match(self):
@@ -223,14 +242,33 @@ def run_states(g, inf_flavour, rng=None):
         yield state, generators
 
 
+def ref_probe_charge(beta, generators):
+    """Ops the probe charges: for each variable ``k``, the members of bucket
+    ``(k, beta_k)`` that a scan in the bucket's order reads, up to and
+    including the first with ``m_c >= beta_c`` (``c`` being ``x_0``, or
+    ``x_1`` when ``k = 0``), counted from ``generators`` alone; in one
+    variable every member."""
+    n, charge = len(beta), 0
+    for k in range(n):
+        bucket = [m for m in generators if m[k] == beta[k]]
+        if n == 1:
+            charge += len(bucket)
+            continue
+        c = 1 if k == 0 else 0
+        below = sum(m[c] < beta[c] for m in bucket)
+        charge += below + (below < len(bucket))
+    return charge
+
+
 def check_probe(beta, state, generators):
     """The probe returns exactly the brute-force lone matchers among
     ``generators``, those indexed by ``state``, with their variables,
-    charges every generator in a probed bucket, and its limits agree with
-    the reference."""
+    charges the members a scan reads up to its stop, never more than the
+    probed buckets hold, and its limits agree with the reference."""
     lone, charged = outcome(dividing_generators, beta, state.index)
     assert sorted(lone) == sorted(brute_lone_matchers(beta, generators))
-    assert charged == sum(m[k] == beta[k] for m in generators
+    assert charged == ref_probe_charge(beta, generators)
+    assert charged <= sum(m[k] == beta[k] for m in generators
                           for k in range(state.n))
     try:
         want = ref_lowering_limits(beta, lone)
@@ -270,6 +308,17 @@ class TestProbeReference:
                 for beta in state.components:
                     want = check_probe(beta, state, gens)
                     assert want == ([-INF] * n if inf_flavour or n == 1 else [0] * n)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.tuples(*([st.one_of(st.integers(1, 4), st.just(INF))] * n)),
+        st.lists(st.tuples(*([st.one_of(st.integers(0, 4), st.just(INF))] * n)),
+                 max_size=16, unique=True))))
+    def test_charge_never_above_the_bucket_sizes(self, case):
+        """Arbitrary buckets, INF members and one variable included: the
+        same lone matchers as brute force, and a charge that stops early but
+        never exceeds what the probed buckets hold."""
+        beta, gens = case
+        check_probe(beta, IncrementalState(len(beta), [], gens), gens)
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
         st.tuples(*([st.integers(1, 5)] * n)),
@@ -620,6 +669,44 @@ class TestDegreeIndex:
     def test_empty(self):
         assert self.index_of(GeneratorSet.from_vectors(2, [])) == {}
 
+    @staticmethod
+    def assert_sorted(index, n):
+        """Each bucket ``(u, d)`` ascends in ``x_1`` when ``u = 0``, else in
+        ``x_0``; in one variable there is no other coordinate to order by."""
+        for (u, _), bucket in index.items():
+            c = 1 if u == 0 and n > 1 else 0
+            assert [m[c] for m in bucket] == sorted(m[c] for m in bucket)
+
+    def test_constructor_sorts_its_buckets(self):
+        index = IncrementalState(3, [], [(2, 6, 2), (2, 2, 1), (3, 5, 1), (2, 1, 3)]).index
+        assert index[(0, 2)] == [(2, 1, 3), (2, 2, 1), (2, 6, 2)]
+        assert index[(2, 1)] == [(2, 2, 1), (3, 5, 1)]
+        self.assert_sorted(index, 3)
+
+    def test_buckets_stay_sorted_in_any_absorb_order(self):
+        # shuffled absorbs insert out of lex order and reactivate retired
+        # components; every bucket stays sorted and holds each absorbed
+        # generator of its degree
+        rng = random.Random(47)
+        reactivations = 0
+        for _ in range(150):
+            g = random_ideal(rng, n_choices=(1, 2, 3, 4, 5), max_p=12)
+            if g.is_unit():
+                continue
+            art = artinianize(g)
+            state = IncrementalState.start(art)
+            generators = [unit_vector(art.n, i, d) for i, d in enumerate(art.pure_degrees())]
+            alphas = list(art.alphas())
+            rng.shuffle(alphas)
+            for alpha in alphas:
+                reactivations += alpha[-1] < state.floor
+                state.add_generator(alpha)
+                generators.append(alpha)
+                self.assert_sorted(state.index, art.n)
+            for (u, d), bucket in state.index.items():
+                assert sorted(bucket) == sorted(m for m in generators if m[u] == d)
+        assert reactivations > 0
+
 
 class TestDecompose:
     def test_showcase(self):
@@ -634,7 +721,9 @@ class TestDecompose:
         assert set(got.comps) == {(3, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 2),
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
 
-    @pytest.mark.parametrize("n, d, ops", [(4, 12, 53460), (3, 20, 6365), (5, 6, 21522)])
+    # the ids name the instance alone, so that moving a pin keeps the name
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 34843), (3, 20, 4121), (5, 6, 15456)],
+                             ids=["4-12", "3-20", "5-6"])
     def test_power_ideal_ops_pinned(self, n, d, ops):
         """The many-divisor path: m^d charges exactly these ops and has the
         binomial(d + n - 2, n - 1) components of its staircase."""
