@@ -247,8 +247,9 @@ class ComponentSet:
 
     @classmethod
     def _build(cls, n, vs):
-        """The set of the validated tuples ``vs``, lex-sorted; the file
-        reader, which validates each row with its line number, calls it too."""
+        """The set of the validated tuples ``vs``, lex-sorted.  The file
+        reader, which validates each row with its line number, calls it too,
+        and so does ``deartinianize``, whose rows are valid by construction."""
         return cls(n, tuple(sorted(vs, key=lex_key)))
 
     def __len__(self):
@@ -350,18 +351,35 @@ def deartinianize(vectors, art):
     """Map components of the Artinian closure back to the original ideal.
 
     ``vectors`` is any iterable of the closure's component vectors (a
-    ``ComponentSet`` iterates its ``comps``).  They are not validated as
-    components first: an injected bound may be ``MAX_EXPONENT + 1``, which
-    only the relabelled result, where it reads INF, may hold.  Each
-    component goes through ``art.relabel``, which also rejects a
-    coordinate above its bound: O(l*n) in all.  The result needs no antichain
-    re-check.  The closure's components are finite with ``beta_i <=
-    bounds[i]``, and on ``[0, bounds[i]]`` the map "injected bound -> INF" is
-    strictly increasing in each coordinate.  So it preserves and reflects
-    ``<=``: two relabelled components are comparable exactly when the
-    components were, and an antichain stays an antichain.
+    ``ComponentSet`` iterates its ``comps``).  Each component goes through
+    ``art.relabel``, which also rejects a coordinate above its bound: O(l*n)
+    in all.  The result needs no antichain re-check.  The closure's
+    components are finite with ``beta_i <= bounds[i]``, and on ``[0,
+    bounds[i]]`` the map "injected bound -> INF" is strictly increasing in
+    each coordinate.  So it preserves and reflects ``<=``: two relabelled
+    components are comparable exactly when the components were, and an
+    antichain stays an antichain.
+
+    Nor does a relabelled component need ``from_vectors``'s check that every
+    coordinate is INF or an int in ``[1, MAX_EXPONENT]``; it is built
+    through ``ComponentSet._build``.  The closure's generators are ints in
+    ``[0, MAX_EXPONENT]`` (validated, not bools) and injected powers of
+    degree ``bounds[i] <= MAX_EXPONENT + 1``.  Each caller's coordinates are
+    degrees of those generators: the incremental engine starts from the
+    pure-power degrees and lowers a copy to a degree of ``alpha``; the
+    recursive engine emits its links' corner degrees, its slices' degrees
+    and the incremental step's components; ``irr_oracle`` reads degrees off
+    the generator axes.  And a component ``beta`` of the closure, whichever
+    engine computed it, has ``X^(beta - 1)`` outside the ideal, so ``1 <=
+    beta_i <= d_i``, ``d_i`` being the pure-power degree of ``x_i``.  A
+    native ``d_i`` is a generator degree, at most ``MAX_EXPONENT``.  An
+    injected one is ``bounds[i]``, which relabels to INF, and a smaller
+    ``beta_i`` is at most ``bounds[i] - 1``, a generator degree.  So every
+    coordinate is INF or an int in ``[1, MAX_EXPONENT]``.  An injected bound
+    may be ``MAX_EXPONENT + 1``, which is why the closure's own vectors are
+    never validated as components.
     """
-    return ComponentSet.from_vectors(art.n, map(art.relabel, vectors))
+    return ComponentSet._build(art.n, map(art.relabel, vectors))
 
 
 def is_generic(g):

@@ -19,17 +19,37 @@ generators only grows; an entry that a later ``alpha`` divides never
 changes a lowering limit.  Lowered copies are distinct from each other and
 from the untouched components, so no duplicate check is made.
 
-Components are kept in insertion order, in two lists.  The partition
-scans only the active ones.  A copy lowered at the last variable takes
-``alpha``'s last coordinate, and in lex order no later ``alpha`` has a
-smaller one, so it can never again lie strictly above a generator: it is
-final output and is retired to a list that the partition never scans.
+Components are kept in two lists.  The partition scans only the active
+ones.  A copy lowered at the last variable takes ``alpha``'s last
+coordinate, and in lex order no later ``alpha`` has a smaller one, so it
+can never again lie strictly above a generator: it is final output and is
+retired to a list that the partition never scans.
 What stays active is the decomposition of the current link of the
 recursive engine's slice chain, with the last coordinate at its pure-power
 degree.  A caller that absorbs out of lex order, such as that engine's
 chain tail, gets retired components moved back first, so every order stays
 exact.  Both lists are sorted once, together, by the final
 ``ComponentSet``.
+
+With three variables the active components form a staircase, the
+two-dimensional object of the paper's first algorithm and of the recursive
+engine's height-2 corner base case.  In a state built by
+``IncrementalState.start``, every active component has the last coordinate
+at its pure-power degree ``B``: the start vector has it, a copy lowered at
+``x_0`` or ``x_1`` keeps its parent's, one lowered at ``x_2`` is retired,
+and only a reactivation brings back a component with a smaller one.  Two
+active components then differ in both of their first two coordinates, in
+opposite directions, or one would lie below the other.  So ``active`` is
+kept sorted by ``beta_0``, along which ``beta_1`` strictly falls.  A
+component lies strictly above ``alpha`` only if ``beta_0 > alpha_0``,
+which holds on a suffix of the list that ``bisect`` finds, and ``beta_1 >
+alpha_1``, which holds on a prefix of that suffix, read forward.  The
+partition runs on that run alone, and the kept lowered copies are spliced
+back in ``beta_0`` order.  This path ends for good at the first
+reactivation, after which the whole active list is scanned; states built
+directly, such as the recursive engine's chain tail, never take it.  In
+more variables the active set has no such order, and every active
+component is scanned.
 
 The divisor probe reads, for each variable ``k``, the degree bucket
 ``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept
@@ -51,7 +71,7 @@ The individual operations also accept vectors with INF coordinates, where a
 generator containing INF stands for the zero polynomial and divides nothing.
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import gt, itemgetter, lt
 
@@ -110,11 +130,17 @@ def dividing_generators(beta, index, counter=None):
     matcher at ``k`` has ``m_c < beta_c``, and so does every member before
     it in the sorted bucket: none lies at or past the stopping member.
     ``bisect_left`` finds that member, unless the last member already has
-    ``m_c < beta_c`` and the whole bucket is read, which is all a singleton
-    bucket of generic input costs.  The probe charges one op per member a
-    scan reads, the stopping member included, so never more than the
-    bucket holds.  In one variable there is no such ``c`` (every member of
-    a bucket shares its only coordinate) and the whole bucket is read.
+    ``m_c < beta_c`` and the whole bucket is read.  The probe charges one
+    op per member a scan reads, the stopping member included, so never more
+    than the bucket holds.  In one variable there is no such ``c`` (every
+    member of a bucket shares its only coordinate) and the whole bucket is
+    read.
+
+    A singleton bucket, all that generic input has, is read whole without
+    the sort-coordinate test.  That changes neither the charge nor the
+    result: either way it is one op, and a member with ``m_c >= beta_c``,
+    which the bisection would have cut, fails the ``bump`` test at ``c``,
+    where ``bump_c = beta_c`` since ``c != k``.
     """
     lone, compared = [], 0
     bump = list(beta)
@@ -123,7 +149,7 @@ def dividing_generators(beta, index, counter=None):
         bucket = index.get((k, b))
         if bucket:
             c = 0 if k else first
-            if c != k and bucket[-1][c] >= beta[c]:
+            if len(bucket) > 1 and c != k and bucket[-1][c] >= beta[c]:
                 end = bisect_left(bucket, beta[c], key=_BY[c])
                 compared += end + 1
                 bucket = bucket[:end]
@@ -215,6 +241,12 @@ class IncrementalState:
 
     ``components`` returns all current components, active then retired, as
     a new list; ``len(state)`` counts them without building it.
+
+    ``staircase`` is True while ``active`` is kept sorted by ``beta_0`` and
+    the partition bisects it (see ``add_generator``).  Only ``start`` sets
+    it, and only in three variables; the first reactivation clears it for
+    good.  A state built directly never sets it, so its components stay in
+    insertion order.
     """
 
     def __init__(self, n, components, generators, counter=None):
@@ -232,6 +264,7 @@ class IncrementalState:
             bucket.sort(key=self._keys[u])
         self.counter = counter
         self.steps = 0
+        self.staircase = False
 
     @property
     def components(self):
@@ -261,7 +294,9 @@ class IncrementalState:
         """
         degs = art.pure_degrees()
         gens = [unit_vector(art.n, i, degs[i]) for i in range(art.n)]
-        return cls(art.n, [degs], gens, counter)
+        state = cls(art.n, [degs], gens, counter)
+        state.staircase = art.n == 3
+        return state
 
     def add_generator(self, alpha, trace=None):
         """Absorb one generator, update the components exactly and return
@@ -317,11 +352,34 @@ class IncrementalState:
         returned in the partition's order, are exactly the ones the step
         removes.
 
-        Components stay in insertion order; ``affected`` is probed in
-        ``lex_key`` order, so that the trace lists lowerings in lex order of
-        their parents.  A candidate is built only when it is kept; a trace
-        step holds each lowering's parent, variable and limit, and builds
-        the candidate when it is recorded.
+        On the staircase path (``staircase``, a three-variable state from
+        ``start`` before any reactivation), every active component has the
+        last coordinate ``B``, the pure-power degree, and ``active`` is
+        sorted by ``beta_0`` with ``beta_1`` strictly falling (module
+        docstring).  A component strictly above ``alpha`` has ``beta_0 >
+        alpha_0`` and ``beta_1 > alpha_1``.  The first holds exactly on the
+        suffix from ``start``, the first index with ``beta_0 > alpha_0``,
+        found by bisection; the second, on that suffix, exactly on a prefix
+        ending before ``end``, the first member with ``beta_1 <= alpha_1``.
+        No component outside ``active[start:end]`` is affected, so the
+        partition runs on that run alone, and the ones it leaves (all of it
+        when ``alpha_2 >= B``) are untouched too.  The step charges
+        ``len(active).bit_length()`` ops for the bisection's probes and one
+        op per member the forward read takes, the stopping member included,
+        and the partition on the run charges nothing more.  The kept copies
+        lowered at ``x_0`` or ``x_1`` keep ``B`` and replace the run, sorted
+        by ``beta_0``.  They stay between the untouched neighbours: a copy
+        has ``beta_0`` either ``alpha_0``, at least that of every member
+        before ``start``, or that of a run member, below that of every
+        member from ``end`` on; and the new active list is an antichain
+        with one last coordinate, so no two of its ``beta_0`` are equal.
+        The returned components are the run, in ``beta_0`` order.
+
+        Off that path components stay in insertion order.  On both,
+        ``affected`` is probed in ``lex_key`` order, so that the trace lists
+        lowerings in lex order of their parents.  A candidate is built only
+        when it is kept; a trace step holds each lowering's parent, variable
+        and limit, and builds the candidate when it is recorded.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
@@ -329,7 +387,18 @@ class IncrementalState:
         if alpha[-1] < self.floor:
             self.active.extend(self.retired)
             self.retired, self.floor = [], -INF
-        untouched, affected = partition_components(self.active, alpha, self.counter)
+            self.staircase = False
+        active = self.active
+        if self.staircase:
+            start = end = bisect_right(active, alpha[0], key=_BY[0])
+            while end < len(active) and active[end][1] > alpha[1]:
+                end += 1
+            if self.counter is not None:
+                self.counter.add(len(active).bit_length() + end - start
+                                 + (end < len(active)))
+            _, affected = partition_components(active[start:end], alpha)
+        else:
+            untouched, affected = partition_components(active, alpha, self.counter)
         if not affected:
             return []
 
@@ -346,12 +415,16 @@ class IncrementalState:
                 if lowerings is not None:
                     lowerings.append((kept, beta, u, limits[u]))
 
-        self.active = untouched + lowered
-        self._index(alpha)
         self.steps += 1
         if trace is not None:
-            trace.append(TraceStep(self.steps, alpha, len(untouched) + len(self.retired),
+            trace.append(TraceStep(self.steps, alpha, len(self) - len(affected),
                                    len(affected), lowerings))
+        if self.staircase:
+            lowered.sort(key=_BY[0])
+            active[start:end] = lowered
+        else:
+            self.active = untouched + lowered
+        self._index(alpha)
         if retiring:
             self.retired.extend(retiring)
             self.floor = alpha[-1]

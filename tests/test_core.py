@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
-                      decompose_incremental, decompose_recursive, gen_random)
+                      decompose_incremental, decompose_oracle, decompose_recursive,
+                      gen_random)
 from monideal import core
 from monideal.core import (deartinianize, is_generic, leq, lex_key, maximalize,
                            minimalize, replace_coord, unit_vector)
@@ -328,6 +329,24 @@ class TestClosureProofs:
         for g in closure_cases():
             decompose_incremental(g).validate()
             decompose_recursive(g).validate()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[st.sampled_from(
+        [0, 1, 2, 3, core.MAX_EXPONENT - 1, core.MAX_EXPONENT])] * n), max_size=7)
+        .map(lambda vs: (n, vs))))
+    def test_engine_outputs_pass_the_full_validator(self, case):
+        """``deartinianize`` builds its result without validating it; the
+        coordinates of every engine's output, on exponents up to
+        ``MAX_EXPONENT`` (whose injected bound is one above it), still pass
+        ``from_vectors``'s check, and the components form an antichain."""
+        n, vs = case
+        g = GeneratorSet.from_vectors(n, vs)
+        outs = [engine(g) for engine in (decompose_incremental, decompose_recursive,
+                                         decompose_oracle)]
+        for out in outs:
+            assert ComponentSet.from_vectors(n, out.comps) == out
+            out.validate()
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestGenericity:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
-                      decompose_incremental, decompose_oracle, gen_random)
-from monideal.core import leq
+                      decompose_incremental, decompose_oracle, decompose_recursive,
+                      gen_random)
+from monideal.core import leq, lex_key
 from monideal import incremental
 from monideal.bench import INCREMENTAL_ENVELOPE, degree_shell
 from monideal.cli import cli_main
@@ -129,6 +130,15 @@ class TestDividingGenerators:
         got = dividing_generators((2, 4, 4), index, counter)
         assert got == [(0, (2, 1, 3)), (0, (2, 2, 1))]
         assert counter.ops == 3
+
+    def test_singleton_bucket_is_read_whole(self):
+        # the lone member of bucket (0, 2) has x_1-degree 5 >= beta_1 = 4; it
+        # is read and charged once, as the bisection would have charged it,
+        # and fails the bump test at x_1
+        index = IncrementalState(3, [], [(2, 5, 1)]).index
+        counter = OpCounter()
+        assert dividing_generators((2, 4, 4), index, counter) == []
+        assert counter.ops == 1
 
     def test_one_variable_reads_the_whole_bucket(self):
         # no second coordinate orders a bucket in one variable: its members
@@ -636,6 +646,147 @@ class TestRetirement:
         assert boundaries == 251
 
 
+def staircase_orders(rng, alphas):
+    """The three absorb orders of a staircase run: lex, shuffled, and
+    reactivating (reverse lex, so that every retirement is followed by an
+    ``alpha`` with a smaller last coordinate)."""
+    shuffled = list(alphas)
+    rng.shuffle(shuffled)
+    return {"lex": list(alphas), "shuffled": shuffled,
+            "reactivating": sorted(alphas, key=lex_key, reverse=True)}
+
+
+class TestStaircase:
+    """A three-variable state from ``start`` keeps ``active`` sorted by
+    ``beta_0`` and partitions only the run above ``alpha`` in ``x_0`` and
+    ``x_1``, until its first reactivation hands over to the full scan."""
+
+    @staticmethod
+    def assert_staircase(state, last_b):
+        """``beta_0`` strictly rises along ``active``, ``beta_1`` strictly
+        falls and ``beta_2`` is the pure-power degree."""
+        assert all(b[2] == last_b for b in state.active)
+        for a, b in zip(state.active, state.active[1:]):
+            assert a[0] < b[0] and a[1] > b[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(["lex", "shuffled", "reactivating"]))
+    def test_runs_agree_with_full_reduction(self, seed, generic, order):
+        """Exact at every step in every order; a staircase after every step
+        until the first reactivation, and off the path from then on."""
+        rng = random.Random(seed)
+        g = random_ideal(rng, n_choices=(3,), max_p=12, generic=generic)
+        if g.is_unit():
+            return
+        art = artinianize(g)
+        last_b = art.pure_degrees()[2]
+        state = IncrementalState.start(art)
+        assert state.staircase
+        reactivated = False
+        for alpha in staircase_orders(rng, art.alphas())[order]:
+            reactivated |= alpha[-1] < state.floor
+            removed = checked_step(state, alpha)
+            assert state.staircase == (not reactivated)
+            if state.staircase:
+                self.assert_staircase(state, last_b)
+                # the removed components are a run of the staircase, in order
+                assert removed == sorted(removed)
+        assert not reactivated or order != "lex"
+        want = decompose_oracle(g)
+        assert sorted(map(art.relabel, state.components)) == sorted(want.comps)
+
+    def test_a_step_splices_two_corners_in_order(self):
+        # (2, 2, 1) lies below both active components; the kept copies come
+        # out in lex order of their parents, (10, 2, 10) first, and must be
+        # spliced back by x_0-degree
+        pure = GeneratorSet.from_vectors(3, [(10, 0, 0), (0, 10, 0), (0, 0, 10)])
+        state = IncrementalState.start(artinianize(pure))
+        checked_step(state, (5, 5, 1))
+        assert state.active == [(5, 10, 10), (10, 5, 10)]
+        assert checked_step(state, (2, 2, 1)) == [(5, 10, 10), (10, 5, 10)]
+        assert state.staircase and state.active == [(2, 10, 10), (10, 2, 10)]
+
+    def test_reactivation_hands_over_to_the_scan(self, monkeypatch):
+        # in reverse lex order an early alpha reactivates.  Until then the
+        # partition gets a slice of the active list and no counter; from
+        # that step on it gets the whole list and the state's counter, and
+        # every step charges what it charges a state built directly, which
+        # never takes the path
+        def step(state, alpha):
+            before = state.counter.ops
+            checked_step(state, alpha)
+            return state.counter.ops - before
+
+        runs = []
+        for seed in range(40):
+            art = artinianize(gen_random(3, 10, 20, seed, generic=seed % 2 == 0))
+            alphas = sorted(art.alphas(), key=lex_key, reverse=True)
+            pure = [unit_vector(3, i, d) for i, d in enumerate(art.pure_degrees())]
+            direct = IncrementalState(3, [art.pure_degrees()], pure, OpCounter())
+            runs.append((art, alphas, [step(direct, alpha) for alpha in alphas]))
+
+        calls = []
+        partition = incremental.partition_components
+
+        def spy(comps, alpha, counter=None):
+            calls.append((comps is state.active, counter is state.counter))
+            return partition(comps, alpha, counter)
+
+        monkeypatch.setattr(incremental, "partition_components", spy)
+        handovers = 0
+        for art, alphas, direct_charges in runs:
+            state = IncrementalState.start(art, OpCounter())
+            scanning = False
+            for alpha, charge in zip(alphas, direct_charges):
+                scanning |= alpha[-1] < state.floor
+                calls.clear()
+                got = step(state, alpha)
+                assert calls == [(scanning, scanning)]
+                assert state.staircase == (not scanning)
+                if scanning:
+                    assert got == charge
+            handovers += scanning
+        assert handovers > 30
+
+    def test_chain_tail_states_never_take_the_path(self, monkeypatch):
+        # the recursive engine's chain tail builds three-variable states
+        # directly at height 4; they scan, and never bisect
+        bisections, steps = [], []
+        bisect_right = incremental.bisect_right
+        add_generator = IncrementalState.add_generator
+
+        def spy_bisect(*args, **kwargs):
+            bisections.append(args[1])
+            return bisect_right(*args, **kwargs)
+
+        def spy_step(state, alpha, trace=None):
+            steps.append((state.n, state.staircase))
+            return add_generator(state, alpha, trace)
+
+        monkeypatch.setattr(incremental, "bisect_right", spy_bisect)
+        monkeypatch.setattr(IncrementalState, "add_generator", spy_step)
+        g = gen_random(3, 40, 80, 1, generic=True)
+        decompose_incremental(g)
+        assert len(bisections) == len(steps) == len(artinianize(g).alphas())
+        bisections.clear()
+        steps.clear()
+        for seed in range(4):
+            decompose_recursive(gen_random(4, 40, 80, seed, generic=True))
+        assert len(steps) > 100 and set(steps) == {(3, False)}
+        assert bisections == []
+
+    def test_generic_ops_scale_near_linearly(self):
+        # a full scan charged 1,130,250 ops at p = 1500 and 4,510,500 at
+        # p = 3000 (4.0x); the staircase charges 21,962 and 46,914
+        def ops(p):
+            counter = OpCounter()
+            decompose_incremental(gen_random(3, p, 2 * p, 1, generic=True), counter=counter)
+            return counter.ops
+
+        assert ops(3000) < 2.5 * ops(1500)
+
+
 class TestDegreeIndex:
     @staticmethod
     def index_of(g):
@@ -722,7 +873,7 @@ class TestDecompose:
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
 
     # the ids name the instance alone, so that moving a pin keeps the name
-    @pytest.mark.parametrize("n, d, ops", [(4, 12, 34843), (3, 20, 4121), (5, 6, 15456)],
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 34843), (3, 20, 2606), (5, 6, 15456)],
                              ids=["4-12", "3-20", "5-6"])
     def test_power_ideal_ops_pinned(self, n, d, ops):
         """The many-divisor path: m^d charges exactly these ops and has the

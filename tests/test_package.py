@@ -53,11 +53,13 @@ def test_benchmark_trace_adapters_fit_the_engine():
     with layers.installed(tracer):
         monideal.decompose_incremental(showcase(), t_sizes=sizes)
     assert tracer.calls["incremental.partition_components"] == len(sizes) - 1 > 0
-    # the partition scans the active components only, not the retired ones
+    # the showcase has three variables, so each step's partition reads only
+    # the staircase run: the active components above alpha in x_0 and x_1,
+    # 1 + 1 + 2 of the 1 + 2 + 3 active ones
     art = monideal.artinianize(showcase())
     state = IncrementalState.start(art)
-    active = []
+    runs = []
     for alpha in art.alphas():
-        active.append(len(state.active))
+        runs.append(sum(b[0] > alpha[0] and b[1] > alpha[1] for b in state.active))
         state.add_generator(alpha)
-    assert tracer.counts["partition.scanned"] == sum(active) < sum(sizes[:-1])
+    assert tracer.counts["partition.scanned"] == sum(runs) == 4
