@@ -15,7 +15,7 @@ The envelope constants were calibrated once over the default generic sweep
 (worst observed incremental ratio 0.112, worst recursive ratio 0.015 across
 the twelve seeded instances) and pinned with double headroom; changing them
 is a reviewed change, not a knob.  The worst ratios on that sweep are now
-0.061 (incremental) and 0.0065 (recursive).
+0.071 (incremental) and 0.0065 (recursive), both on g-n3-p5-s23762.
 """
 
 import csv
@@ -76,8 +76,9 @@ def distinct_degree_counts(art):
 # recursive engine (0.12-0.54 of the incremental time), while generic
 # ladders in 3-5 variables lie at 14-33,000.  Those ran up to 48 times
 # slower under the recursive engine until it absorbed each chain's
-# one-vector tail with the incremental step; re-measured since, 18 of them
-# take 0.66-1.48 of the incremental time (README).
+# one-vector tail with the incremental step; re-measured since three-variable
+# chains take that step too, 18 of them take 0.58-1.01 of the incremental
+# time (README).
 RECURSIVE_BOX_RATIO = 10
 
 

@@ -16,12 +16,23 @@ each such link is the previous one plus a single generator, and the
 incremental engine's step updates the previous link's components to the
 next one's, returning the lost ones.  On generic input every slice above
 degree 0 holds one vector, so everything after the first link goes through
-that step.
+that step.  Height three takes the step only when every slice between the
+first and the last holds one vector, as on generic input, and there are at
+least ``HEIGHT3_TAIL_SLICES`` of them; any other height-3 trie walks every
+link, reading each two-variable link off its corners.
 """
 
 from .core import deartinianize
 from .incremental import IncrementalState
 from .trie import min_merge, top_slices
+
+# A height-3 trie takes the chain tail only when at least this many slices
+# lie between its first and its last, each holding one vector: over shorter
+# chains a two-variable step costs more than the corner-read link it
+# replaces.  On the top tries
+# of generic ladders (2-core VM, CPython 3.11) the tail took 1.23 times the
+# walk's time at 10 such slices, 1.00 at 13, 0.83 at 16 and 0.72 at 22.
+HEIGHT3_TAIL_SLICES = 13
 
 
 def difference(a, b, counter=None):
@@ -64,10 +75,20 @@ def decompose_trie(t, counter=None):
     ``d``, the tail needs no merge and no ``difference``, and the state's
     components after the tail are the ones emitted with ``D``.  Tail vectors
     come in the order of the last variable, not in lex order, so the
-    state's reactivation branch is in use here.  Height three keeps the
-    walk, whose height-2 links are read off the corners in time linear in
-    the link, so that on three variables the engine stays the paper's
-    recursive algorithm.
+    state's reactivation branch is in use here.
+
+    Height three keeps the walk, whose height-2 links are read off the
+    corners in time linear in the link, unless every slice between the
+    first and ``D`` holds one vector and there are at least
+    ``HEIGHT3_TAIL_SLICES`` of them.  Then ``K`` is 0: link 0's components
+    and vectors seed one two-variable state, and the argument above, which
+    holds for any ``K``, makes the tail exact.  On a generic ladder's top
+    trie that is the whole chain after link 0, which the walk would
+    decompose link by link, each from scratch.  A height-3 trie with a
+    multi-vector slice after its first, or with a shorter chain, walks all
+    of its links, since there a two-variable step costs more time than the
+    corner-read link it replaces.  The choice reads only the number and
+    sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
@@ -126,6 +147,8 @@ def decompose_trie(t, counter=None):
     if height >= 4:
         while tail > 1 and len(slices[tail - 1][1]) == 1:
             tail -= 1
+    elif len(slices) > HEIGHT3_TAIL_SLICES and all(len(tk) == 1 for _, tk in slices[1:]):
+        tail = 1
     link = slices[0][1]
     prev = decompose_trie(link, counter)
     out = []
@@ -144,7 +167,34 @@ def decompose_trie(t, counter=None):
 
 
 def decompose_recursive(g, counter=None):
-    """Decompose a generator set with the staircase-recursive engine."""
+    """Decompose a generator set with the staircase-recursive engine.
+
+    A variable that no non-pure generator of the closure uses is split off
+    first.  The closure is then the sum of its pure power x_i^d_i and the
+    ideal J of the other generators, which lives in the other variables,
+    so the components are those of J with ``d_i`` placed at ``i``;
+    ``deartinianize`` turns an injected ``d_i`` into INF.  Only J's trie,
+    in the used variables, is decomposed, so the recursion is only as deep
+    as the used variables are many: the zero ideal or the maximal ideal in
+    a thousand variables has no non-pure generator, and its one component
+    is the vector of pure-power degrees.  A non-pure generator uses at least
+    two variables, so J's trie has height two or more, or J has no variables
+    and its one component is the empty vector.  The projection keeps the lex
+    order, since every vector it keeps is zero on the split-off variables.
+    The unit ideal, whose closure is the zero vector alone, goes to
+    ``decompose_trie`` whole and has no components.
+    """
     art = g.closure
-    comps = decompose_trie(art.gens, counter)
-    return deartinianize(comps, art)
+    # x_i's pure power is its only generator when the column holds one nonzero
+    used = [i for i, col in enumerate(zip(*art.gens)) if len(col) - col.count(0) > 1]
+    if len(used) == art.n or not any(art.gens[0]):  # all used, or the unit ideal
+        return deartinianize(decompose_trie(art.gens, counter), art)
+    t = tuple(tuple(v[i] for i in used) for v in art.gens if any(v[i] for i in used))
+    degs = list(art.pure_degrees())
+
+    def place(c):
+        for i, e in zip(used, c):  # every call rewrites all of ``used``
+            degs[i] = e
+        return tuple(degs)
+
+    return deartinianize(map(place, decompose_trie(t, counter) if used else [()]), art)

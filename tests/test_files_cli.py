@@ -229,6 +229,14 @@ def test_readers_validate_each_row_once(monkeypatch):
     assert len(calls) == len(comps)
 
 
+def thousand_variables(kind):
+    """Text of the zero ideal or of the maximal ideal <x_1, ..., x_1000>."""
+    n = 1000
+    rows = [" ".join("1" if j == i else "0" for j in range(n))
+            for i in range(n)] if kind == "maximal" else []
+    return "\n".join([f"ideal {n}", *rows, "end"]) + "\n"
+
+
 class TestCli:
     def write_showcase(self, tmp_path):
         path = tmp_path / "showcase.ideal"
@@ -452,6 +460,35 @@ class TestCli:
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
         assert cli_main(["verify", str(out), str(src)]) == 0
+
+    @pytest.mark.parametrize("kind", ["zero", "maximal"])
+    def test_recursive_engine_in_a_thousand_variables(self, tmp_path, kind):
+        # no non-pure generator uses a variable, so the recursive engine
+        # splits every one off instead of recursing once per variable
+        src = tmp_path / f"{kind}.ideal"
+        src.write_text(thousand_variables(kind))
+        outputs = []
+        for algo in ("recursive", "incremental"):
+            out = tmp_path / f"{algo}.components"
+            assert cli_main(["decompose", "--algo", algo, str(src), str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"components 1000 1\n")
+
+    def test_batch_directory_in_a_thousand_variables(self, tmp_path):
+        # the thousand-variable file comes first; the file after it is
+        # still decomposed
+        src_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        src_dir.mkdir()
+        (src_dir / "a-zero.ideal").write_text(thousand_variables("zero"))
+        (src_dir / "b-showcase.ideal").write_text(SHOWCASE_TEXT)
+        assert cli_main(["decompose", "--algo", "recursive", str(src_dir), str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["a-zero.components", "b-showcase.components"]
+        for path in sorted(src_dir.iterdir()):
+            g = parse_ideal(path.read_text())
+            assert (out_dir / f"{path.stem}.components").read_text() == \
+                emit_components(decompose_incremental(g))
 
     def test_usage_error(self):
         assert cli_main(["decompose", "--algo", "nonsense", "x"]) == 2

@@ -751,7 +751,8 @@ class TestStaircase:
 
     def test_chain_tail_states_never_take_the_path(self, monkeypatch):
         # the recursive engine's chain tail builds three-variable states
-        # directly at height 4; they scan, and never bisect
+        # directly at height 4 and two-variable ones at height 3; they scan,
+        # and never bisect
         bisections, steps = [], []
         bisect_right = incremental.bisect_right
         add_generator = IncrementalState.add_generator
@@ -773,7 +774,8 @@ class TestStaircase:
         steps.clear()
         for seed in range(4):
             decompose_recursive(gen_random(4, 40, 80, seed, generic=True))
-        assert len(steps) > 100 and set(steps) == {(3, False)}
+        decompose_recursive(g)
+        assert len(steps) > 100 and set(steps) == {(3, False), (2, False)}
         assert bisections == []
 
     def test_generic_ops_scale_near_linearly(self):

@@ -85,6 +85,41 @@ class TestEngine:
         assert decompose_recursive(GeneratorSet.from_vectors(3, [])).comps == \
             ((INF, INF, INF),)
 
+    def test_variables_no_non_pure_generator_uses_split_off(self, monkeypatch):
+        # the showcase with x_3^2, x_4 in no generator and x_5^7: only the
+        # showcase's height-3 trie is decomposed
+        heights = []
+        inner = recursive.decompose_trie
+
+        def spy(t, counter=None):
+            heights.append(len(t[0]))
+            return inner(t, counter)
+
+        monkeypatch.setattr(recursive, "decompose_trie", spy)
+        g = GeneratorSet.from_vectors(6, [v + (0, 0, 0) for v in SHOWCASE_GENS]
+                                      + [(0, 0, 0, 2, 0, 0), (0, 0, 0, 0, 0, 7)])
+        got = decompose_recursive(g)
+        assert max(heights) == 3
+        assert set(got) == {v + (2, INF, 7) for v in PUBLISHED}
+        assert got == decompose_incremental(g)
+
+    def test_split_off_variables_anywhere(self):
+        # random ideals with variables placed among theirs that appear in a
+        # pure power or in no generator at all
+        rng = random.Random(53)
+        for _ in range(100):
+            g = random_ideal(rng)
+            n = g.n + rng.randint(1, 3)
+            used = sorted(rng.sample(range(n), g.n))
+            powers = [i for i in range(n) if i not in used and rng.random() < 0.5]
+            vectors = [tuple(v[used.index(i)] if i in used else 0 for i in range(n))
+                       for v in g.gens]
+            vectors += [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n))
+                        for i in powers]
+            h = GeneratorSet.from_vectors(n, vectors)
+            assert emit_components(decompose_recursive(h)) == \
+                emit_components(decompose_incremental(h))
+
     def test_counter_counts_something(self):
         counter = OpCounter()
         decompose_recursive(showcase(), counter=counter)
@@ -151,10 +186,11 @@ def mixed_ideal(n, p, d, seed):
 
 
 @st.composite
-def chain_ideals(draw):
-    """Generic ladders, degree-shell subsets and the two mixed, in 3-6
-    variables."""
-    n = draw(st.integers(3, 6))
+def chain_ideals(draw, n=None):
+    """Generic ladders, degree-shell subsets and the two mixed, in ``n``
+    variables, or 3-6 when ``n`` is None."""
+    if n is None:
+        n = draw(st.integers(3, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     p = draw(st.integers(1, 40))
     d = draw(st.integers(1, 5 if n <= 4 else 3))
@@ -168,12 +204,30 @@ def chain_ideals(draw):
     return mixed_ideal(n, p, d, seed)
 
 
+@st.composite
+def height_three_tries(draw):
+    """Tries of three-variable ``chain_ideals``, their missing pure powers
+    at the closure's bounds or at INF."""
+    g = draw(chain_ideals(3))
+    return inf_padded_trie(g) if draw(st.booleans()) else build(3, g.closure.gens)
+
+
+def height_three_tail(t):
+    """The height-3 rule: at least ``HEIGHT3_TAIL_SLICES`` slices come
+    between the first and the last, and each holds one vector."""
+    middle = [len(tk) for _, tk in top_slices(t)[1:-1]]
+    return len(middle) >= recursive.HEIGHT3_TAIL_SLICES and set(middle) == {1}
+
+
 def spy_tails(monkeypatch):
     """Record ``(height, K)`` for every chain tail ``decompose_trie``
     starts, ``K`` being the index of the last multi-vector slice before the
     last slice.  Check that the tail's state starts from link ``K``, and
-    that a trie builds one state exactly when its height is at least four
-    and the slice before its last holds one vector and is not its first."""
+    that a trie builds one state exactly when one-vector slices come between
+    its first and its last: from height four up when the slice before its
+    last holds one vector, and at height three under ``height_three_tail``,
+    so that ``K`` is 0 there.  Height-2 tries, read off their corners,
+    build none."""
     tails, stack = [], []
     inner = recursive.decompose_trie
 
@@ -183,8 +237,12 @@ def spy_tails(monkeypatch):
             out = inner(t, counter)
         finally:
             _, built = stack.pop()
-        slices = top_slices(t) if len(t[0]) >= 4 else []
-        assert built == (len(slices) > 2 and len(slices[-2][1]) == 1)
+        height = len(t[0])
+        if height >= 4:
+            slices = top_slices(t)
+            assert built == (len(slices) > 2 and len(slices[-2][1]) == 1)
+        else:
+            assert built == (height == 3 and height_three_tail(t))
         return out
 
     class Recording(IncrementalState):
@@ -195,6 +253,7 @@ def spy_tails(monkeypatch):
             slices = top_slices(t)
             k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
             assert k < len(slices) - 2
+            assert n >= 3 or k == 0
             assert tuple(generators) == list(slice_chain(t))[k][1]
             tails.append((n + 1, k))
 
@@ -210,21 +269,45 @@ class TestChainTail:
         assert emit_components(decompose_recursive(g)) == \
             emit_components(decompose_incremental(g))
 
+    @settings(max_examples=200, deadline=None)
+    @given(height_three_tries())
+    def test_height_three_tail_matches_the_walk(self, t):
+        # a height-3 trie builds a state exactly under the rule, and emits
+        # what the walk of its slice chain emits
+        with pytest.MonkeyPatch.context() as mp:
+            tails = spy_tails(mp)
+            got = recursive.decompose_trie(t)
+        assert tails == ([(3, 0)] if height_three_tail(t) else [])
+        assert sorted(got) == sorted(slice_chain_walk(t))
+
+    @pytest.mark.parametrize("m", [recursive.HEIGHT3_TAIL_SLICES - 1,
+                                   recursive.HEIGHT3_TAIL_SLICES])
+    def test_height_three_tail_needs_a_long_chain(self, monkeypatch, m):
+        # x^(m+2), y^(m+2), z^(m+1) and x^(m+1-k) y^k z^k for k = 1..m: one
+        # vector in each of the m slices between the first and the last
+        tails = spy_tails(monkeypatch)
+        t = build(3, [(m + 2, 0, 0), (0, m + 2, 0), (0, 0, m + 1)]
+                  + [(m + 1 - k, k, k) for k in range(1, m + 1)])
+        got = recursive.decompose_trie(t)
+        assert tails == ([(3, 0)] if m >= recursive.HEIGHT3_TAIL_SLICES else [])
+        assert sorted(got) == sorted(slice_chain_walk(t))
+
     def test_tail_runs_on_generic_input(self, monkeypatch):
         tails = spy_tails(monkeypatch)
-        for n in (4, 5, 6):
+        for n in (3, 4, 5, 6):
             heights = set()
             for seed in range(3):
                 del tails[:]
                 g = gen_random(n, 30, 60, seed, generic=True)
                 assert decompose_recursive(g) == decompose_incremental(g)
                 # the top trie's tail starts after its first link; a lower
-                # trie has a tail unless it holds pure powers alone
+                # trie has a tail unless it holds pure powers alone, or is
+                # of height 3, whose few vectors make a chain too short
                 assert (n, 0) in tails
                 heights |= {h for h, _ in tails}
-            assert heights == set(range(4, n + 1))
+            assert heights == (set(range(4, n + 1)) if n > 3 else {3})
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_power_ideal_builds_no_state(self, monkeypatch, n):
         # every slice of m^6 but the last holds several vectors, at every
         # height, so no trie has a tail before its last slice
@@ -415,10 +498,17 @@ class TestPaperComparison:
     keep the claimed side of the comparison."""
 
     def test_incremental_wins_on_generic(self):
+        # past its first link the recursive engine absorbs the chain with
+        # two-variable incremental steps (2,472 ops when it walked every
+        # link), which still charge more than the staircase's bisection
         g = gen_random(3, 40, 80, 1, generic=True)
         inc, rec = ops(decompose_incremental, g), ops(decompose_recursive, g)
         assert inc == 380
-        assert inc < rec <= 2472
+        assert inc < rec == 854
+
+    def test_three_variable_generic_chain_takes_the_tail(self):
+        # walking every link charged 225,230 ops here
+        assert ops(decompose_recursive, gen_random(3, 400, 800, 1, generic=True)) <= 75316
 
     def test_recursive_wins_on_power_of_maximal_ideal(self):
         m8 = GeneratorSet.from_vectors(
