@@ -77,8 +77,9 @@ def distinct_degree_counts(art):
 # ladders in 3-5 variables lie at 14-33,000.  Those ran up to 48 times
 # slower under the recursive engine until it absorbed each chain's
 # one-vector tail with the incremental step; re-measured since three-variable
-# chains take that step too, 18 of them take 0.58-1.01 of the incremental
-# time (README).
+# chains take that step with a bisected two-variable staircase, 18 of them
+# (p <= 40) take 0.59-0.92 of the incremental time at n = 3, 0.83-1.01 at
+# n = 4 and 0.80-1.03 at n = 5 (README).
 RECURSIVE_BOX_RATIO = 10
 
 

@@ -19,7 +19,9 @@ degree 0 holds one vector, so everything after the first link goes through
 that step.  Height three takes the step only when every slice between the
 first and the last holds one vector, as on generic input, and there are at
 least ``HEIGHT3_TAIL_SLICES`` of them; any other height-3 trie walks every
-link, reading each two-variable link off its corners.
+link, reading each two-variable link off its corners.  A height-3 tail's
+state holds two variables, whose components always form a staircase: each
+step bisects it, so the tail is not quadratic in its length.
 """
 
 from .core import deartinianize
@@ -28,10 +30,11 @@ from .trie import min_merge, top_slices
 
 # A height-3 trie takes the chain tail only when at least this many slices
 # lie between its first and its last, each holding one vector: over shorter
-# chains a two-variable step costs more than the corner-read link it
-# replaces.  On the top tries
-# of generic ladders (2-core VM, CPython 3.11) the tail took 1.23 times the
-# walk's time at 10 such slices, 1.00 at 13, 0.83 at 16 and 0.72 at 22.
+# chains the two-variable steps' fixed work, divisor probes and lowering
+# limits cost more than the corner-read links they replace.  On the top
+# tries of generic ladders (2-core VM, CPython 3.11, 40 tries per length,
+# medians of two runs of 9 alternating rounds) the tail took 1.21-1.25
+# times the walk's time at 10 such slices, 1.01-1.05 at 13 and 0.92 at 16.
 HEIGHT3_TAIL_SLICES = 13
 
 
@@ -74,8 +77,8 @@ def decompose_trie(t, counter=None):
     Irr(link ``k - 1``) minus Irr(link ``k``).  So they are emitted with
     ``d``, the tail needs no merge and no ``difference``, and the state's
     components after the tail are the ones emitted with ``D``.  Tail vectors
-    come in the order of the last variable, not in lex order, so the
-    state's reactivation branch is in use here.
+    come in the order of the last variable, not in lex order, so from
+    height four up the state's reactivation branch is in use here.
 
     Height three keeps the walk, whose height-2 links are read off the
     corners in time linear in the link, unless every slice between the
@@ -84,10 +87,14 @@ def decompose_trie(t, counter=None):
     and vectors seed one two-variable state, and the argument above, which
     holds for any ``K``, makes the tail exact.  On a generic ladder's top
     trie that is the whole chain after link 0, which the walk would
-    decompose link by link, each from scratch.  A height-3 trie with a
+    decompose link by link, each from scratch.  A two-variable state keeps
+    its components sorted as a staircase and bisects it at every step; it
+    never retires a component, so it never takes the reactivation branch
+    (``incremental`` module docstring).  A height-3 trie with a
     multi-vector slice after its first, or with a shorter chain, walks all
-    of its links, since there a two-variable step costs more time than the
-    corner-read link it replaces.  The choice reads only the number and
+    of its links: there the steps' fixed work, divisor probes and lowering
+    limits cost more time than the corner-read links they replace
+    (measured at the constant).  The choice reads only the number and
     sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
