@@ -27,9 +27,9 @@ retired to a list that the partition never scans.
 What stays active is the decomposition of the current link of the
 recursive engine's slice chain, with the last coordinate at its pure-power
 degree.  A caller that absorbs out of lex order, such as that engine's
-chain tail from height four up, gets retired components moved back
-first, so every order stays exact.  Both lists are sorted once, together,
-by the final ``ComponentSet``.
+chain tail, gets retired components moved back first, so every order stays
+exact.  Both lists are sorted once, together, by the final
+``ComponentSet``.
 
 With three variables the active components form a staircase, the
 two-dimensional object of the paper's first algorithm and of the recursive
@@ -46,23 +46,11 @@ which holds on a suffix of the list that ``bisect`` finds, and ``beta_1 >
 alpha_1``, which holds on a prefix of that suffix, read forward.  The
 partition runs on that run alone, and the kept lowered copies are spliced
 back in ``beta_0`` order.  This path ends for good at the first
-reactivation, after which the whole active list is scanned; three-variable
-states built directly, such as the recursive engine's chain tail at height
-four, never take it.
-
-In two variables every antichain is a staircase: two components with equal
-``beta_0`` would be comparable, so along ``beta_0`` the ``beta_1`` strictly
-fall, INF labels included.  A two-variable state built directly, such as
-the recursive engine's height-3 chain tail, sorts its seed components by
-``beta_0`` and takes the same path.  There a copy lowered at ``x_1`` is not
-retired but spliced back into ``active`` with those lowered at ``x_0``, so
-such a state never retires, never reactivates, and keeps the path in any
-absorb order.  A two-variable state from ``start`` still retires and
-scans: in lex order its active list holds one or two components, and on
-``gen_random(2, 5000, 10000, 1, generic=True)`` bisecting it without
-retiring charged 76,821 ops instead of 15,000 and took longer.  In more
-variables the active set has no such order, and every active component is
-scanned.
+reactivation, after which the whole active list is scanned; states built
+directly, such as the recursive engine's chain tail from height four up,
+never take it.  That engine splices its height-3 tail into a staircase of
+generators instead (``recursive.splice``).  In more variables the active
+set has no such order, and every active component is scanned.
 
 The divisor probe reads, for each variable ``k``, the degree bucket
 ``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept
@@ -249,27 +237,24 @@ class IncrementalState:
 
     - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable,
-      which the partition never scans; a two-variable staircase keeps them
-      active instead.  ``floor`` is the largest last coordinate among them
-      (-INF while there are none).
+      which the partition never scans.  ``floor`` is the largest last
+      coordinate among them (-INF while there are none).
 
     ``components`` returns all current components, active then retired, as
     a new list; ``len(state)`` counts them without building it.
 
     ``staircase`` is True while ``active`` is kept sorted by ``beta_0`` and
-    the partition bisects it (see ``add_generator``).  The constructor sets
-    it in two variables, sorting the seed components, and such a state never
-    retires, so it stays set.  ``start`` sets it in three variables instead,
-    where the first reactivation clears it for good, and clears it in two.
-    A state built directly in three or more variables never sets it, so its
-    components stay in insertion order.
+    the partition bisects it (see ``add_generator``).  Only ``start`` sets
+    it, and only in three variables; the first reactivation clears it for
+    good.  A state built directly never sets it, so its components stay in
+    insertion order.
     """
+
+    staircase = False
 
     def __init__(self, n, components, generators, counter=None):
         self.n = n
         self.active = [tuple(c) for c in components]
-        if n == 2:
-            self.active.sort(key=_BY[0])
         self.retired = []
         self.floor = -INF
         self.index = {}
@@ -282,7 +267,6 @@ class IncrementalState:
             bucket.sort(key=self._keys[u])
         self.counter = counter
         self.steps = 0
-        self.staircase = n == 2
 
     @property
     def components(self):
@@ -355,9 +339,7 @@ class IncrementalState:
         components only, never see ``beta``.  A kept candidate lowered at
         the last variable has last coordinate ``alpha_n``, so it is retired
         and ``floor`` becomes ``alpha_n``, which keeps the same argument
-        valid for every later ``alpha`` with ``alpha_n >= floor``.  A
-        two-variable staircase keeps such a candidate active instead (see
-        below), so its ``retired`` stays empty and ``floor`` stays -INF.
+        valid for every later ``alpha`` with ``alpha_n >= floor``.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -372,33 +354,28 @@ class IncrementalState:
         returned in the partition's order, are exactly the ones the step
         removes.
 
-        On the staircase path (``staircase``: a three-variable state from
-        ``start`` before any reactivation, or a two-variable state built
-        directly), ``active`` is sorted by ``beta_0`` with ``beta_1``
-        strictly falling (module docstring).  In three variables every
-        active component has the last coordinate ``B``, the pure-power
-        degree; in two, ``active`` is any antichain, sorted by the
-        constructor.  A component strictly above ``alpha`` has ``beta_0 >
+        On the staircase path (``staircase``, a three-variable state from
+        ``start`` before any reactivation), every active component has the
+        last coordinate ``B``, the pure-power degree, and ``active`` is
+        sorted by ``beta_0`` with ``beta_1`` strictly falling (module
+        docstring).  A component strictly above ``alpha`` has ``beta_0 >
         alpha_0`` and ``beta_1 > alpha_1``.  The first holds exactly on the
         suffix from ``start``, the first index with ``beta_0 > alpha_0``,
         found by bisection; the second, on that suffix, exactly on a prefix
         ending before ``end``, the first member with ``beta_1 <= alpha_1``.
         No component outside ``active[start:end]`` is affected, so the
         partition runs on that run alone, and the ones it leaves (all of it
-        when ``alpha_2 >= B`` in three variables) are untouched too.  The
-        step charges ``len(active).bit_length()`` ops for the bisection's
-        probes and one op per member the forward read takes, the stopping
-        member included, and the partition on the run charges nothing more.
-        The kept copies lowered at ``x_0`` or ``x_1`` replace the run,
-        sorted by ``beta_0``: in three variables they keep ``B``, and in two
-        they are every kept copy, as nothing retires.  They stay between the
-        untouched neighbours: a copy has ``beta_0`` either ``alpha_0``, at
-        least that of every member before ``start``, or that of a run
-        member, below that of every member from ``end`` on; and the new
-        active list is an antichain whose members share every coordinate
-        past ``x_1`` (the last one, ``B``, in three variables; there is none
-        in two), so no two of its ``beta_0`` are equal.  The returned
-        components are the run, in ``beta_0`` order.
+        when ``alpha_2 >= B``) are untouched too.  The step charges
+        ``len(active).bit_length()`` ops for the bisection's probes and one
+        op per member the forward read takes, the stopping member included,
+        and the partition on the run charges nothing more.  The kept copies
+        lowered at ``x_0`` or ``x_1`` keep ``B`` and replace the run, sorted
+        by ``beta_0``.  They stay between the untouched neighbours: a copy
+        has ``beta_0`` either ``alpha_0``, at least that of every member
+        before ``start``, or that of a run member, below that of every
+        member from ``end`` on; and the new active list is an antichain
+        with one last coordinate, so no two of its ``beta_0`` are equal.
+        The returned components are the run, in ``beta_0`` order.
 
         Off that path components stay in insertion order.  On both,
         ``affected`` is probed in ``lex_key`` order, so that the trace lists
@@ -427,8 +404,7 @@ class IncrementalState:
         if not affected:
             return []
 
-        # a two-variable staircase keeps its copies lowered at x_1 active
-        last = -1 if self.staircase and self.n == 2 else self.n - 1
+        last = self.n - 1
         lowered, retiring = [], []
         lowerings = [] if trace is not None else None
         for beta in sorted(affected, key=lex_key):

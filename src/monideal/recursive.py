@@ -10,32 +10,23 @@ read off the corners of the staircase.  Tries are lex-sorted tuples of
 distinct vectors, such as the closure's ``gens``, and never empty.
 
 The chain's last link is the unit ideal, which has no components, so the
-link before it loses all of its own and needs no merge.  From height four
-up, the one-vector slices before the last are not decomposed link by link:
-each such link is the previous one plus a single generator, and the
-incremental engine's step updates the previous link's components to the
-next one's, returning the lost ones.  On generic input every slice above
-degree 0 holds one vector, so everything after the first link goes through
-that step.  Height three takes the step only when every slice between the
-first and the last holds one vector, as on generic input, and there are at
-least ``HEIGHT3_TAIL_SLICES`` of them; any other height-3 trie walks every
-link, reading each two-variable link off its corners.  A height-3 tail's
-state holds two variables, whose components always form a staircase: each
-step bisects it, so the tail is not quadratic in its length.
+link before it loses all of its own and needs no merge.  The one-vector
+slices that come before the last, after the first and after every slice
+holding several vectors, are not decomposed link by link: each such link
+is the previous one plus a single generator.  At height three the link is
+a staircase, and ``splice`` adds the generator and returns the corners it
+loses; from height four up the incremental engine's step updates the
+previous link's components to the next one's, returning the lost ones.
+On generic input every slice above degree 0 holds one vector, so
+everything after the first link goes through that tail.
 """
+
+from bisect import bisect_left
+from operator import itemgetter
 
 from .core import deartinianize
 from .incremental import IncrementalState
 from .trie import min_merge, top_slices
-
-# A height-3 trie takes the chain tail only when at least this many slices
-# lie between its first and its last, each holding one vector: over shorter
-# chains the two-variable steps' fixed work, divisor probes and lowering
-# limits cost more than the corner-read links they replace.  On the top
-# tries of generic ladders (2-core VM, CPython 3.11, 40 tries per length,
-# medians of two runs of 9 alternating rounds) the tail took 1.21-1.25
-# times the walk's time at 10 such slices, 1.01-1.05 at 13 and 0.92 at 16.
-HEIGHT3_TAIL_SLICES = 13
 
 
 def difference(a, b, counter=None):
@@ -44,6 +35,43 @@ def difference(a, b, counter=None):
     if counter is not None:
         counter.add(len(a))
     return [v for v in a if v not in drop]
+
+
+def corners(t):
+    """Components of a minimal Artinian height-2 trie, one per adjacent pair
+    of its vectors (``decompose_trie``)."""
+    return [(a, b) for (a, _), (_, b) in zip(t, t[1:])]
+
+
+def splice(stairs, v, counter=None):
+    """Add ``v`` to a staircase in place and return the components it loses.
+
+    ``stairs`` lists the vectors of a minimal Artinian height-2 trie, whose
+    ``b`` strictly rise from 0 and ``a`` strictly fall to 0, and none of
+    them divides ``v``.  The vectors that ``v`` divides have ``b >= v_b``,
+    a suffix from ``i`` found by bisection, and ``a >= v_a``, a prefix of
+    it read forward up to ``j``: ``v`` replaces that run.  The order holds,
+    as ``stairs[i - 1]`` has ``b < v_b`` and so ``a > v_a``, and
+    ``stairs[j]`` has ``a < v_a`` and so ``b > v_b``, or they would divide
+    ``v``.  The components are the ``corners``, whose ``a`` are distinct,
+    and only the pairs within ``stairs[i - 1 : j + 1]`` change.  So the
+    lost ones are that window's corners that are not corners of the new
+    ``stairs[i - 1 : i + 2]``; one survives when ``v`` shares its ``b``
+    with the first removed vector or its ``a`` with the last.  Charges what
+    the incremental staircase step charges: ``len(stairs).bit_length()``,
+    and one op per vector the forward read takes, the stopping one
+    included.
+    """
+    i = j = bisect_left(stairs, v[1], key=itemgetter(1))
+    while j < len(stairs) and stairs[j][0] >= v[0]:
+        j += 1
+    if counter is not None:
+        counter.add(len(stairs).bit_length() + j - i + (j < len(stairs)))
+    lo = max(i - 1, 0)
+    lost = corners(stairs[lo:j + 1])
+    stairs[i:j] = [v]
+    kept = corners(stairs[lo:i + 2])
+    return [c for c in lost if c not in kept]
 
 
 def decompose_trie(t, counter=None):
@@ -67,35 +95,20 @@ def decompose_trie(t, counter=None):
     component of the link before it.  These are emitted with ``D``, and the
     step runs no merge, no recursive call and no ``difference``.
 
-    From height four up, the walk decomposes links from scratch only up to
-    the last slice before ``D`` holding more than one vector, link ``K``.
-    When one-vector slices come between it and ``D``, link ``K``'s
-    components and vectors seed an ``IncrementalState``, and each such slice
-    ``(d, (v,))`` is absorbed with ``add_generator``: link ``k`` is link
-    ``k - 1`` plus X^v, and the step leaves exactly Irr(link ``k``), in any
-    absorb order, and returns the components it removed, exactly
-    Irr(link ``k - 1``) minus Irr(link ``k``).  So they are emitted with
-    ``d``, the tail needs no merge and no ``difference``, and the state's
-    components after the tail are the ones emitted with ``D``.  Tail vectors
-    come in the order of the last variable, not in lex order, so from
-    height four up the state's reactivation branch is in use here.
-
-    Height three keeps the walk, whose height-2 links are read off the
-    corners in time linear in the link, unless every slice between the
-    first and ``D`` holds one vector and there are at least
-    ``HEIGHT3_TAIL_SLICES`` of them.  Then ``K`` is 0: link 0's components
-    and vectors seed one two-variable state, and the argument above, which
-    holds for any ``K``, makes the tail exact.  On a generic ladder's top
-    trie that is the whole chain after link 0, which the walk would
-    decompose link by link, each from scratch.  A two-variable state keeps
-    its components sorted as a staircase and bisects it at every step; it
-    never retires a component, so it never takes the reactivation branch
-    (``incremental`` module docstring).  A height-3 trie with a
-    multi-vector slice after its first, or with a shorter chain, walks all
-    of its links: there the steps' fixed work, divisor probes and lowering
-    limits cost more time than the corner-read links they replace
-    (measured at the constant).  The choice reads only the number and
-    sizes of the trie's slices.
+    The walk decomposes links from scratch only up to link ``K``, the last
+    slice before ``D`` holding more than one vector, or link 0.  The
+    one-vector slices ``(d, (v,))`` between it and ``D`` make the tail:
+    link ``k`` is link ``k - 1`` plus X^v, and no vector of link ``k - 1``
+    divides ``v``, as the trie is minimal.  At height three the tail
+    splices each ``v`` into a copy of link ``K``'s vectors, a staircase
+    (``splice``), and from height four up link ``K``'s components and
+    vectors seed an ``IncrementalState`` that absorbs each ``v`` with
+    ``add_generator``.  Either returns exactly Irr(link ``k - 1``) minus
+    Irr(link ``k``), so those are emitted with ``d``, the tail needs no
+    merge and no ``difference``, and its components after the last ``v``
+    are the ones emitted with ``D``.  Tail vectors come in the order of the
+    last variable, not in lex order, so the state's reactivation branch is
+    in use here.  The choice reads only the sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
@@ -116,8 +129,8 @@ def decompose_trie(t, counter=None):
     ``difference`` returns a sublist of ``prev``, the output of a recursive
     call, which is duplicate-free by induction on the height (the base
     cases below plainly are), and the step to ``D`` emits ``prev`` itself.
-    A tail step emits a sublist of the state's components, which are
-    duplicate-free (``add_generator``).
+    A tail step emits a sublist of duplicate-free corners or of the state's
+    components (``add_generator``).
 
     Height two is read off the corners.  Write the vectors, in lex order, as
     ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
@@ -143,7 +156,7 @@ def decompose_trie(t, counter=None):
     if height == 2:
         if counter is not None:
             counter.add(len(t) - 1)
-        return [(t[k][0], t[k + 1][1]) for k in range(len(t) - 1)]
+        return corners(t)
 
     slices = top_slices(t)
     d_last, last = slices.pop()
@@ -151,11 +164,8 @@ def decompose_trie(t, counter=None):
         raise ValueError("the last slice is not the pure power of the last "
                          "variable alone; the encoded ideal is not Artinian in it")
     tail = len(slices)  # slices[tail:] hold one vector each
-    if height >= 4:
-        while tail > 1 and len(slices[tail - 1][1]) == 1:
-            tail -= 1
-    elif len(slices) > HEIGHT3_TAIL_SLICES and all(len(tk) == 1 for _, tk in slices[1:]):
-        tail = 1
+    while tail > 1 and len(slices[tail - 1][1]) == 1:
+        tail -= 1
     link = slices[0][1]
     prev = decompose_trie(link, counter)
     out = []
@@ -164,7 +174,12 @@ def decompose_trie(t, counter=None):
         cur = decompose_trie(link, counter)
         out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
-    if tail < len(slices):
+    if height == 3 and tail < len(slices):
+        stairs = list(link)
+        for d, (v,) in slices[tail:]:
+            out.extend(c + (d,) for c in splice(stairs, v, counter))
+        prev = corners(stairs)
+    elif tail < len(slices):
         state = IncrementalState(height - 1, prev, link, counter)
         for d, (v,) in slices[tail:]:
             out.extend(b + (d,) for b in state.add_generator(v))

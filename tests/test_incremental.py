@@ -659,9 +659,7 @@ def staircase_orders(rng, alphas):
 class TestStaircase:
     """A three-variable state from ``start`` keeps ``active`` sorted by
     ``beta_0`` and partitions only the run above ``alpha`` in ``x_0`` and
-    ``x_1``, until its first reactivation hands over to the full scan.  A
-    two-variable state built directly does so in any order, and never
-    retires."""
+    ``x_1``, until its first reactivation hands over to the full scan."""
 
     @staticmethod
     def assert_staircase(state, last_b):
@@ -751,10 +749,10 @@ class TestStaircase:
             handovers += scanning
         assert handovers > 30
 
-    def test_two_variable_chain_tail_states_bisect(self, monkeypatch):
+    def test_chain_tail_states_never_take_the_path(self, monkeypatch):
         # the recursive engine's chain tail builds three-variable states
-        # directly at height 4, which scan, and two-variable ones at height
-        # 3, which bisect at every step
+        # directly at height 4, which scan and never bisect; its height-3
+        # tail splices a staircase of generators and builds no state
         bisections, steps = [], []
         bisect_right = incremental.bisect_right
         add_generator = IncrementalState.add_generator
@@ -764,10 +762,8 @@ class TestStaircase:
             return bisect_right(*args, **kwargs)
 
         def spy_step(state, alpha, trace=None):
-            before = len(bisections)
-            removed = add_generator(state, alpha, trace)
-            steps.append((state.n, state.staircase, len(bisections) - before))
-            return removed
+            steps.append((state.n, state.staircase))
+            return add_generator(state, alpha, trace)
 
         monkeypatch.setattr(incremental, "bisect_right", spy_bisect)
         monkeypatch.setattr(IncrementalState, "add_generator", spy_step)
@@ -779,37 +775,8 @@ class TestStaircase:
         for seed in range(4):
             decompose_recursive(gen_random(4, 40, 80, seed, generic=True))
         decompose_recursive(g)
-        assert len(steps) > 100
-        assert {(n, staircase) for n, staircase, _ in steps} == {(3, False), (2, True)}
-        assert all(bisected == (n == 2) for n, _, bisected in steps)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=14),
-           st.integers(0, 2 ** 32 - 1))
-    def test_directly_built_two_variable_states_stay_staircases(self, vectors, seed):
-        # seed a state with the decomposition of a random part of the
-        # generators, INF where a pure power is missing or placed at INF,
-        # and absorb the rest in a random order: after every step ``active``
-        # is a staircase and nothing has retired
-        rng = random.Random(seed)
-        g = GeneratorSet.from_vectors(2, vectors)
-        seed_gens, rest = [], []
-        for m in g.gens:
-            (seed_gens if rng.random() < 0.5 else rest).append(m)
-        comps = decompose_oracle(GeneratorSet.from_vectors(2, seed_gens)).comps
-        generators = list(seed_gens)
-        for i in range(2):
-            if not any(m[i] and not m[1 - i] for m in seed_gens) and rng.random() < 0.5:
-                generators.append(unit_vector(2, i, INF))
-        state = IncrementalState(2, rng.sample(comps, len(comps)), generators)
-        rng.shuffle(rest)
-        for alpha in [None] + rest:
-            if alpha is not None:
-                checked_step(state, alpha)
-            assert state.staircase and state.retired == []
-            for a, b in zip(state.active, state.active[1:]):
-                assert a[0] < b[0] and a[1] > b[1]
-        assert sorted(state.components) == sorted(decompose_oracle(g).comps)
+        assert len(steps) > 100 and set(steps) == {(3, False)}
+        assert bisections == []
 
     def test_generic_ops_scale_near_linearly(self):
         # a full scan charged 1,130,250 ops at p = 1500 and 4,510,500 at

@@ -11,11 +11,11 @@ from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_recursive, gen_random)
 from monideal import recursive
 from monideal.bench import degree_shell
-from monideal.core import leq
+from monideal.core import leq, lex_key
 from monideal.files import emit_components
 from monideal.incremental import IncrementalState
 from monideal.oracle import staircase
-from monideal.recursive import decompose_trie, difference
+from monideal.recursive import corners, decompose_trie, difference, splice
 from monideal.trie import build, min_merge, paths, top_slices
 import conftest
 from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase, slice_chain
@@ -212,52 +212,56 @@ def height_three_tries(draw):
     return inf_padded_trie(g) if draw(st.booleans()) else build(3, g.closure.gens)
 
 
-def height_three_tail(t):
-    """The height-3 rule: at least ``HEIGHT3_TAIL_SLICES`` slices come
-    between the first and the last, and each holds one vector."""
-    middle = [len(tk) for _, tk in top_slices(t)[1:-1]]
-    return len(middle) >= recursive.HEIGHT3_TAIL_SLICES and set(middle) == {1}
+def has_tail(t):
+    """The one tail rule, at every height from three up: the slice before
+    the last holds one vector and is not the first."""
+    if len(t[0]) < 3:
+        return False
+    slices = top_slices(t)
+    return len(slices) > 2 and len(slices[-2][1]) == 1
 
 
 def spy_tails(monkeypatch):
     """Record ``(height, K)`` for every chain tail ``decompose_trie``
     starts, ``K`` being the index of the last multi-vector slice before the
-    last slice.  Check that the tail's state starts from link ``K``, and
-    that a trie builds one state exactly when one-vector slices come between
-    its first and its last: from height four up when the slice before its
-    last holds one vector, and at height three under ``height_three_tail``,
-    so that ``K`` is 0 there.  Height-2 tries, read off their corners,
-    build none."""
+    last slice, or 0.  Check that a trie starts a tail exactly under
+    ``has_tail``, and from link ``K``: a height-3 tail's first ``splice``
+    gets link ``K``'s vectors, and a higher tail's state is seeded with
+    them.  Height-2 tries, read off their corners, start none."""
     tails, stack = [], []
     inner = recursive.decompose_trie
+    splice = recursive.splice
 
     def spy(t, counter=None):
         stack.append([t, 0])
         try:
             out = inner(t, counter)
         finally:
-            _, built = stack.pop()
-        height = len(t[0])
-        if height >= 4:
-            slices = top_slices(t)
-            assert built == (len(slices) > 2 and len(slices[-2][1]) == 1)
-        else:
-            assert built == (height == 3 and height_three_tail(t))
+            _, started = stack.pop()
+        assert started == has_tail(t)
         return out
+
+    def record(vectors):
+        t = stack[-1][0]
+        stack[-1][1] += 1
+        slices = top_slices(t)
+        k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
+        assert k < len(slices) - 2
+        assert tuple(vectors) == list(slice_chain(t))[k][1]
+        tails.append((len(t[0]), k))
+
+    def spy_splice(stairs, v, counter=None):
+        if not stack[-1][1]:  # the tail's first vector
+            record(stairs)
+        return splice(stairs, v, counter)
 
     class Recording(IncrementalState):
         def __init__(self, n, components, generators, counter=None):
             super().__init__(n, components, generators, counter)
-            t = stack[-1][0]
-            stack[-1][1] += 1
-            slices = top_slices(t)
-            k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
-            assert k < len(slices) - 2
-            assert n >= 3 or k == 0
-            assert tuple(generators) == list(slice_chain(t))[k][1]
-            tails.append((n + 1, k))
+            record(generators)
 
     monkeypatch.setattr(recursive, "decompose_trie", spy)
+    monkeypatch.setattr(recursive, "splice", spy_splice)
     monkeypatch.setattr(recursive, "IncrementalState", Recording)
     return tails
 
@@ -272,24 +276,24 @@ class TestChainTail:
     @settings(max_examples=200, deadline=None)
     @given(height_three_tries())
     def test_height_three_tail_matches_the_walk(self, t):
-        # a height-3 trie builds a state exactly under the rule, and emits
+        # a height-3 trie splices a tail exactly under the rule, and emits
         # what the walk of its slice chain emits
         with pytest.MonkeyPatch.context() as mp:
             tails = spy_tails(mp)
             got = recursive.decompose_trie(t)
-        assert tails == ([(3, 0)] if height_three_tail(t) else [])
+        assert [h for h, _ in tails] == ([3] if has_tail(t) else [])
         assert sorted(got) == sorted(slice_chain_walk(t))
 
-    @pytest.mark.parametrize("m", [recursive.HEIGHT3_TAIL_SLICES - 1,
-                                   recursive.HEIGHT3_TAIL_SLICES])
+    @pytest.mark.parametrize("m", [1, 2, 12, 13])
     def test_height_three_tail_needs_a_long_chain(self, monkeypatch, m):
         # x^(m+2), y^(m+2), z^(m+1) and x^(m+1-k) y^k z^k for k = 1..m: one
-        # vector in each of the m slices between the first and the last
+        # vector in each of the m slices between the first and the last.
+        # A chain of any length splices; none is too short for the tail
         tails = spy_tails(monkeypatch)
         t = build(3, [(m + 2, 0, 0), (0, m + 2, 0), (0, 0, m + 1)]
                   + [(m + 1 - k, k, k) for k in range(1, m + 1)])
         got = recursive.decompose_trie(t)
-        assert tails == ([(3, 0)] if m >= recursive.HEIGHT3_TAIL_SLICES else [])
+        assert tails == [(3, 0)]
         assert sorted(got) == sorted(slice_chain_walk(t))
 
     def test_tail_runs_on_generic_input(self, monkeypatch):
@@ -301,11 +305,10 @@ class TestChainTail:
                 g = gen_random(n, 30, 60, seed, generic=True)
                 assert decompose_recursive(g) == decompose_incremental(g)
                 # the top trie's tail starts after its first link; a lower
-                # trie has a tail unless it holds pure powers alone, or is
-                # of height 3, whose few vectors make a chain too short
+                # trie has a tail unless it holds pure powers alone
                 assert (n, 0) in tails
                 heights |= {h for h, _ in tails}
-            assert heights == (set(range(4, n + 1)) if n > 3 else {3})
+            assert heights == set(range(3, n + 1))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_power_ideal_builds_no_state(self, monkeypatch, n):
@@ -384,6 +387,76 @@ class TestHeightTwoBase:
         for _ in range(100):
             decompose_recursive(random_ideal(rng))
         assert set(heights) == {2, 3, 4}
+
+
+@st.composite
+def staircases(draw):
+    """A minimal Artinian staircase, its ``b`` rising from 0 and its ``a``
+    falling to 0, either end optionally INF, and a finite vector ``v`` that
+    none of its vectors divides."""
+    m = draw(st.integers(2, 8))
+    xs = sorted(draw(st.sets(st.integers(1, 30), min_size=m - 1, max_size=m - 1)),
+                reverse=True) + [0]
+    ys = [0] + sorted(draw(st.sets(st.integers(1, 30), min_size=m - 1, max_size=m - 1)))
+    if draw(st.booleans()):
+        xs[0] = INF
+    if draw(st.booleans()):
+        ys[-1] = INF
+    stairs = list(zip(xs, ys))
+    # v lies below, in x, the vector with the largest b at most v_b, which
+    # is not the last: the last, with a = 0, would divide it
+    k = draw(st.integers(0, m - 2))
+    vb = draw(st.integers(ys[k], min(ys[k + 1], 41) - 1))
+    va = draw(st.integers(0, min(xs[k], 41) - 1))
+    return stairs, (va, vb)
+
+
+def bivariate_irr(vectors):
+    """Oracle components of the ideal of a staircase's finite vectors."""
+    return set(decompose_oracle(GeneratorSet.from_vectors(
+        2, [v for v in vectors if INF not in v])).comps)
+
+
+class TestSplice:
+    @settings(max_examples=300, deadline=None)
+    @given(staircases())
+    def test_splice_keeps_a_staircase_and_returns_the_lost_corners(self, case):
+        before, v = case
+        stairs, counter = list(before), OpCounter()
+        lost = splice(stairs, v, counter)
+        assert sorted(lost) == sorted(set(corners(before)) - set(corners(stairs)))
+        assert stairs == sorted(stairs, key=lex_key) and v in stairs
+        assert stairs[0][1] == 0 and stairs[-1][0] == 0
+        for a, b in zip(stairs, stairs[1:]):
+            assert a[0] > b[0] and a[1] < b[1]
+        run = len(before) + 1 - len(stairs)
+        assert counter.ops <= len(before).bit_length() + run + 1
+        assert set(corners(stairs)) == bivariate_irr(stairs)
+        assert set(lost) == bivariate_irr(before) - bivariate_irr(stairs)
+
+    def test_a_corner_survives_when_v_shares_its_b(self):
+        # v = (4, 3) replaces (5, 3); the corner (7, 3) of (7, 1) and (5, 3)
+        # is the corner of (7, 1) and v too
+        stairs = [(9, 0), (7, 1), (5, 3), (0, 5)]
+        assert splice(stairs, (4, 3)) == [(5, 5)]
+        assert stairs == [(9, 0), (7, 1), (4, 3), (0, 5)]
+
+    def test_a_corner_survives_when_v_shares_its_a(self):
+        # v = (5, 2) replaces (5, 3); the corner (5, 5) of (5, 3) and (0, 5)
+        # is the corner of v and (0, 5) too
+        stairs = [(9, 0), (5, 3), (0, 5)]
+        assert splice(stairs, (5, 2)) == [(9, 3)]
+        assert stairs == [(9, 0), (5, 2), (0, 5)]
+
+    def test_an_x_free_vector_becomes_the_last(self):
+        stairs = [(9, 0), (7, 1), (5, 3), (0, 5)]
+        assert splice(stairs, (0, 2)) == [(7, 3), (5, 5)]
+        assert stairs == [(9, 0), (7, 1), (0, 2)]
+
+    def test_a_y_free_vector_becomes_the_first(self):
+        stairs = [(INF, 0), (7, 1), (5, 3), (0, INF)]
+        assert splice(stairs, (8, 0)) == [(INF, 1)]
+        assert stairs == [(8, 0), (7, 1), (5, 3), (0, INF)]
 
 
 class TestLastSlice:
@@ -497,8 +570,8 @@ class TestPaperComparison:
     pinned exactly; recursive counts may only fall (criterion 8), but must
     keep the claimed side of the comparison.  On generic input the claim is
     about the paper's pure recursive algorithm, the reference walk: the
-    engine's chain tail of incremental steps beats both on the three-variable
-    ladders pinned here."""
+    engine's chain tail, which splices each one-vector slice into a
+    staircase, beats both on the three-variable ladders pinned here."""
 
     def test_incremental_wins_on_generic(self):
         # the paper's pure recursive algorithm decomposes every link of the
@@ -509,21 +582,22 @@ class TestPaperComparison:
         assert ops(decompose_incremental, g) == 380 < counter.ops == 3395
 
     def test_chain_tail_beats_incremental_on_three_variable_generic(self):
-        # the hybrid engine absorbs the chain after its first link with
-        # two-variable steps that bisect the staircase, and so charges less
-        # than incremental's 380 here (2,472 ops when it walked every link,
-        # 854 while the two-variable steps scanned every component)
-        assert ops(decompose_recursive, gen_random(3, 40, 80, 1, generic=True)) == 310
+        # the hybrid engine splices the chain after its first link into a
+        # staircase, and so charges less than incremental's 380 here (2,472
+        # ops when it walked every link, 854 with two-variable incremental
+        # steps that scanned every component, 310 with ones that bisected)
+        assert ops(decompose_recursive, gen_random(3, 40, 80, 1, generic=True)) == 213
 
     def test_three_variable_generic_chain_takes_the_tail(self):
-        # walking every link charged 225,230 ops here, and two-variable
-        # steps that scanned every component 75,316
-        assert ops(decompose_recursive, gen_random(3, 400, 800, 1, generic=True)) <= 3789
+        # walking every link charged 225,230 ops here, two-variable
+        # incremental steps that scanned every component 75,316, and ones
+        # that bisected 3,789
+        assert ops(decompose_recursive, gen_random(3, 400, 800, 1, generic=True)) <= 2900
 
     def test_three_variable_generic_chain_scales_near_linearly(self):
-        # two-variable steps that scanned every component charged 1,047,734
-        # ops at p = 1500 and 4,209,857 at p = 3000 (4.0x); bisecting the
-        # staircase charges 16,178 and 34,945
+        # two-variable incremental steps that scanned every component
+        # charged 1,047,734 ops at p = 1500 and 4,209,857 at p = 3000 (4.0x);
+        # splicing the staircase charges 12,878 and 28,253
         def rec(p):
             return ops(decompose_recursive, gen_random(3, p, 2 * p, 1, generic=True))
 
