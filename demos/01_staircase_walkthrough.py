@@ -6,8 +6,8 @@ them unbounded in z.
 """
 
 from monideal import GeneratorSet, decompose_recursive
-from monideal.recursive import decompose_trie
-from monideal.trie import build, min_merge, top_slices
+from monideal.recursive import corners, splice
+from monideal.trie import build, top_slices
 
 gens = [(4, 0, 0), (0, 4, 0), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
 g = GeneratorSet.from_vectors(3, gens, names=("x", "y", "z"))
@@ -33,17 +33,24 @@ art = g.closure
 print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added) if a],
       "with bounds", art.bounds)
 
-# Merging the slices in turn gives the chain links, two-variable staircases
-# where the recursion stops.  The link at z^2 holds the minimal (x, y) parts
-# of every generator of z-degree at most 2; in lex order its y-degrees rise
+# Adding the slices in turn gives the chain links, two-variable staircases
+# where the recursion stops.  The link at z^d holds the minimal (x, y) parts
+# of every generator of z-degree at most d; in lex order its y-degrees rise
 # and its x-degrees fall, and each pair of consecutive corners (a, b),
-# (a', b') gives the component (a, b').
-link = None
-for d, sub in top_slices(build(art.n, art.gens)):
-    link = sub if link is None else min_merge(link, sub)
-    if d == 2:
-        print("\nchain link at z^2, corners (y rising, x falling):", list(link))
-        print("  its components, read off consecutive corners:", decompose_trie(link))
+# (a', b') gives the component (a, b').  The engine splices each slice into
+# the staircase of the link before it, and the corners the staircase loses
+# are the components with that z-degree.  The last slice, the injected
+# power of z, makes the unit ideal: every corner left is lost there.
+slices = top_slices(build(art.n, art.gens))
+stairs = list(slices[0][1])
+print(f"\nchain link at z^{slices[0][0]} (y rising, x falling):", stairs)
+for d, sub in slices[1:-1]:
+    lost = splice(stairs, sub)
+    print(f"  splice the z^{d} slice {list(sub)}: {stairs}")
+    print(f"    corners lost: {lost}, components {[c + (d,) for c in lost]}")
+d_last = slices[-1][0]
+print(f"  the z^{d_last} slice leaves the unit ideal; corners lost: {corners(stairs)},"
+      " components unbounded in z")
 
 # Decompose.  Components unbounded in z come back with an inf coordinate.
 comps = decompose_recursive(g)

@@ -15,7 +15,7 @@ The envelope constants were calibrated once over the default generic sweep
 (worst observed incremental ratio 0.112, worst recursive ratio 0.015 across
 the twelve seeded instances) and pinned with double headroom; changing them
 is a reviewed change, not a knob.  The worst ratios on that sweep are now
-0.071 (incremental) and 0.0022 (recursive), both on g-n3-p5-s23762.
+0.071 (incremental) and 0.0021 (recursive), both on g-n3-p5-s23762.
 """
 
 import csv
@@ -77,9 +77,9 @@ def distinct_degree_counts(art):
 # ladders in 3-5 variables lie at 14-33,000.  Those ran up to 48 times
 # slower under the recursive engine until it absorbed each chain's
 # one-vector tail with the incremental step; re-measured since three-variable
-# chains splice that tail into their staircase, 18 of them (p <= 40) take
-# 0.32-0.48 of the incremental time at n = 3, 0.64-0.97 at n = 4 and
-# 0.77-0.95 at n = 5 (README).
+# chains splice every slice into their staircase, 18 of them (p <= 40) take
+# 0.38-0.53 of the incremental time at n = 3, 0.77-0.92 at n = 4 and
+# 0.83-0.93 at n = 5 (README).
 RECURSIVE_BOX_RATIO = 10
 
 

@@ -47,10 +47,11 @@ alpha_1``, which holds on a prefix of that suffix, read forward.  The
 partition runs on that run alone, and the kept lowered copies are spliced
 back in ``beta_0`` order.  This path ends for good at the first
 reactivation, after which the whole active list is scanned; states built
-directly, such as the recursive engine's chain tail from height four up,
-never take it.  That engine splices its height-3 tail into a staircase of
-generators instead (``recursive.splice``).  In more variables the active
-set has no such order, and every active component is scanned.
+directly, such as the recursive engine's chain tail, never take it.  That
+engine builds no state at height three, where it splices each slice into
+a staircase of generators instead (``recursive.splice``).  In more
+variables the active set has no such order, and every active component is
+scanned.
 
 The divisor probe reads, for each variable ``k``, the degree bucket
 ``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept

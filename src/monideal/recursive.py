@@ -10,12 +10,13 @@ read off the corners of the staircase.  Tries are lex-sorted tuples of
 distinct vectors, such as the closure's ``gens``, and never empty.
 
 The chain's last link is the unit ideal, which has no components, so the
-link before it loses all of its own and needs no merge.  The one-vector
-slices that come before the last, after the first and after every slice
-holding several vectors, are not decomposed link by link: each such link
-is the previous one plus a single generator.  At height three the link is
-a staircase, and ``splice`` adds the generator and returns the corners it
-loses; from height four up the incremental engine's step updates the
+link before it loses all of its own and needs no merge.  At height three
+every link is a staircase, and no link is decomposed: ``splice`` adds each
+slice to the staircase of the link before it and returns the corners it
+loses.  From height four up, the one-vector slices that come before the
+last, after the first and after every slice holding several vectors, are
+not decomposed link by link either: each such link is the previous one
+plus a single generator, and the incremental engine's step updates the
 previous link's components to the next one's, returning the lost ones.
 On generic input every slice above degree 0 holds one vector, so
 everything after the first link goes through that tail.
@@ -43,34 +44,48 @@ def corners(t):
     return [(a, b) for (a, _), (_, b) in zip(t, t[1:])]
 
 
-def splice(stairs, v, counter=None):
-    """Add ``v`` to a staircase in place and return the components it loses.
+def splice(stairs, tk, counter=None):
+    """Add a slice ``tk`` to a staircase in place; return the components it
+    loses.
 
-    ``stairs`` lists the vectors of a minimal Artinian height-2 trie, whose
-    ``b`` strictly rise from 0 and ``a`` strictly fall to 0, and none of
-    them divides ``v``.  The vectors that ``v`` divides have ``b >= v_b``,
-    a suffix from ``i`` found by bisection, and ``a >= v_a``, a prefix of
-    it read forward up to ``j``: ``v`` replaces that run.  The order holds,
-    as ``stairs[i - 1]`` has ``b < v_b`` and so ``a > v_a``, and
-    ``stairs[j]`` has ``a < v_a`` and so ``b > v_b``, or they would divide
-    ``v``.  The components are the ``corners``, whose ``a`` are distinct,
-    and only the pairs within ``stairs[i - 1 : j + 1]`` change.  So the
-    lost ones are that window's corners that are not corners of the new
-    ``stairs[i - 1 : i + 2]``; one survives when ``v`` shares its ``b``
-    with the first removed vector or its ``a`` with the last.  Charges what
-    the incremental staircase step charges: ``len(stairs).bit_length()``,
-    and one op per vector the forward read takes, the stopping one
-    included.
+    ``stairs`` lists a minimal Artinian height-2 trie: its ``b`` strictly
+    rise from 0 and its ``a`` strictly fall to 0.  ``tk`` is a nonempty
+    lex-sorted height-2 antichain, ordered the same way, and no vector of
+    ``stairs`` divides one of it.  What ``tk`` divides has ``b >=
+    tk[0]_b``, a suffix from ``i`` found by bisection, and ``a >=
+    tk[-1]_a``, a prefix of it read forward up to ``j``.  In that window,
+    ``x`` is divided exactly when the last ``v`` of ``tk`` with ``v_b <=
+    x_b``, the one of least ``a`` among them, has ``v_a <= x_a``.  The
+    survivors and ``tk`` are pairwise incomparable, so interleaving them by
+    ``b`` makes the ``a`` fall, and ``stairs[i - 1]`` and ``stairs[j]`` are
+    incomparable with all of them.  So ``stairs`` becomes the staircase of
+    the union's minimal elements, still Artinian.  Its components are its
+    ``corners``, whose ``a`` are distinct, and only the pairs within
+    ``stairs[i - 1 : j + 1]`` change: the lost ones are the window's old
+    corners that are not corners of the new window, which leaves out a
+    corner that one vector of ``tk`` would make and a later one remove.
+    Charges ``len(stairs).bit_length()``, one op per vector the forward
+    read takes, the stopping one included, and one per vector of ``tk``
+    past the first: a one-vector slice charges what the incremental
+    staircase step charges.
     """
-    i = j = bisect_left(stairs, v[1], key=itemgetter(1))
-    while j < len(stairs) and stairs[j][0] >= v[0]:
+    i = j = bisect_left(stairs, tk[0][1], key=itemgetter(1))
+    while j < len(stairs) and stairs[j][0] >= tk[-1][0]:
         j += 1
     if counter is not None:
-        counter.add(len(stairs).bit_length() + j - i + (j < len(stairs)))
+        counter.add(len(stairs).bit_length() + j - i + (j < len(stairs)) + len(tk) - 1)
     lo = max(i - 1, 0)
     lost = corners(stairs[lo:j + 1])
-    stairs[i:j] = [v]
-    kept = corners(stairs[lo:i + 2])
+    window, k = [], 0
+    for x in stairs[i:j]:
+        while k < len(tk) and tk[k][1] <= x[1]:
+            window.append(tk[k])
+            k += 1
+        if tk[k - 1][0] > x[0]:  # the slice vector with the largest b <= x_b
+            window.append(x)
+    window += tk[k:]
+    stairs[i:j] = window
+    kept = set(corners(stairs[lo:i + len(window) + 1]))
     return [c for c in lost if c not in kept]
 
 
@@ -82,8 +97,12 @@ def decompose_trie(t, counter=None):
     Height one is a single pure power, whose degree is the lone component.
     Above height two, walk the slice chain on the last variable and emit the
     components lost at each step tagged with the degree where they vanish.
-    Link ``k`` is the ``min_merge`` of link ``k - 1`` and slice ``k``.
-    INF labels are allowed and flow through untouched.
+    Link ``k`` is the ideal generated by link ``k - 1`` and slice ``k``.
+    INF labels are allowed and flow through untouched.  A minimal Artinian
+    trie sorts the pure power of its first variable first, and any other
+    nonzero first vector raises ``ValueError``.  This one check on ``t[0]``
+    also stands for link 0 at every lower height, which height three never
+    decomposes.
 
     The last slice is the zero vector alone, the pure power x_n^D of the
     last variable (``D`` may be INF); anything else raises ``ValueError``.
@@ -95,20 +114,28 @@ def decompose_trie(t, counter=None):
     component of the link before it.  These are emitted with ``D``, and the
     step runs no merge, no recursive call and no ``difference``.
 
-    The walk decomposes links from scratch only up to link ``K``, the last
-    slice before ``D`` holding more than one vector, or link 0.  The
-    one-vector slices ``(d, (v,))`` between it and ``D`` make the tail:
-    link ``k`` is link ``k - 1`` plus X^v, and no vector of link ``k - 1``
-    divides ``v``, as the trie is minimal.  At height three the tail
-    splices each ``v`` into a copy of link ``K``'s vectors, a staircase
-    (``splice``), and from height four up link ``K``'s components and
-    vectors seed an ``IncrementalState`` that absorbs each ``v`` with
-    ``add_generator``.  Either returns exactly Irr(link ``k - 1``) minus
-    Irr(link ``k``), so those are emitted with ``d``, the tail needs no
-    merge and no ``difference``, and its components after the last ``v``
-    are the ones emitted with ``D``.  Tail vectors come in the order of the
-    last variable, not in lex order, so the state's reactivation branch is
-    in use here.  The choice reads only the sizes of the trie's slices.
+    No vector of link ``k - 1`` divides one of slice ``k``: it would
+    project a generator with a smaller last coordinate dividing another
+    (``min_merge``).  At height three every link is a staircase, and link 0
+    is slice 0, which holds the pure powers of both variables.  So a copy
+    of its vectors goes through ``splice`` with each later slice ``(d,
+    tk)`` in turn, which makes it link ``k`` and returns exactly Irr(link
+    ``k - 1``) minus Irr(link ``k``), emitted with ``d``.  The corners
+    left after the last slice are the ones emitted with ``D``.  No link is
+    decomposed, link 0 included, and no merge or ``difference`` runs.
+
+    From height four up, the walk decomposes links from scratch with
+    ``min_merge`` only up to link ``K``, the last slice before ``D``
+    holding more than one vector, or link 0.  The one-vector slices ``(d,
+    (v,))`` between it and ``D`` make the tail: link ``k`` is link ``k -
+    1`` plus X^v.  Link ``K``'s components and vectors seed an
+    ``IncrementalState`` that absorbs each ``v`` with ``add_generator``,
+    which returns exactly Irr(link ``k - 1``) minus Irr(link ``k``), so
+    those are emitted with ``d``, the tail needs no merge and no
+    ``difference``, and its components after the last ``v`` are the ones
+    emitted with ``D``.  Tail vectors come in the order of the last
+    variable, not in lex order, so the state's reactivation branch is in
+    use here.  The choice reads only the sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
@@ -129,7 +156,8 @@ def decompose_trie(t, counter=None):
     ``difference`` returns a sublist of ``prev``, the output of a recursive
     call, which is duplicate-free by induction on the height (the base
     cases below plainly are), and the step to ``D`` emits ``prev`` itself.
-    A tail step emits a sublist of duplicate-free corners or of the state's
+    At height three each step emits a sublist of a staircase's corners,
+    whose ``a`` are distinct.  A tail step emits a sublist of the state's
     components (``add_generator``).
 
     Height two is read off the corners.  Write the vectors, in lex order, as
@@ -150,7 +178,7 @@ def decompose_trie(t, counter=None):
     height = len(t[0])
     if height == 1:
         return [t[-1]]
-    if t[0][-1] != 0:
+    if any(t[0][1:]):
         raise ValueError("no generator is free of the last variable; "
                          "the encoded ideal is not Artinian in the others")
     if height == 2:
@@ -163,6 +191,11 @@ def decompose_trie(t, counter=None):
     if any(last[0]) or len(last) > 1:
         raise ValueError("the last slice is not the pure power of the last "
                          "variable alone; the encoded ideal is not Artinian in it")
+    if height == 3:
+        stairs, out = list(slices[0][1]), []
+        for d, tk in slices[1:]:
+            out.extend(c + (d,) for c in splice(stairs, tk, counter))
+        return out + [c + (d_last,) for c in corners(stairs)]
     tail = len(slices)  # slices[tail:] hold one vector each
     while tail > 1 and len(slices[tail - 1][1]) == 1:
         tail -= 1
@@ -174,12 +207,7 @@ def decompose_trie(t, counter=None):
         cur = decompose_trie(link, counter)
         out.extend(v + (d,) for v in difference(prev, cur, counter))
         prev = cur
-    if height == 3 and tail < len(slices):
-        stairs = list(link)
-        for d, (v,) in slices[tail:]:
-            out.extend(c + (d,) for c in splice(stairs, v, counter))
-        prev = corners(stairs)
-    elif tail < len(slices):
+    if tail < len(slices):
         state = IncrementalState(height - 1, prev, link, counter)
         for d, (v,) in slices[tail:]:
             out.extend(b + (d,) for b in state.add_generator(v))

@@ -751,8 +751,9 @@ class TestStaircase:
 
     def test_chain_tail_states_never_take_the_path(self, monkeypatch):
         # the recursive engine's chain tail builds three-variable states
-        # directly at height 4, which scan and never bisect; its height-3
-        # tail splices a staircase of generators and builds no state
+        # directly at height 4, which scan and never bisect; at height 3 it
+        # splices each slice into a staircase of generators and builds no
+        # state
         bisections, steps = [], []
         bisect_right = incremental.bisect_right
         add_generator = IncrementalState.add_generator

@@ -213,9 +213,9 @@ def height_three_tries(draw):
 
 
 def has_tail(t):
-    """The one tail rule, at every height from three up: the slice before
-    the last holds one vector and is not the first."""
-    if len(t[0]) < 3:
+    """The tail rule, from height four up: the slice before the last holds
+    one vector and is not the first.  Height three splices every slice."""
+    if len(t[0]) < 4:
         return False
     slices = top_slices(t)
     return len(slices) > 2 and len(slices[-2][1]) == 1
@@ -225,12 +225,10 @@ def spy_tails(monkeypatch):
     """Record ``(height, K)`` for every chain tail ``decompose_trie``
     starts, ``K`` being the index of the last multi-vector slice before the
     last slice, or 0.  Check that a trie starts a tail exactly under
-    ``has_tail``, and from link ``K``: a height-3 tail's first ``splice``
-    gets link ``K``'s vectors, and a higher tail's state is seeded with
-    them.  Height-2 tries, read off their corners, start none."""
+    ``has_tail``, and from link ``K``: the tail's state is seeded with link
+    ``K``'s vectors.  Height-2 and height-3 tries start none."""
     tails, stack = [], []
     inner = recursive.decompose_trie
-    splice = recursive.splice
 
     def spy(t, counter=None):
         stack.append([t, 0])
@@ -241,29 +239,48 @@ def spy_tails(monkeypatch):
         assert started == has_tail(t)
         return out
 
-    def record(vectors):
-        t = stack[-1][0]
-        stack[-1][1] += 1
-        slices = top_slices(t)
-        k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
-        assert k < len(slices) - 2
-        assert tuple(vectors) == list(slice_chain(t))[k][1]
-        tails.append((len(t[0]), k))
-
-    def spy_splice(stairs, v, counter=None):
-        if not stack[-1][1]:  # the tail's first vector
-            record(stairs)
-        return splice(stairs, v, counter)
-
     class Recording(IncrementalState):
         def __init__(self, n, components, generators, counter=None):
             super().__init__(n, components, generators, counter)
-            record(generators)
+            t = stack[-1][0]
+            stack[-1][1] += 1
+            slices = top_slices(t)
+            k = max(i for i, (_, tk) in enumerate(slices[:-1]) if i == 0 or len(tk) > 1)
+            assert k < len(slices) - 2
+            assert tuple(generators) == list(slice_chain(t))[k][1]
+            tails.append((len(t[0]), k))
 
     monkeypatch.setattr(recursive, "decompose_trie", spy)
-    monkeypatch.setattr(recursive, "splice", spy_splice)
     monkeypatch.setattr(recursive, "IncrementalState", Recording)
     return tails
+
+
+def spy_height_three(monkeypatch):
+    """Fail if a height-3 ``decompose_trie`` call merges, takes a
+    ``difference`` or decomposes a link: its slices go through ``splice``
+    alone.  Return the heights of the calls, in order."""
+    heights, stack = [], []
+    inner = recursive.decompose_trie
+
+    def no_walk(f):
+        def spy(*args, **kwargs):
+            assert stack[-1] != 3, f"{f.__name__} at height 3"
+            return f(*args, **kwargs)
+        return spy
+
+    def spy(t, counter=None):
+        assert not stack or stack[-1] != 3, "a link decomposed at height 3"
+        stack.append(len(t[0]))
+        heights.append(len(t[0]))
+        try:
+            return inner(t, counter)
+        finally:
+            stack.pop()
+
+    for name in ("min_merge", "difference"):
+        monkeypatch.setattr(recursive, name, no_walk(getattr(recursive, name)))
+    monkeypatch.setattr(recursive, "decompose_trie", spy)
+    return heights
 
 
 class TestChainTail:
@@ -276,24 +293,27 @@ class TestChainTail:
     @settings(max_examples=200, deadline=None)
     @given(height_three_tries())
     def test_height_three_tail_matches_the_walk(self, t):
-        # a height-3 trie splices a tail exactly under the rule, and emits
+        # a height-3 trie splices every slice, builds no state, and emits
         # what the walk of its slice chain emits
         with pytest.MonkeyPatch.context() as mp:
             tails = spy_tails(mp)
+            heights = spy_height_three(mp)
             got = recursive.decompose_trie(t)
-        assert [h for h, _ in tails] == ([3] if has_tail(t) else [])
+        assert tails == [] and heights == [3]
         assert sorted(got) == sorted(slice_chain_walk(t))
 
     @pytest.mark.parametrize("m", [1, 2, 12, 13])
     def test_height_three_tail_needs_a_long_chain(self, monkeypatch, m):
         # x^(m+2), y^(m+2), z^(m+1) and x^(m+1-k) y^k z^k for k = 1..m: one
         # vector in each of the m slices between the first and the last.
-        # A chain of any length splices; none is too short for the tail
+        # A chain of any length splices, with no walk and no state; none is
+        # too short (the name is kept from when a floor of 13 slices held)
         tails = spy_tails(monkeypatch)
+        heights = spy_height_three(monkeypatch)
         t = build(3, [(m + 2, 0, 0), (0, m + 2, 0), (0, 0, m + 1)]
                   + [(m + 1 - k, k, k) for k in range(1, m + 1)])
         got = recursive.decompose_trie(t)
-        assert tails == [(3, 0)]
+        assert tails == [] and heights == [3]
         assert sorted(got) == sorted(slice_chain_walk(t))
 
     def test_tail_runs_on_generic_input(self, monkeypatch):
@@ -304,21 +324,37 @@ class TestChainTail:
                 del tails[:]
                 g = gen_random(n, 30, 60, seed, generic=True)
                 assert decompose_recursive(g) == decompose_incremental(g)
-                # the top trie's tail starts after its first link; a lower
-                # trie has a tail unless it holds pure powers alone
-                assert (n, 0) in tails
+                # from height four up, the top trie's tail starts after its
+                # first link, and a lower trie has a tail unless it holds
+                # pure powers alone; height three splices and has none
+                assert ((n, 0) in tails) == (n > 3)
                 heights |= {h for h, _ in tails}
-            assert heights == set(range(3, n + 1))
+            assert heights == set(range(4, n + 1))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_power_ideal_builds_no_state(self, monkeypatch, n):
         # every slice of m^6 but the last holds several vectors, at every
-        # height, so no trie has a tail before its last slice
+        # height, so no trie has a tail before its last slice (and height
+        # three builds no state anyway)
         tails = spy_tails(monkeypatch)
         g = GeneratorSet.from_vectors(
             n, [v for v in itertools.product(range(7), repeat=n) if sum(v) == 6])
         assert decompose_recursive(g) == decompose_incremental(g)
         assert tails == []
+
+    def test_height_three_walks_no_link(self, monkeypatch):
+        # no height-3 call merges, takes a difference or decomposes a link,
+        # whether it is the top trie or a link of a higher one
+        heights = spy_height_three(monkeypatch)
+        rng = random.Random(59)
+        for _ in range(100):
+            g = random_ideal(rng, n_choices=(3, 4, 5))
+            assert emit_components(decompose_recursive(g)) == \
+                emit_components(decompose_incremental(g))
+        for n in (3, 4, 5):
+            g = gen_random(n, 30, 60, 1, generic=True)
+            assert decompose_recursive(g) == decompose_incremental(g)
+        assert {3, 4, 5} <= set(heights)
 
     def test_tail_after_a_multi_vector_slice(self, monkeypatch):
         tails = spy_tails(monkeypatch)
@@ -374,6 +410,11 @@ class TestHeightTwoBase:
         with pytest.raises(ValueError, match="free of the last variable"):
             decompose_trie(build(2, [(3, 1), (1, 2)]))
 
+    def test_no_y_free_vector_in_link_0_raises_at_height_three(self):
+        # link 0, <xy>, is never decomposed at height 3, and is checked anyway
+        with pytest.raises(ValueError, match="free of the last variable"):
+            decompose_trie(build(3, [(1, 1, 0), (0, 0, 1)]))
+
     def test_recursion_never_reaches_height_one(self, monkeypatch):
         heights = []
         inner = recursive.decompose_trie
@@ -389,11 +430,17 @@ class TestHeightTwoBase:
         assert set(heights) == {2, 3, 4}
 
 
+def minimal(vectors):
+    """The distinct minimal elements of ``vectors``."""
+    return {v for v in vectors if not any(w != v and leq(w, v) for w in vectors)}
+
+
 @st.composite
 def staircases(draw):
     """A minimal Artinian staircase, its ``b`` rising from 0 and its ``a``
-    falling to 0, either end optionally INF, and a finite vector ``v`` that
-    none of its vectors divides."""
+    falling to 0, either end optionally INF, and a slice: a lex-sorted
+    antichain of finite vectors, none of which a staircase vector divides,
+    that may hold a y-free ``(a, 0)`` and an x-free ``(0, b)``."""
     m = draw(st.integers(2, 8))
     xs = sorted(draw(st.sets(st.integers(1, 30), min_size=m - 1, max_size=m - 1)),
                 reverse=True) + [0]
@@ -403,12 +450,20 @@ def staircases(draw):
     if draw(st.booleans()):
         ys[-1] = INF
     stairs = list(zip(xs, ys))
-    # v lies below, in x, the vector with the largest b at most v_b, which
-    # is not the last: the last, with a = 0, would divide it
-    k = draw(st.integers(0, m - 2))
-    vb = draw(st.integers(ys[k], min(ys[k + 1], 41) - 1))
-    va = draw(st.integers(0, min(xs[k], 41) - 1))
-    return stairs, (va, vb)
+
+    def free_vector():
+        # below, in x, the vector with the largest b at most v_b, which is
+        # not the last: the last, with a = 0, would divide it
+        k = draw(st.integers(0, m - 2))
+        return (draw(st.integers(0, min(xs[k], 41) - 1)),
+                draw(st.integers(ys[k], min(ys[k + 1], 41) - 1)))
+
+    vs = [free_vector() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        vs.append((draw(st.integers(0, min(xs[0], 41) - 1)), 0))
+    if draw(st.booleans()):
+        vs.append((0, draw(st.integers(0, min(ys[-1], 41) - 1))))
+    return stairs, tuple(sorted(minimal(vs), key=lex_key))
 
 
 def bivariate_irr(vectors):
@@ -421,42 +476,55 @@ class TestSplice:
     @settings(max_examples=300, deadline=None)
     @given(staircases())
     def test_splice_keeps_a_staircase_and_returns_the_lost_corners(self, case):
-        before, v = case
+        before, tk = case
         stairs, counter = list(before), OpCounter()
-        lost = splice(stairs, v, counter)
+        lost = splice(stairs, tk, counter)
         assert sorted(lost) == sorted(set(corners(before)) - set(corners(stairs)))
-        assert stairs == sorted(stairs, key=lex_key) and v in stairs
-        assert stairs[0][1] == 0 and stairs[-1][0] == 0
-        for a, b in zip(stairs, stairs[1:]):
-            assert a[0] > b[0] and a[1] < b[1]
-        run = len(before) + 1 - len(stairs)
-        assert counter.ops <= len(before).bit_length() + run + 1
-        assert set(corners(stairs)) == bivariate_irr(stairs)
         assert set(lost) == bivariate_irr(before) - bivariate_irr(stairs)
+        assert stairs == sorted(minimal(before + list(tk)), key=lex_key)
+        assert stairs[0][1] == 0 and stairs[-1][0] == 0
+        assert set(corners(stairs)) == bivariate_irr(stairs)
+        # the bisection, the window read with the vector that stops it,
+        # if there is one, and one op per slice vector past the first
+        window = [x for x in before if x[1] >= tk[0][1] and x[0] >= tk[-1][0]]
+        read = len(window) + (before[-1] not in window)
+        assert counter.ops == len(before).bit_length() + read + len(tk) - 1
+        if len(tk) == 1:
+            # the window is the run the vector replaces
+            run = len(before) + 1 - len(stairs)
+            stop = stairs[-1] != tk[0]
+            assert counter.ops == len(before).bit_length() + run + stop
 
     def test_a_corner_survives_when_v_shares_its_b(self):
         # v = (4, 3) replaces (5, 3); the corner (7, 3) of (7, 1) and (5, 3)
         # is the corner of (7, 1) and v too
         stairs = [(9, 0), (7, 1), (5, 3), (0, 5)]
-        assert splice(stairs, (4, 3)) == [(5, 5)]
+        assert splice(stairs, ((4, 3),)) == [(5, 5)]
         assert stairs == [(9, 0), (7, 1), (4, 3), (0, 5)]
 
     def test_a_corner_survives_when_v_shares_its_a(self):
         # v = (5, 2) replaces (5, 3); the corner (5, 5) of (5, 3) and (0, 5)
         # is the corner of v and (0, 5) too
         stairs = [(9, 0), (5, 3), (0, 5)]
-        assert splice(stairs, (5, 2)) == [(9, 3)]
+        assert splice(stairs, ((5, 2),)) == [(9, 3)]
         assert stairs == [(9, 0), (5, 2), (0, 5)]
 
     def test_an_x_free_vector_becomes_the_last(self):
         stairs = [(9, 0), (7, 1), (5, 3), (0, 5)]
-        assert splice(stairs, (0, 2)) == [(7, 3), (5, 5)]
+        assert splice(stairs, ((0, 2),)) == [(7, 3), (5, 5)]
         assert stairs == [(9, 0), (7, 1), (0, 2)]
 
     def test_a_y_free_vector_becomes_the_first(self):
         stairs = [(INF, 0), (7, 1), (5, 3), (0, INF)]
-        assert splice(stairs, (8, 0)) == [(INF, 1)]
+        assert splice(stairs, ((8, 0),)) == [(INF, 1)]
         assert stairs == [(8, 0), (7, 1), (5, 3), (0, INF)]
+
+    def test_a_corner_made_within_the_slice_is_not_returned(self):
+        # (5, 3) alone would make the corner (5, 9) with (0, 9), and (3, 5)
+        # removes it again: only the old corner (9, 9) is lost
+        stairs = [(9, 0), (0, 9)]
+        assert splice(stairs, ((5, 3), (3, 5))) == [(9, 9)]
+        assert stairs == [(9, 0), (5, 3), (3, 5), (0, 9)]
 
 
 class TestLastSlice:
@@ -490,7 +558,8 @@ class TestSliceChain:
     def test_merges_only_antichains(self, monkeypatch):
         # ``min_merge`` filters only the link against the slice, which is
         # exact on antichains where no link vector divides an unequal slice
-        # vector: check every merge the engine and the reference walk make
+        # vector: check every merge the engine and the reference walk make.
+        # Height 3 splices its slices, so the engine merges no height-2 link
         merged = []
         inner = recursive.min_merge
 
@@ -513,7 +582,7 @@ class TestSliceChain:
                 slice_chain_walk(t)
             else:
                 assert set(decompose_trie(t)) == comps
-        assert set(merged) == {1, 2, 3, 4}
+        assert set(merged) == {1, 3, 4}
 
     def test_chain_is_strictly_increasing(self):
         rng = random.Random(31)
@@ -570,7 +639,7 @@ class TestPaperComparison:
     pinned exactly; recursive counts may only fall (criterion 8), but must
     keep the claimed side of the comparison.  On generic input the claim is
     about the paper's pure recursive algorithm, the reference walk: the
-    engine's chain tail, which splices each one-vector slice into a
+    engine, which splices each slice of a three-variable chain into a
     staircase, beats both on the three-variable ladders pinned here."""
 
     def test_incremental_wins_on_generic(self):
@@ -582,22 +651,23 @@ class TestPaperComparison:
         assert ops(decompose_incremental, g) == 380 < counter.ops == 3395
 
     def test_chain_tail_beats_incremental_on_three_variable_generic(self):
-        # the hybrid engine splices the chain after its first link into a
-        # staircase, and so charges less than incremental's 380 here (2,472
-        # ops when it walked every link, 854 with two-variable incremental
-        # steps that scanned every component, 310 with ones that bisected)
-        assert ops(decompose_recursive, gen_random(3, 40, 80, 1, generic=True)) == 213
+        # the engine splices every slice into a staircase, and so charges
+        # less than incremental's 380 here (2,472 ops when it walked every
+        # link, 854 with two-variable incremental steps that scanned every
+        # component, 310 with ones that bisected, 213 when it still
+        # decomposed link 0)
+        assert ops(decompose_recursive, gen_random(3, 40, 80, 1, generic=True)) == 206
 
     def test_three_variable_generic_chain_takes_the_tail(self):
         # walking every link charged 225,230 ops here, two-variable
-        # incremental steps that scanned every component 75,316, and ones
-        # that bisected 3,789
-        assert ops(decompose_recursive, gen_random(3, 400, 800, 1, generic=True)) <= 2900
+        # incremental steps that scanned every component 75,316, ones that
+        # bisected 3,789, and splicing after a decomposed link 0 2,900
+        assert ops(decompose_recursive, gen_random(3, 400, 800, 1, generic=True)) <= 2796
 
     def test_three_variable_generic_chain_scales_near_linearly(self):
         # two-variable incremental steps that scanned every component
         # charged 1,047,734 ops at p = 1500 and 4,209,857 at p = 3000 (4.0x);
-        # splicing the staircase charges 12,878 and 28,253
+        # splicing the staircase charges 12,478 and 27,484
         def rec(p):
             return ops(decompose_recursive, gen_random(3, p, 2 * p, 1, generic=True))
 
@@ -607,8 +677,9 @@ class TestPaperComparison:
         m8 = GeneratorSet.from_vectors(
             3, [v for v in itertools.product(range(9), repeat=3) if sum(v) == 8])
         inc, rec = ops(decompose_incremental, m8), ops(decompose_recursive, m8)
+        # walking every multi-vector slice charged 197 recursive ops here
         assert inc == 391
-        assert rec <= 197 < inc
+        assert rec <= 92 < inc
 
     def test_recursive_has_no_merge_cliff(self):
         # every link merge costs about its own size, not a re-minimalization
