@@ -74,12 +74,10 @@ def distinct_degree_counts(art):
 # random sets and shells mixed with generic points; table in the README),
 # every ideal over 0.5 ms with prod(s_j)/p^2 <= 10 ran faster under the
 # recursive engine (0.12-0.54 of the incremental time), while generic
-# ladders in 3-5 variables lie at 14-33,000.  Those ran up to 48 times
-# slower under the recursive engine until it absorbed each chain's
-# one-vector tail with the incremental step; re-measured since three-variable
-# chains splice every slice into their staircase, 18 of them (p <= 40) take
-# 0.38-0.53 of the incremental time at n = 3, 0.77-0.92 at n = 4 and
-# 0.83-0.93 at n = 5 (README).
+# ladders in 3-5 variables lie at 14-33,000.  Under the recursive engine,
+# 18 of those ladders (p <= 40) take 0.38-0.53 of the incremental time at
+# n = 3, 0.77-0.92 at n = 4 and 0.83-0.93 at n = 5 (README), though the
+# rule sends them to the incremental engine.
 RECURSIVE_BOX_RATIO = 10
 
 

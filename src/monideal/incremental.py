@@ -18,6 +18,8 @@ generators needs no special case.  The degree index of the absorbed
 generators only grows; an entry that a later ``alpha`` divides never
 changes a lowering limit.  Lowered copies are distinct from each other and
 from the untouched components, so no duplicate check is made.
+``decompose_incremental``'s trace is read off the steps from outside, not
+threaded through them.
 
 Components are kept in two lists.  The partition scans only the active
 ones.  A copy lowered at the last variable takes ``alpha``'s last
@@ -43,15 +45,12 @@ opposite directions, or one would lie below the other.  So ``active`` is
 kept sorted by ``beta_0``, along which ``beta_1`` strictly falls.  A
 component lies strictly above ``alpha`` only if ``beta_0 > alpha_0``,
 which holds on a suffix of the list that ``bisect`` finds, and ``beta_1 >
-alpha_1``, which holds on a prefix of that suffix, read forward.  The
-partition runs on that run alone, and the kept lowered copies are spliced
-back in ``beta_0`` order.  This path ends for good at the first
-reactivation, after which the whole active list is scanned; states built
-directly, such as the recursive engine's chain tail, never take it.  That
-engine builds no state at height three, where it splices each slice into
-a staircase of generators instead (``recursive.splice``).  In more
-variables the active set has no such order, and every active component is
-scanned.
+alpha_1``, which holds on a prefix of that suffix, read forward.  That
+run is the window the partition reads, and the kept lowered copies replace
+it in ``beta_0`` order.  This path ends for good at the first
+reactivation; states built directly, such as the recursive engine's chain
+tails, never take it.  In every other state the window is the whole
+active list.
 
 The divisor probe reads, for each variable ``k``, the degree bucket
 ``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept
@@ -74,7 +73,6 @@ generator containing INF stands for the zero polynomial and divides nothing.
 """
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from operator import gt, itemgetter, lt
 
 from .core import (ComponentSet, INF, deartinianize, lex_key, replace_coord,
@@ -167,14 +165,15 @@ def dividing_generators(beta, index, counter=None):
     return lone
 
 
-def lowering_limits(beta, lone, counter=None):
+def lowering_limits(beta, lone):
     """Per-variable blocking degrees for lowering component ``beta``.
 
     ``lone`` holds ``beta``'s lone matchers from ``dividing_generators``.
     The limit at ``u`` is the largest, over the other variables ``k``, of
     the smallest ``x_u``-degree among the lone matchers at ``k`` (-INF when
     there are none).  The copy lowered to exponent ``a`` at ``u`` survives
-    exactly when ``limit < a``.  Charges no ops.
+    exactly when ``limit < a``.  It reads only ``lone``, which the probe
+    has charged, and charges nothing itself.
 
     Raises ``RuntimeError`` when a finite ``beta_k`` has no lone matcher,
     which no component of the current ideal I allows.  Add x_i^N for every
@@ -200,31 +199,6 @@ def lowering_limits(beta, lone, counter=None):
     return list(map(max, zip((-INF,) * n, *masked)))
 
 
-@dataclass
-class TraceStep:
-    """Record of one absorbed generator, in the external trace shape."""
-
-    step: int
-    alpha: tuple
-    t1_size: int
-    t2_size: int
-    lowerings: list  # (kept, beta, u, limit) tuples, u 0-based
-
-    def record(self, relabel):
-        """External dict form: each lowering's candidate is ``beta`` with
-        coordinate ``u`` set to ``alpha_u``, vectors go through ``relabel``
-        (the closure's map back to the original ideal) and ``u`` is
-        reported 1-based."""
-        out = {"kept": [], "rejected": []}
-        for kept, beta, u, limit in self.lowerings:
-            cand = replace_coord(beta, u, self.alpha[u])
-            out["kept" if kept else "rejected"].append(
-                {"beta": list(relabel(beta)), "u": u + 1, "d": limit,
-                 "candidate": list(relabel(cand))})
-        return {"step": self.step, "alpha": list(self.alpha),
-                "t1_size": self.t1_size, "t2_size": self.t2_size, **out}
-
-
 class IncrementalState:
     """Single-owner state of one incremental run.
 
@@ -234,21 +208,22 @@ class IncrementalState:
     the constructor fills the buckets and sorts each once, and a later
     generator is inserted in order.  It also holds the current components,
     which always equal the decomposition of the ideal the absorbed
-    generators span.  They are split in two lists, each in insertion order:
+    generators span.  They are split in two lists:
 
     - ``active``, which the partition scans.
-    - ``retired``, the components kept from a lowering at the last variable,
-      which the partition never scans.  ``floor`` is the largest last
-      coordinate among them (-INF while there are none).
+    - ``retired``, the components kept from a lowering at the last variable
+      since the last reactivation, in the order they were retired, which
+      the partition never scans.  Their last coordinates never fall along
+      the list, so the last one holds the largest (see ``add_generator``).
 
     ``components`` returns all current components, active then retired, as
     a new list; ``len(state)`` counts them without building it.
 
     ``staircase`` is True while ``active`` is kept sorted by ``beta_0`` and
-    the partition bisects it (see ``add_generator``).  Only ``start`` sets
-    it, and only in three variables; the first reactivation clears it for
-    good.  A state built directly never sets it, so its components stay in
-    insertion order.
+    the step bisects it to narrow the partition's window to the run above
+    ``alpha`` (see ``add_generator``).  Only ``start`` sets it, and only in
+    three variables; the first reactivation clears it for good.  Every
+    other state partitions its whole active list.
     """
 
     staircase = False
@@ -257,7 +232,6 @@ class IncrementalState:
         self.n = n
         self.active = [tuple(c) for c in components]
         self.retired = []
-        self.floor = -INF
         self.index = {}
         self._keys = [_BY[bucket_coordinate(u, n)] for u in range(n)]
         for m in map(tuple, generators):
@@ -267,7 +241,6 @@ class IncrementalState:
         for (u, _), bucket in self.index.items():
             bucket.sort(key=self._keys[u])
         self.counter = counter
-        self.steps = 0
 
     @property
     def components(self):
@@ -301,7 +274,7 @@ class IncrementalState:
         state.staircase = art.n == 3
         return state
 
-    def add_generator(self, alpha, trace=None):
+    def add_generator(self, alpha):
         """Absorb one generator, update the components exactly and return
         the list of components the step removed.
 
@@ -311,9 +284,9 @@ class IncrementalState:
         the irreducible ideal of ``beta`` iff ``alpha_i < beta_i`` for every
         ``i``.  So X^alpha is already in I iff no component lies strictly
         above ``alpha``; the components are then left as they are, ``alpha``
-        is not indexed, no trace step is written and ``[]`` is returned.
-        (An ``alpha`` with an INF coordinate stands for zero, which lies in
-        every ideal, and no component lies above it.)
+        is not indexed and ``[]`` is returned.  (An ``alpha`` with an INF
+        coordinate stands for zero, which lies in every ideal, and no
+        component lies above it.)
 
         Otherwise ``alpha`` is added to the degree index, and no generator
         it divides is removed: the index holds elements of I, every minimal
@@ -327,20 +300,23 @@ class IncrementalState:
         a lone matcher at ``k`` too.  So every minimum that
         ``lowering_limits`` takes is unchanged.
 
-        Only the active components are partitioned.  A retired ``beta``
-        has ``beta_n <= floor``, and ``alpha_n >= floor`` is ensured first:
-        when ``alpha`` breaks lex order with ``alpha_n < floor``, every
-        retired component moves back into ``active``.  That reactivation is
-        the exactness guard for out-of-order callers, such as the recursive
-        engine's chain tail; ``decompose_incremental`` never triggers it.
-        So ``beta_n <= alpha_n`` and ``beta`` is not strictly above
-        ``alpha``.  Therefore ``beta`` is untouched by the step, X^alpha is
-        in I iff no *active* component lies strictly above it, and the
-        divisor probe and the lowering limits, which run on affected
-        components only, never see ``beta``.  A kept candidate lowered at
-        the last variable has last coordinate ``alpha_n``, so it is retired
-        and ``floor`` becomes ``alpha_n``, which keeps the same argument
-        valid for every later ``alpha`` with ``alpha_n >= floor``.
+        Only the active components are partitioned.  Every retired
+        component was kept from a lowering at the last variable, so its
+        last coordinate is the ``alpha_n`` of the step that retired it.
+        Along ``retired`` these never fall: a reactivation empties the
+        list, and a step that retires without reactivating has ``alpha_n``
+        at least the last retired coordinate, which by induction is the
+        largest in the list, and appends only vectors with last coordinate
+        ``alpha_n``.  So ``retired[-1]`` holds the largest last coordinate,
+        and when ``alpha`` breaks lex order with ``alpha_n`` below it, every
+        retired component moves back into ``active`` first.  That
+        reactivation is the exactness guard for out-of-order callers, such
+        as the recursive engine's chain tails; ``decompose_incremental``
+        never triggers it.  After it every retired ``beta`` has ``beta_n <=
+        alpha_n`` and is not strictly above ``alpha``.  Therefore ``beta``
+        is untouched by the step, X^alpha is in I iff no *active* component
+        lies strictly above it, and the divisor probe and the lowering
+        limits, which run on affected components only, never see ``beta``.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -352,85 +328,68 @@ class IncrementalState:
         strictly below the candidate's parent, against the antichain.  Nor
         does a kept candidate equal an affected component, which lies
         strictly above ``alpha`` at ``u``.  So the affected components,
-        returned in the partition's order, are exactly the ones the step
-        removes.
+        probed and returned in the partition's order, are exactly the ones
+        the step removes.
 
-        On the staircase path (``staircase``, a three-variable state from
-        ``start`` before any reactivation), every active component has the
-        last coordinate ``B``, the pure-power degree, and ``active`` is
-        sorted by ``beta_0`` with ``beta_1`` strictly falling (module
-        docstring).  A component strictly above ``alpha`` has ``beta_0 >
-        alpha_0`` and ``beta_1 > alpha_1``.  The first holds exactly on the
-        suffix from ``start``, the first index with ``beta_0 > alpha_0``,
-        found by bisection; the second, on that suffix, exactly on a prefix
-        ending before ``end``, the first member with ``beta_1 <= alpha_1``.
-        No component outside ``active[start:end]`` is affected, so the
-        partition runs on that run alone, and the ones it leaves (all of it
-        when ``alpha_2 >= B``) are untouched too.  The step charges
-        ``len(active).bit_length()`` ops for the bisection's probes and one
-        op per member the forward read takes, the stopping member included,
-        and the partition on the run charges nothing more.  The kept copies
-        lowered at ``x_0`` or ``x_1`` keep ``B`` and replace the run, sorted
-        by ``beta_0``.  They stay between the untouched neighbours: a copy
-        has ``beta_0`` either ``alpha_0``, at least that of every member
-        before ``start``, or that of a run member, below that of every
-        member from ``end`` on; and the new active list is an antichain
-        with one last coordinate, so no two of its ``beta_0`` are equal.
-        The returned components are the run, in ``beta_0`` order.
+        The partition reads one window, ``active[start:end]``, and charges
+        one op per member; every active component outside it is untouched.
+        The window is the whole list except on the staircase path
+        (``staircase``, a three-variable state from ``start`` before any
+        reactivation).  There every active component has the last
+        coordinate ``B``, the pure-power degree, and ``active`` is sorted
+        by ``beta_0`` with ``beta_1`` strictly falling (module docstring).
+        A component strictly above ``alpha`` has ``beta_0 > alpha_0`` and
+        ``beta_1 > alpha_1``.  The first holds exactly on the suffix from
+        ``start``, the first index with ``beta_0 > alpha_0``, found by
+        bisection; the second, on that suffix, exactly on a prefix ending
+        before ``end``, the first member with ``beta_1 <= alpha_1``.  The
+        step charges ``len(active).bit_length()`` ops for the bisection's
+        probes and one for the stopping member, when there is one.  The
+        window's members differ from ``alpha`` in ``x_2`` alone, so either
+        all are affected (``B > alpha_2``) or none is and the step ends.
 
-        Off that path components stay in insertion order.  On both,
-        ``affected`` is probed in ``lex_key`` order, so that the trace lists
-        lowerings in lex order of their parents.  A candidate is built only
-        when it is kept; a trace step holds each lowering's parent, variable
-        and limit, and builds the candidate when it is recorded.
+        The step ends with one update: the window becomes its untouched
+        members followed by the kept copies not lowered at the last
+        variable, sorted by ``beta_0``.  On the staircase path no member is
+        untouched, and the copies keep ``B`` and stay between the untouched
+        neighbours: a copy has ``beta_0`` either ``alpha_0``, at least that
+        of every member before ``start``, or that of a window member, below
+        that of every member from ``end`` on; and the new active list is an
+        antichain with one last coordinate, so no two of its ``beta_0`` are
+        equal.  The returned components are then the window, in ``beta_0``
+        order.  A candidate is built only when it is kept.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError(f"generator {alpha} has length {len(alpha)}, expected {self.n}")
-        if alpha[-1] < self.floor:
+        if self.retired and alpha[-1] < self.retired[-1][-1]:
             self.active.extend(self.retired)
-            self.retired, self.floor = [], -INF
+            self.retired = []
             self.staircase = False
         active = self.active
+        start, end = 0, len(active)
         if self.staircase:
             start = end = bisect_right(active, alpha[0], key=_BY[0])
             while end < len(active) and active[end][1] > alpha[1]:
                 end += 1
             if self.counter is not None:
-                self.counter.add(len(active).bit_length() + end - start
-                                 + (end < len(active)))
-            _, affected = partition_components(active[start:end], alpha)
-        else:
-            untouched, affected = partition_components(active, alpha, self.counter)
+                self.counter.add(len(active).bit_length() + (end < len(active)))
+        untouched, affected = partition_components(active[start:end], alpha, self.counter)
         if not affected:
             return []
 
         last = self.n - 1
         lowered, retiring = [], []
-        lowerings = [] if trace is not None else None
-        for beta in sorted(affected, key=lex_key):
-            lone = dividing_generators(beta, self.index, self.counter)
-            limits = lowering_limits(beta, lone)
+        for beta in affected:
+            limits = lowering_limits(beta, dividing_generators(beta, self.index, self.counter))
             for u, a in enumerate(alpha):
-                kept = a >= 1 and limits[u] < a
-                if kept:
+                if a >= 1 and limits[u] < a:
                     (retiring if u == last else lowered).append(replace_coord(beta, u, a))
-                if lowerings is not None:
-                    lowerings.append((kept, beta, u, limits[u]))
-
-        self.steps += 1
-        if trace is not None:
-            trace.append(TraceStep(self.steps, alpha, len(self) - len(affected),
-                                   len(affected), lowerings))
-        if self.staircase:
-            lowered.sort(key=_BY[0])
-            active[start:end] = lowered
-        else:
-            self.active = untouched + lowered
+        lowered.sort(key=_BY[0])
+        untouched += lowered
+        active[start:end] = untouched
         self._index(alpha)
-        if retiring:
-            self.retired.extend(retiring)
-            self.floor = alpha[-1]
+        self.retired.extend(retiring)
         return affected
 
 
@@ -438,9 +397,21 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     """Decompose a generator set by absorbing generators one at a time.
 
     Generators are absorbed in lex order, which keeps the component count
-    from shrinking on generic input.  ``trace`` (a list) receives one
-    external-form record per step; ``t_sizes`` (a list) receives the
+    from shrinking on generic input.  ``t_sizes`` (a list) receives the
     component count before any step and after each one.
+
+    ``trace`` (a list) receives one external-form record per step that
+    removed components, built here by observing the step: its ``alpha``,
+    the component count before it, and the removed components ``beta`` in
+    lex order, each with one lowering per variable ``u`` (reported 1-based).
+    A lowering's candidate is ``beta`` with coordinate ``u`` set to
+    ``alpha_u``, its limit is read again with ``dividing_generators`` and
+    ``lowering_limits``, uncharged, and it is kept by the step's own test,
+    ``alpha_u >= 1`` and limit below ``alpha_u``.  The step indexed
+    ``alpha``, which lies strictly below ``beta`` and so matches it in no
+    variable: the limits read are the step's own.  Vectors are mapped back
+    to the original ideal with the closure's ``relabel``.  The record's
+    work is one probe per removed component, never a pass over all of them.
     """
     if g.is_unit():
         if t_sizes is not None:
@@ -451,13 +422,25 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     if t_sizes is not None:
         t_sizes.append(len(state))
 
-    raw_trace = [] if trace is not None else None
+    records = []
     for alpha in art.alphas():
-        state.add_generator(alpha, trace=raw_trace)
+        before = len(state)
+        removed = state.add_generator(alpha)
         if t_sizes is not None:
             t_sizes.append(len(state))
+        if trace is None or not removed:
+            continue
+        out = {"kept": [], "rejected": []}
+        for beta in sorted(removed, key=lex_key):
+            limits = lowering_limits(beta, dividing_generators(beta, state.index))
+            for u, (a, limit) in enumerate(zip(alpha, limits)):
+                out["kept" if a >= 1 and limit < a else "rejected"].append(
+                    {"beta": list(art.relabel(beta)), "u": u + 1, "d": limit,
+                     "candidate": list(art.relabel(replace_coord(beta, u, a)))})
+        records.append({"step": len(records) + 1, "alpha": list(alpha),
+                        "t1_size": before - len(removed), "t2_size": len(removed), **out})
 
     result = deartinianize(state.components, art)
     if trace is not None:
-        trace.extend(step.record(art.relabel) for step in raw_trace)
+        trace.extend(records)
     return result

@@ -116,8 +116,8 @@ def ideals_equal(g1, g2):
     return minimalize(g1.gens) == minimalize(g2.gens)
 
 
-def checked_step(state, alpha, trace=None):
-    """``state.add_generator(alpha, trace)``, checked against a full reduction.
+def checked_step(state, alpha):
+    """``state.add_generator(alpha)``, checked against a full reduction.
 
     The components are partitioned again with ``strictly_below``; the step
     must leave ``maximalize`` of the untouched ones plus every lowered
@@ -130,7 +130,7 @@ def checked_step(state, alpha, trace=None):
     untouched = [b for b in before if not strictly_below(alpha, b)]
     candidates = [replace_coord(b, u, alpha[u]) for b in before
                   if strictly_below(alpha, b) for u in range(len(alpha))]
-    lost = state.add_generator(alpha, trace)
+    lost = state.add_generator(alpha)
     after = state.components
     if (sorted(after, key=lex_key) != maximalize(
             untouched + [c for c in candidates if min(c) >= 1])

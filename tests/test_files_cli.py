@@ -551,6 +551,40 @@ class TestCli:
         assert records and all(r["file"] in map(str, paths) for r in records)
         assert [r["step"] for r in records if r["file"] == str(paths[0])] == [1, 2, 3]
 
+    @pytest.mark.parametrize("name", ["staircase-n3", "scan-n5", "inf-padded", "directory"])
+    def test_trace_leaves_ops_and_peak_unchanged(self, tmp_path, capsys, name):
+        # the trace is read off the steps, so it adds no op and no component
+        # to any stats record and leaves the component files as they are;
+        # x_3 is in no generator of the padded ideal, so its coordinate is INF
+        padded = [v[:2] + (0,) + v[2:] for v in gen_random(3, 20, 40, 3, generic=True).gens]
+        ideals = {"staircase-n3": gen_random(3, 60, 120, 1, generic=True),
+                  "scan-n5": gen_random(5, 30, 60, 2, generic=True),
+                  "inf-padded": GeneratorSet.from_vectors(4, padded)}
+        src = tmp_path / "in"
+        src.mkdir()
+        for key, g in ideals.items():
+            if name in (key, "directory"):
+                (src / f"{key}.ideal").write_text(emit_ideal(g))
+        if name != "directory":
+            src = src / f"{name}.ideal"
+
+        def run(out, *flags):
+            assert cli_main(["decompose", "--algo", "incremental", "--stats", *flags,
+                             str(src), str(tmp_path / out)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            fields = [dict(f.split("=", 1) for f in l.split()[1:])
+                      for l in err if l.startswith("stats:")]
+            return [(f.get("file"), f["ops"], f["peak_t"]) for f in fields]
+
+        plain, traced = run("plain"), run("traced", "--trace")
+        assert plain == traced and len(plain) == (3 if name == "directory" else 1)
+        files = {out: sorted((tmp_path / out).iterdir()) if name == "directory"
+                 else [tmp_path / out] for out in ("plain", "traced")}
+        assert [f.read_bytes() for f in files["plain"]] == \
+            [f.read_bytes() for f in files["traced"]]
+        if name == "inf-padded":
+            assert "inf" in files["plain"][0].read_text()
+
     def test_bench_subcommand(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert cli_main(["bench", "--suite", "nongeneric-sweep", "--out", str(out)]) == 0

@@ -45,7 +45,7 @@ def power_ideal(n, d):
         n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
 
 
-def keep_every_lowering(beta, lone, counter=None):
+def keep_every_lowering(beta, lone):
     """A broken ``lowering_limits`` under which no lowered copy is blocked."""
     return [-INF] * len(beta)
 
@@ -58,6 +58,12 @@ def lex_run_ideals():
             yield gen_random(n, 16, 5, seed)
     for n, d in ((3, 7), (4, 5), (5, 3)):
         yield power_ideal(n, d)
+
+
+def floor(state):
+    """The largest last coordinate among the retired components, -INF while
+    there are none: a step with a smaller one reactivates them."""
+    return max((b[-1] for b in state.retired), default=-INF)
 
 
 def inf_state():
@@ -280,12 +286,14 @@ def check_probe(beta, state, generators):
     assert charged == ref_probe_charge(beta, generators)
     assert charged <= sum(m[k] == beta[k] for m in generators
                           for k in range(state.n))
-    try:
-        want = ref_lowering_limits(beta, lone)
-    except RuntimeError:
-        want = "RuntimeError"
-    assert outcome(lowering_limits, beta, lone) == (want, 0)
-    return want
+    limits = []
+    for fn in (ref_lowering_limits, lowering_limits):
+        try:
+            limits.append(fn(beta, lone))
+        except RuntimeError:
+            limits.append("RuntimeError")
+    assert limits[0] == limits[1]
+    return limits[0]
 
 
 class TestProbeReference:
@@ -395,6 +403,41 @@ class TestTraceLimits:
         assert checked == {(a, b) for a in (False, True) for b in (False, True)}
         assert len(records) > 200
 
+    def test_kept_split_is_the_state_stepped_alongside(self):
+        """A record's kept candidates are exactly those present in a state
+        stepped through the same alphas, and its rejected ones are absent:
+        the record's test is the step's, on generic, non-generic and
+        shell ideals in 1-5 variables."""
+        rng = random.Random(73)
+        ideals = [random_ideal(rng, n_choices=(1, 2, 3, 4, 5), max_p=12,
+                               generic=i % 2 == 0) for i in range(120)]
+        ideals += list(shell_ideals(rng, 40))
+        kept = rejected = 0
+        for g in ideals:
+            if g.is_unit():
+                continue
+            art = artinianize(g)
+            trace = []
+            decompose_incremental(g, trace=trace)
+            records = iter(trace)
+            state = IncrementalState.start(art)
+            for alpha in art.alphas():
+                before = len(state)
+                removed = state.add_generator(alpha)
+                if not removed:
+                    continue
+                rec = next(records)
+                assert rec["alpha"] == list(alpha)
+                assert (rec["t1_size"], rec["t2_size"]) == (before - len(removed), len(removed))
+                present = {tuple(art.relabel(c)) for c in state.components}
+                assert all(tuple(e["candidate"]) in present for e in rec["kept"])
+                assert not any(tuple(e["candidate"]) in present for e in rec["rejected"])
+                assert len(rec["kept"]) == len(state) - before + len(removed)
+                kept += len(rec["kept"])
+                rejected += len(rec["rejected"])
+            assert next(records, None) is None
+        assert kept > 1000 and rejected > 1000
+
 
 class TestAddGenerator:
     def test_showcase_step_one(self):
@@ -427,14 +470,12 @@ class TestAddGenerator:
         # the ideal
         state = inf_state()
         index = {key: list(bucket) for key, bucket in state.index.items()}
-        trace = []
         for alpha in [(4, 0, 0), (5, 1, 0), (4, 4, INF)]:
-            assert checked_step(state, alpha, trace) == []
+            assert checked_step(state, alpha) == []
             assert state.components == [(4, 4, INF)] and state.index == index
-            assert len(state) == 1 and state.steps == 0 and trace == []
-        assert checked_step(state, (3, 0, 0), trace) == [(4, 4, INF)]
-        assert state.components == [(3, 4, INF)] and state.steps == 1
-        assert len(trace) == 1
+            assert len(state) == 1
+        assert checked_step(state, (3, 0, 0)) == [(4, 4, INF)]
+        assert state.components == [(3, 4, INF)]
         with pytest.raises(ValueError):
             state.add_generator((1, 1))
 
@@ -478,13 +519,13 @@ class TestAddGenerator:
                 else:
                     alpha = tuple(rng.randint(0, d) for d in degs)
                     draws["box"] += 1
-                before = (state.components, len(state), state.steps)
+                before = (state.components, len(state))
                 inside = any(leq(m, alpha) for m in generators)
                 in_ideal += inside
                 divides_absorbed += not inside and any(leq(alpha, m) for m in generators)
                 checked_step(state, alpha)
                 if inside:
-                    assert (state.components, len(state), state.steps) == before
+                    assert (state.components, len(state)) == before
                 else:
                     generators.append(alpha)
                 want = decompose_oracle(GeneratorSet.from_vectors(art.n, generators))
@@ -502,21 +543,15 @@ class TestAddGenerator:
 
     def test_zero_alpha_leaves_no_component(self):
         # alpha = 0 gives the unit ideal: every component, retired ones
-        # included, is removed, and every lowering has a zero exponent and
-        # is rejected, traced or not
+        # included, is removed, since every lowering has a zero exponent
         art = artinianize(fourvar())
-        for traced in (False, True):
-            state = IncrementalState.start(art)
-            for alpha in art.alphas():
-                state.add_generator(alpha)
-            before = state.components
-            assert state.retired
-            trace = [] if traced else None
-            assert sorted(checked_step(state, (0, 0, 0, 0), trace)) == sorted(before)
-            assert state.components == [] and len(state) == 0
-            if traced:
-                rec = trace[0].record(art.relabel)
-                assert rec["kept"] == [] and len(rec["rejected"]) == 4 * len(before)
+        state = IncrementalState.start(art)
+        for alpha in art.alphas():
+            state.add_generator(alpha)
+        before = state.components
+        assert state.retired
+        assert sorted(checked_step(state, (0, 0, 0, 0))) == sorted(before)
+        assert state.components == [] and len(state) == 0
 
     def test_shuffled_runs_reactivate_retired_components(self):
         # out of lex order an alpha may have a smaller last coordinate than
@@ -534,12 +569,12 @@ class TestAddGenerator:
             alphas = list(art.alphas())
             rng.shuffle(alphas)
             for alpha in alphas:
-                reactivate = alpha[-1] < state.floor
+                reactivate = alpha[-1] < floor(state)
                 checked_step(state, alpha)
                 if reactivate:
                     reactivations += 1
                     assert all(b[-1] == alpha[-1] for b in state.retired)
-                    assert state.floor in (-INF, alpha[-1])
+                    assert floor(state) in (-INF, alpha[-1])
                 assert len(state) == len(state.components)
             lex = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
             assert sorted(state.components) == sorted(lex.comps)
@@ -573,7 +608,7 @@ class TestAddGenerator:
             "from monideal import INF, artinianize, incremental\n"
             "from monideal.incremental import IncrementalState\n"
             "from conftest import checked_step, showcase\n"
-            "incremental.lowering_limits = lambda beta, lone, counter=None: "
+            "incremental.lowering_limits = lambda beta, lone: "
             "[-INF] * len(beta)\n"
             "art = artinianize(showcase())\n"
             "state = IncrementalState.start(art)\n"
@@ -610,7 +645,7 @@ class TestRetirement:
             state = IncrementalState.start(art)
             retired = []
             for alpha in art.alphas():
-                assert state.floor <= alpha[-1]
+                assert floor(state) <= alpha[-1]
                 assert not any(strictly_below(alpha, b) for b in state.retired)
                 state.add_generator(alpha)
                 # never reactivated: the retired list only grows
@@ -619,6 +654,24 @@ class TestRetirement:
             assert set(retired) <= set(state.components)
             total += len(retired)
         assert total > 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(["lex", "shuffled", "reactivating"]))
+    def test_retired_last_coordinates_never_fall(self, seed, generic, order):
+        """Along ``retired`` the last coordinates never fall, so its last
+        vector holds the largest, the one a step compares with to decide
+        whether to reactivate; in 2-5 variables and every absorb order."""
+        rng = random.Random(seed)
+        g = random_ideal(rng, n_choices=(2, 3, 4, 5), max_p=12, generic=generic)
+        if g.is_unit():
+            return
+        art = artinianize(g)
+        state = IncrementalState.start(art)
+        for alpha in staircase_orders(rng, art.alphas())[order]:
+            checked_step(state, alpha)
+            last = [b[-1] for b in state.retired]
+            assert last == sorted(last)
 
     def test_active_components_are_the_slice_chain(self):
         # at the last alpha of each x_n-degree d, the active components are
@@ -685,7 +738,7 @@ class TestStaircase:
         assert state.staircase
         reactivated = False
         for alpha in staircase_orders(rng, art.alphas())[order]:
-            reactivated |= alpha[-1] < state.floor
+            reactivated |= alpha[-1] < floor(state)
             removed = checked_step(state, alpha)
             assert state.staircase == (not reactivated)
             if state.staircase:
@@ -708,10 +761,11 @@ class TestStaircase:
         assert state.staircase and state.active == [(2, 10, 10), (10, 2, 10)]
 
     def test_reactivation_hands_over_to_the_scan(self, monkeypatch):
-        # in reverse lex order an early alpha reactivates.  Until then the
-        # partition gets a slice of the active list and no counter; from
-        # that step on it gets the whole list and the state's counter, and
-        # every step charges what it charges a three-variable state built
+        # in reverse lex order an early alpha reactivates; in lex order none
+        # does.  The partition always gets the state's counter and a window
+        # of the active list: before any reactivation the run above alpha in
+        # x_0 and x_1, from the first one on the whole list, and every step
+        # from then on charges what it charges a three-variable state built
         # directly, which never takes the path
         def step(state, alpha):
             before = state.counter.ops
@@ -730,24 +784,30 @@ class TestStaircase:
         partition = incremental.partition_components
 
         def spy(comps, alpha, counter=None):
-            calls.append((comps is state.active, counter is state.counter))
+            calls.append((list(comps), counter is state.counter))
             return partition(comps, alpha, counter)
 
         monkeypatch.setattr(incremental, "partition_components", spy)
-        handovers = 0
+        handovers = runs_before = 0
         for art, alphas, direct_charges in runs:
-            state = IncrementalState.start(art, OpCounter())
-            scanning = False
-            for alpha, charge in zip(alphas, direct_charges):
-                scanning |= alpha[-1] < state.floor
-                calls.clear()
-                got = step(state, alpha)
-                assert calls == [(scanning, scanning)]
-                assert state.staircase == (not scanning)
-                if scanning:
-                    assert got == charge
-            handovers += scanning
-        assert handovers > 30
+            # lex order, which never reactivates, then the reverse
+            for order, charges in ((alphas[::-1], None), (alphas, direct_charges)):
+                state = IncrementalState.start(art, OpCounter())
+                scanning = False
+                for i, alpha in enumerate(order):
+                    reactivates = alpha[-1] < floor(state)
+                    scanning |= reactivates
+                    active = state.active + (state.retired if reactivates else [])
+                    run = [b for b in active if b[0] > alpha[0] and b[1] > alpha[1]]
+                    calls.clear()
+                    got = step(state, alpha)
+                    assert calls == [(active if scanning else run, True)]
+                    assert state.staircase == (not scanning)
+                    if scanning:
+                        assert got == charges[i]
+                    runs_before += not scanning and 0 < len(run) < len(active)
+                handovers += scanning
+        assert handovers > 30 and runs_before > 150
 
     def test_chain_tail_states_never_take_the_path(self, monkeypatch):
         # the recursive engine's chain tail builds three-variable states
@@ -762,9 +822,9 @@ class TestStaircase:
             bisections.append(args[1])
             return bisect_right(*args, **kwargs)
 
-        def spy_step(state, alpha, trace=None):
+        def spy_step(state, alpha):
             steps.append((state.n, state.staircase))
-            return add_generator(state, alpha, trace)
+            return add_generator(state, alpha)
 
         monkeypatch.setattr(incremental, "bisect_right", spy_bisect)
         monkeypatch.setattr(IncrementalState, "add_generator", spy_step)
@@ -853,7 +913,7 @@ class TestDegreeIndex:
             alphas = list(art.alphas())
             rng.shuffle(alphas)
             for alpha in alphas:
-                reactivations += alpha[-1] < state.floor
+                reactivations += alpha[-1] < floor(state)
                 state.add_generator(alpha)
                 generators.append(alpha)
                 self.assert_sorted(state.index, art.n)
