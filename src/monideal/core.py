@@ -42,29 +42,44 @@ def leq(a, b):
 lex_key = itemgetter(slice(None, None, -1))
 
 
-def _domination_order(v):
-    # A vector can only dominate another with smaller (sum, lex) key, so
-    # scanning in this order lets minimalize keep a single growing antichain.
-    return (sum(v), lex_key(v))
-
-
 def minimalize(vectors):
     """Minimal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Every input vector is >= some output vector, and no output vector divides
     another.  The distinct vectors are scanned in ``(sum, lex)`` order
-    against the antichain kept so far, by the blocked numpy kernel at every
-    size; an empty input returns ``[]``.
+    against the antichain kept so far, by the blocked numpy kernel; an empty
+    input returns ``[]``, and vectors of unequal lengths raise ValueError.
+
+    Vectors that all have one finite degree (coordinate sum) skip the
+    kernel: they are already an antichain.  A proper divisor ``m`` of ``v``
+    has ``m_i <= v_i`` everywhere and ``m_j < v_j`` somewhere, so its degree
+    is strictly smaller; edge ideals and degree shells such as m^d are of
+    this kind.  The proof needs finite sums: an INF or -INF coordinate makes
+    the degree INF, -INF or (with both) nan, and two such vectors can divide
+    each other, like ``(0, 0, INF)`` and ``(INF, INF, INF)``.  Every degree
+    is read, not only the first and last in ``(sum, lex)`` order, because a
+    nan sort key compares neither below nor above any other and may sort
+    anywhere.
 
     Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
     most 2^33, as every caller in the package guarantees (see
     ``MAX_EXPONENT``): the kernel compares float64 copies, which are exact
     only below 2^53.
     """
-    distinct = sorted(set(map(tuple, vectors)), key=_domination_order)
+    distinct = list(set(map(tuple, vectors)))
     if not distinct:
         return []
-    return sorted(_blocked_scan(distinct), key=lex_key)
+    lengths = set(map(len, distinct))
+    if len(lengths) > 1:
+        raise ValueError(f"length mismatch: {min(lengths)} vs {max(lengths)}")
+    degrees = list(map(sum, distinct))
+    if len(set(degrees)) == 1 and math.isfinite(degrees[0]):
+        return sorted(distinct, key=lex_key)
+    # A vector can only be divided by one of smaller (degree, lex) key, so
+    # the kernel scans in that order and keeps one growing antichain.  Two
+    # distinct vectors never tie on both, so the vectors are not compared.
+    order = sorted(zip(degrees, map(lex_key, distinct), distinct))
+    return sorted(_blocked_scan([v for _, _, v in order]), key=lex_key)
 
 
 def _divides(a, b):
@@ -91,9 +106,6 @@ def _blocked_scan(distinct):
     time O(p*(k+b)*n) for ``k`` kept vectors and blocks of ``b`` rows.
     """
     n = len(distinct[0])
-    for v in distinct:
-        if len(v) != n:
-            raise ValueError(f"length mismatch: {n} vs {len(v)}")
     rows = np.fromiter(chain.from_iterable(distinct), np.float64,
                        len(distinct) * n).reshape(-1, n)
     b = math.isqrt(BLOCK_CELLS)

@@ -333,11 +333,12 @@ class IncrementalState:
 
         The partition reads one window, ``active[start:end]``, and charges
         one op per member; every active component outside it is untouched.
-        The window is the whole list except on the staircase path
-        (``staircase``, a three-variable state from ``start`` before any
-        reactivation).  There every active component has the last
-        coordinate ``B``, the pure-power degree, and ``active`` is sorted
-        by ``beta_0`` with ``beta_1`` strictly falling (module docstring).
+        The window is the whole list, handed over without a copy, except on
+        the staircase path (``staircase``, a three-variable state from
+        ``start`` before any reactivation).  There every active component
+        has the last coordinate ``B``, the pure-power degree, and ``active``
+        is sorted by ``beta_0`` with ``beta_1`` strictly falling (module
+        docstring).
         A component strictly above ``alpha`` has ``beta_0 > alpha_0`` and
         ``beta_1 > alpha_1``.  The first holds exactly on the suffix from
         ``start``, the first index with ``beta_0 > alpha_0``, found by
@@ -350,7 +351,8 @@ class IncrementalState:
 
         The step ends with one update: the window becomes its untouched
         members followed by the kept copies not lowered at the last
-        variable, sorted by ``beta_0``.  On the staircase path no member is
+        variable, sorted by ``beta_0``; a whole-list window is replaced by
+        that new list, not written back.  On the staircase path no member is
         untouched, and the copies keep ``B`` and stay between the untouched
         neighbours: a copy has ``beta_0`` either ``alpha_0``, at least that
         of every member before ``start``, or that of a window member, below
@@ -366,15 +368,15 @@ class IncrementalState:
             self.active.extend(self.retired)
             self.retired = []
             self.staircase = False
-        active = self.active
-        start, end = 0, len(active)
+        active = window = self.active
         if self.staircase:
             start = end = bisect_right(active, alpha[0], key=_BY[0])
             while end < len(active) and active[end][1] > alpha[1]:
                 end += 1
             if self.counter is not None:
                 self.counter.add(len(active).bit_length() + (end < len(active)))
-        untouched, affected = partition_components(active[start:end], alpha, self.counter)
+            window = active[start:end]
+        untouched, affected = partition_components(window, alpha, self.counter)
         if not affected:
             return []
 
@@ -387,7 +389,10 @@ class IncrementalState:
                     (retiring if u == last else lowered).append(replace_coord(beta, u, a))
         lowered.sort(key=_BY[0])
         untouched += lowered
-        active[start:end] = untouched
+        if self.staircase:
+            active[start:end] = untouched
+        else:
+            self.active = untouched
         self._index(alpha)
         self.retired.extend(retiring)
         return affected

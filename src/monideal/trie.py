@@ -48,23 +48,36 @@ def min_merge(a, b, counter=None):
     ``x + (c,)`` would divide ``y + (d,)``: one generator would divide
     another, but the trie being sliced is an antichain.
 
-    Each vector of ``a`` is charged to ``counter`` one comparison per vector
-    of ``b`` it is tested against, up to its first divisor.
+    A vector ``v`` of ``a`` is tested only against a prefix of ``b``.  A
+    divisor ``m`` of ``v`` has ``m[-1] <= v[-1]``, and ``b`` is sorted by
+    its last coordinate first, so every divisor lies in ``b[:end]``, the
+    vectors whose last coordinate is at most ``v[-1]``.  ``a`` is sorted
+    the same way, so ``end`` only moves forward: one pointer walks ``b``
+    once per merge.  The prefix is tested from its end backwards, where
+    the vectors nearest ``v`` lie, up to the first divisor.
+
+    Each vector of ``a`` is charged to ``counter`` one op per vector of
+    ``b`` it is tested against, and the pointer one op per vector of ``b``
+    it reads, the stopping one included, as ``splice`` charges its forward
+    read.  So a merge charges at most ``len(a) * len(b) + len(b)``, what
+    testing all of ``b`` charged, plus the pointer's read.
     """
     if a and b and len(a[0]) != len(b[0]):
         raise ValueError(f"cannot merge tries of heights {len(a[0])} and {len(b[0])}")
     kept = []
-    compared = 0
+    compared = end = 0
     for v in a:
-        for k, m in enumerate(b, 1):
-            if all(map(le, m, v)):
-                compared += k
+        while end < len(b) and b[end][-1] <= v[-1]:
+            end += 1
+        for k in range(end - 1, -1, -1):
+            if all(map(le, b[k], v)):
+                compared += end - k
                 break
         else:
-            compared += len(b)
+            compared += end
             kept.append(v)
-    if counter is not None:
-        counter.add(compared)
+    if counter is not None and a:
+        counter.add(compared + end + (end < len(b)))
     return tuple(sorted(kept + list(b), key=lex_key))
 
 

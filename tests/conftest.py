@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from operator import le
 
 from monideal import GeneratorSet, INF, gen_random
 from monideal.core import (deartinianize, leq, lex_key, maximalize, minimalize,
@@ -146,6 +147,26 @@ def is_antichain(vectors):
             if a is not b and leq(a, b):
                 return False
     return True
+
+
+def full_scan_min_merge(a, b, counter=None):
+    """Reference for ``trie.min_merge``: each vector of ``a`` is tested
+    against ``b`` from its first vector, up to its first divisor, one op per
+    vector tested; the vectors of ``a`` that nothing divides and all of
+    ``b``, in lex order."""
+    kept = []
+    compared = 0
+    for v in a:
+        for k, m in enumerate(b, 1):
+            if all(map(le, m, v)):
+                compared += k
+                break
+        else:
+            compared += len(b)
+            kept.append(v)
+    if counter is not None:
+        counter.add(compared)
+    return tuple(sorted(kept + list(b), key=lex_key))
 
 
 def slice_chain(t, counter=None):

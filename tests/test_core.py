@@ -157,6 +157,48 @@ class TestKernel:
             with pytest.raises(ValueError):
                 f(vs)
 
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        inner = core._blocked_scan
+
+        def spy(distinct):
+            calls.append(len(distinct))
+            return inner(distinct)
+
+        monkeypatch.setattr(core, "_blocked_scan", spy)
+        return calls
+
+    def test_one_degree_input_skips_the_kernel(self, kernel_calls):
+        # m^8 in four variables, and the edge ideal of a 12-cycle with the
+        # chords i ~ i + 3: each is an antichain of one degree
+        m8 = [v for v in itertools.product(range(9), repeat=4) if sum(v) == 8]
+        edges = [tuple(int(k in (i, (i + s) % 12)) for k in range(12))
+                 for i in range(12) for s in (1, 3)]
+        for vs in (m8, edges):
+            assert minimalize(vs) == sorted(set(vs), key=lex_key)
+            assert GeneratorSet.from_vectors(len(vs[0]), vs).p == len(set(vs))
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("vs, out", [
+        # degrees INF and nan: (INF, -INF) divides (INF, INF)
+        ([(INF, INF), (INF, -INF)], [(INF, -INF)]),
+        # both of degree INF, yet one divides the other
+        ([(0, 0, INF), (INF, INF, INF)], [(0, 0, INF)]),
+        # a nan degree between two equal finite ones
+        ([(2, 0, 0), (INF, -INF, 0), (INF, -INF, 1), (0, 2, 0)],
+         [(INF, -INF, 0), (2, 0, 0), (0, 2, 0)]),
+    ])
+    def test_infinite_degrees_keep_the_kernel(self, kernel_calls, vs, out):
+        assert minimalize(vs) == out
+        assert kernel_calls == [len(vs)]
+
+    def test_equal_degrees_of_unequal_lengths_raise(self, kernel_calls):
+        # the length check runs before the one-degree return
+        with pytest.raises(ValueError, match="length mismatch"):
+            minimalize([(1, 1, 1), (3,)])
+        assert kernel_calls == []
+
     def test_no_quadratic_cliff(self):
         # 7 minimal vectors and 20,000 distinct vectors they divide: the
         # kernel's temporaries stay blocked, so memory is not O(p^2)

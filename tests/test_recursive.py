@@ -644,11 +644,12 @@ class TestPaperComparison:
 
     def test_incremental_wins_on_generic(self):
         # the paper's pure recursive algorithm decomposes every link of the
-        # slice chain from scratch, as the reference walk does
+        # slice chain from scratch, as the reference walk does (3,395 ops
+        # before the link merge charged its pointer's read of the slice)
         g = gen_random(3, 40, 80, 1, generic=True)
         counter = OpCounter()
         slice_chain_walk(build(3, g.closure.gens), counter)
-        assert ops(decompose_incremental, g) == 380 < counter.ops == 3395
+        assert ops(decompose_incremental, g) == 380 < counter.ops == 3913
 
     def test_chain_tail_beats_incremental_on_three_variable_generic(self):
         # the engine splices every slice into a staircase, and so charges

@@ -1,12 +1,12 @@
 """Lex-sorted trie encoding, slices and merge semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monideal import INF, GeneratorSet, OpCounter, artinianize
 from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
-from conftest import SHOWCASE_GENS, showcase
+from conftest import SHOWCASE_GENS, full_scan_min_merge, showcase
 
 
 def vector_lists():
@@ -86,11 +86,21 @@ class TestMerges:
         assert paths(out) == [(3, 2, 2)]
 
     def test_min_merge_charges_pairs_up_to_first_divisor(self):
-        # (4, 0) meets its divisor (3, 0) first: 1; (0, 4) tests both: 2;
-        # the second trie is kept untested: 3 in all
+        # (4, 0) can only be divided by (3, 0), which does: 1; (0, 4) tests
+        # (1, 3), then (3, 0): 2; the pointer reads both slice vectors: 2;
+        # the slice itself is kept untested: 5 in all (3 when every link
+        # vector was tested from the start of the slice, uncharged pointer)
         counter = OpCounter()
         out = min_merge(build(2, [(4, 0), (0, 4)]), build(2, [(3, 0), (1, 3)]), counter)
         assert paths(out) == [(3, 0), (1, 3), (0, 4)]
+        assert counter.ops == 5
+
+    def test_min_merge_tests_only_the_prefix_below_each_vector(self):
+        # (4, 0) is tested against (3, 0) alone, its one possible divisor:
+        # 1, and the pointer reads (3, 0) and stops on (1, 3): 2
+        counter = OpCounter()
+        out = min_merge(build(2, [(4, 0)]), build(2, [(3, 0), (1, 3)]), counter)
+        assert paths(out) == [(3, 0), (1, 3)]
         assert counter.ops == 3
 
     def test_published_components_are_antichain(self):
@@ -113,6 +123,32 @@ class TestMerges:
             if link is not None:
                 merged = min_merge(link, tk)
                 assert paths(merged) == minimalize(paths(link) + paths(tk))
+                tk = merged
+            link = tk
+
+
+@st.composite
+def closure_tries(draw):
+    """Trie of a minimal Artinian closure of height 2 to 5, its injected
+    powers relabelled INF or not."""
+    n = draw(st.integers(2, 5))
+    vs = draw(st.lists(st.tuples(*([st.integers(0, 5)] * n)), max_size=14))
+    art = artinianize(GeneratorSet.from_vectors(n, vs))
+    return build(n, map(art.relabel, art.gens) if draw(st.booleans()) else art.gens)
+
+
+class TestPrefixMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(closure_tries())
+    def test_matches_the_full_scan_within_its_charge(self, t):
+        # every link/slice pair the recursive engine's chain walk merges
+        link = None
+        for _, tk in top_slices(t):
+            if link is not None:
+                counter = OpCounter()
+                merged = min_merge(link, tk, counter)
+                assert merged == full_scan_min_merge(link, tk)
+                assert counter.ops <= len(link) * len(tk) + len(tk)
                 tk = merged
             link = tk
 
