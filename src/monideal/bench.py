@@ -9,7 +9,8 @@ that the counts stay inside fixed envelopes:
 
 where p is the number of minimal generators of the input, l the number of
 components, and s_j the number of distinct degrees of variable j over the
-Artinian closure (zeros and injected bounds included).
+Artinian closure (zeros and injected bounds included), which has only the
+variables that some non-pure generator uses.
 
 The envelope constants were calibrated once over the default generic sweep
 (worst observed incremental ratio 0.112, worst recursive ratio 0.015 across
@@ -64,7 +65,7 @@ CSV_COLUMNS = ["instance", "n", "p", "l", "algorithm", "ops", "wall_s", "peak_t"
 
 
 def distinct_degree_counts(art):
-    """Number of distinct degrees of each variable over the closure."""
+    """Number of distinct degrees of each (used) variable of the closure."""
     return tuple(len({v[j] for v in art.gens}) for j in range(art.n))
 
 
@@ -86,8 +87,8 @@ def preferred_engine(g):
 
     The recursive envelope is p^2 * prod(s_j); when prod(s_j) stays within
     ``RECURSIVE_BOX_RATIO * p^2`` the degrees repeat enough for slicing to
-    win.  The statistic is read off ``g.closure``, which either engine then
-    reuses.
+    win.  The statistic is read off ``g.closure``, over its used variables,
+    which either engine then reuses.
     """
     box = math.prod(distinct_degree_counts(g.closure))
     return "recursive" if box <= RECURSIVE_BOX_RATIO * g.p ** 2 else "incremental"

@@ -46,20 +46,25 @@ def minimalize(vectors):
     """Minimal elements of ``vectors`` under ``leq``, deduplicated, lex-sorted.
 
     Every input vector is >= some output vector, and no output vector divides
-    another.  The distinct vectors are scanned in ``(sum, lex)`` order
+    another.  The distinct vectors are scanned in ``(degree, lex)`` order
     against the antichain kept so far, by the blocked numpy kernel; an empty
     input returns ``[]``, and vectors of unequal lengths raise ValueError.
 
-    Vectors that all have one finite degree (coordinate sum) skip the
-    kernel: they are already an antichain.  A proper divisor ``m`` of ``v``
-    has ``m_i <= v_i`` everywhere and ``m_j < v_j`` somewhere, so its degree
-    is strictly smaller; edge ideals and degree shells such as m^d are of
-    this kind.  The proof needs finite sums: an INF or -INF coordinate makes
-    the degree INF, -INF or (with both) nan, and two such vectors can divide
-    each other, like ``(0, 0, INF)`` and ``(INF, INF, INF)``.  Every degree
-    is read, not only the first and last in ``(sum, lex)`` order, because a
-    nan sort key compares neither below nor above any other and may sort
-    anywhere.
+    The degree is the coordinate sum, read as INF when it is nan (a vector
+    mixing INF and -INF).  The order is a linear extension of ``leq``, so a
+    vector's divisors are scanned before it.  If ``m`` properly divides
+    ``v``, lex order puts ``m`` first (at the last coordinate where they
+    differ, ``m_j < v_j``), and ``m``'s degree is at most ``v``'s: sums are
+    monotone on vectors that mix nothing, a mixing ``v`` reads INF, which
+    every degree is at most, and an INF in a mixing ``m`` is one in ``v``,
+    so ``v`` mixes or sums to INF.
+
+    Vectors that all have one finite degree skip the kernel: they are
+    already an antichain.  A proper divisor ``m`` of ``v`` has ``m_i <=
+    v_i`` everywhere and ``m_j < v_j`` somewhere, so its finite degree is
+    strictly smaller; edge ideals and degree shells such as m^d are of this
+    kind.  The proof needs finite sums: two vectors of degree INF can divide
+    each other, like ``(0, 0, INF)`` and ``(INF, INF, INF)``.
 
     Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
     most 2^33, as every caller in the package guarantees (see
@@ -72,12 +77,10 @@ def minimalize(vectors):
     lengths = set(map(len, distinct))
     if len(lengths) > 1:
         raise ValueError(f"length mismatch: {min(lengths)} vs {max(lengths)}")
-    degrees = list(map(sum, distinct))
+    degrees = [d if d == d else INF for d in map(sum, distinct)]
     if len(set(degrees)) == 1 and math.isfinite(degrees[0]):
         return sorted(distinct, key=lex_key)
-    # A vector can only be divided by one of smaller (degree, lex) key, so
-    # the kernel scans in that order and keeps one growing antichain.  Two
-    # distinct vectors never tie on both, so the vectors are not compared.
+    # two distinct vectors never tie on both keys, so no vectors are compared
     order = sorted(zip(degrees, map(lex_key, distinct), distinct))
     return sorted(_blocked_scan([v for _, _, v in order]), key=lex_key)
 
@@ -283,28 +286,38 @@ class ComponentSet:
 
 @dataclass(frozen=True)
 class ArtinianizedIdeal:
-    """A generator set in ``n`` variables closed up with a pure power of each.
+    """The Artinian closure of a generator set in the variables it uses,
+    with the one map back to the original ideal.
 
-    ``bounds[i]`` is one more than the largest degree of variable ``i`` over
-    the original generators; ``added[i]`` says whether ``x_i^bounds[i]`` was
-    injected (it is exactly when no pure power of ``x_i`` was present, and
-    never for the unit ideal).
-    ``gens`` is the closure's minimal generating set: the original
-    generators plus the injected powers, lex-sorted.
+    A variable is *used* when a non-pure generator has a nonzero degree in
+    it; ``used`` lists their original indices, ascending.  The closure lives
+    in them: ``n`` counts them, and ``bounds``, ``added`` and the vectors of
+    ``gens`` have one coordinate per used variable.  ``bounds[k]`` is one
+    more than the largest degree of ``x_k`` over the original generators,
+    and ``added[k]`` says whether ``x_k^bounds[k]`` was injected, exactly
+    when ``x_k`` had no pure power.  ``gens`` is the closure's minimal
+    generating set, lex-sorted: the original generators but the pure powers
+    of unused variables, restricted to the used ones, plus the injected
+    powers.  ``fixed`` has one entry per original variable: the degree of
+    its pure power, or INF when it has none.  An unused variable ``x_i``
+    takes the coordinate ``fixed[i]`` in every component (``deartinianize``).
+    With no variable used the closure is the empty vector alone, for the
+    unit ideal, or else has no generators and the one empty component.
     """
 
     n: int
     bounds: tuple
     added: tuple
     gens: tuple
+    used: tuple
+    fixed: tuple
 
     def pure_degrees(self):
-        """Degree of the unique pure power of each variable in ``gens``.
+        """Degree of the unique pure power of each used variable in ``gens``.
 
-        An injected power has degree ``bounds[i]``.  A native power
-        ``x_i^d`` has degree ``bounds[i] - 1``: minimality keeps every other
-        generator's degree in ``x_i`` below ``d``, so ``d`` is the largest.
-        The unit ideal has no pure powers; callers handle it first.
+        An injected power has degree ``bounds[k]``.  A native power
+        ``x_k^d`` has degree ``bounds[k] - 1``: minimality keeps every other
+        generator's degree in ``x_k`` below ``d``, so ``d`` is the largest.
         """
         return tuple(b if a else b - 1 for b, a in zip(self.bounds, self.added))
 
@@ -313,85 +326,100 @@ class ArtinianizedIdeal:
         return tuple(v for v in self.gens if sum(1 for e in v if e) != 1)
 
     def relabel(self, v):
-        """Map a vector of the closure back to the original ideal: every
-        coordinate equal to an injected bound becomes INF.
-
+        """Map a vector of the closure back to the original ideal: coordinate
+        ``k`` goes to variable ``used[k]``, as INF if it equals an injected
+        bound, and each unused variable takes its ``fixed`` coordinate.
         Raises RuntimeError if a finite coordinate exceeds its bound, which
         no component of the closure, nor any lowered candidate, can do.
         """
         out = []
         for e, b, injected in zip(v, self.bounds, self.added):
-            if e > b and e != INF:
-                raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
-            out.append(INF if injected and e == b else e)
-        return tuple(out)
+            if e >= b:
+                if e != b and e != INF:
+                    raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
+                if injected:
+                    e = INF
+            out.append(e)
+        if self.n == len(self.fixed):
+            return tuple(out)
+        whole = list(self.fixed)
+        for i, e in zip(self.used, out):
+            whole[i] = e
+        return tuple(whole)
 
 
 def artinianize(g):
-    """Inject ``x_i^(maxdeg_i + 1)`` for every variable lacking a pure power.
+    """Restrict ``g`` to its used variables and close it up there.
 
-    The bound is the smallest that keeps the component correspondence exact;
-    for a variable absent from every generator the injected power is x_i^1.
+    Each used ``x_k`` lacking a pure power gets ``x_k^(maxdeg_k + 1)``, the
+    smallest bound that keeps the component correspondence exact.  Every
+    generator but the pure powers of unused variables is zero off the used
+    variables: a non-pure one by definition, and the unit ideal's zero
+    vector everywhere.  So the ideal is ``J + K`` in disjoint variables,
+    ``J`` generated by the kept generators and ``K`` by the dropped powers,
+    and the restriction to the used variables keeps ``J``'s order relations.
 
-    ``g.gens`` plus the injected powers is already an antichain, so it is
-    returned lex-sorted without a minimalization pass.  An injected ``x_i^b``
-    has ``b > maxdeg_i``, so it divides no generator.  A divisor of it is a
-    power of ``x_i``; no generator is one, because ``x_i`` has no pure power
-    and 1 generates only the unit ideal.  Two injected powers live in
-    different variables.  The unit ideal is ``{1}``, which divides every
-    injected power, so its closure is ``{1}`` itself and nothing is added.
+    The kept generators plus the injected powers are already an antichain,
+    so they are returned lex-sorted without a minimalization pass.  An
+    injected ``x_k^b`` has ``b > maxdeg_k``, so it divides no generator.  A
+    divisor of it is a power of ``x_k``; no generator is one, because
+    ``x_k`` has no pure power and 1 generates only the unit ideal, which
+    uses no variable.  Two injected powers live in different variables.
+
+    ``x_i`` is used exactly when more of its degrees are nonzero than its
+    pure power's (a minimal set holds one at most).  A non-pure generator
+    uses two variables at least, so ``itemgetter`` projects to tuples.
     """
     n = g.n
-    maxdeg = [0] * n
-    has_pure = [False] * n
-    for v in g.gens:
-        nz = [i for i, e in enumerate(v) if e]
-        for i in nz:
-            if v[i] > maxdeg[i]:
-                maxdeg[i] = v[i]
-        if len(nz) == 1:
-            has_pure[nz[0]] = True
-    bounds = tuple(d + 1 for d in maxdeg)
-    unit = g.is_unit()
-    added = tuple(not (h or unit) for h in has_pure)
-    injected = tuple(unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
-    return ArtinianizedIdeal(n, bounds, added,
-                             tuple(sorted(g.gens + injected, key=lex_key)))
+    cols = list(zip(*g.gens)) or [()] * n
+    pure = {v.index(max(v)): v for v in g.gens if v.count(0) == n - 1}  # x_i: its power
+    used = tuple(i for i, col in enumerate(cols) if len(col) - col.count(0) > (i in pure))
+    rows = list(g.gens)
+    if len(used) < n:
+        dropped = {pure[i] for i in pure.keys() - set(used)}
+        rows = [v for v in rows if v not in dropped]
+        rows = list(map(itemgetter(*used), rows)) if used else [()] * len(rows)
+    bounds = tuple(max(cols[i]) + 1 for i in used)
+    added = tuple(i not in pure for i in used)
+    rows += [unit_vector(len(used), k, b) for k, b in enumerate(bounds) if added[k]]
+    fixed = tuple(pure[i][i] if i in pure else INF for i in range(n))
+    gens = tuple(sorted(rows, key=lex_key))
+    return ArtinianizedIdeal(len(used), bounds, added, gens, used, fixed)
 
 
 def deartinianize(vectors, art):
     """Map components of the Artinian closure back to the original ideal.
 
     ``vectors`` is any iterable of the closure's component vectors (a
-    ``ComponentSet`` iterates its ``comps``).  Each component goes through
-    ``art.relabel``, which also rejects a coordinate above its bound: O(l*n)
-    in all.  The result needs no antichain re-check.  The closure's
-    components are finite with ``beta_i <= bounds[i]``, and on ``[0,
-    bounds[i]]`` the map "injected bound -> INF" is strictly increasing in
-    each coordinate.  So it preserves and reflects ``<=``: two relabelled
-    components are comparable exactly when the components were, and an
-    antichain stays an antichain.
+    ``ComponentSet`` iterates its ``comps``), each mapped by
+    ``art.relabel``, which also rejects a coordinate above its bound.
+
+    The map is exact.  The original ideal is ``J + K`` in disjoint variables
+    (``artinianize``), ``K`` generated by pure powers ``x_i^d_i`` of unused
+    variables.  Irr(J + K) = max{beta ^ gamma} over beta in Irr(J) and gamma
+    in Irr(K) (Miller-Sturmfels, Ch. 5), and in disjoint variables no two
+    meets are comparable.  Irr(K) is one vector, ``d_i`` at each such
+    ``x_i`` and INF elsewhere, so each component is one of ``J`` placed at
+    ``used``, with ``fixed`` at every unused variable.  Irr(J) is the
+    closure's components with each injected bound read as INF: they are
+    finite with ``beta_k <= bounds[k]``, and on ``[0, bounds[k]]`` the map
+    "injected bound -> INF" is strictly increasing.  It preserves and
+    reflects ``<=``, as does the placing, so no antichain re-check is made.
 
     Nor does a relabelled component need ``from_vectors``'s check that every
-    coordinate is INF or an int in ``[1, MAX_EXPONENT]``; it is built
-    through ``ComponentSet._build``.  The closure's generators are ints in
-    ``[0, MAX_EXPONENT]`` (validated, not bools) and injected powers of
-    degree ``bounds[i] <= MAX_EXPONENT + 1``.  Each caller's coordinates are
-    degrees of those generators: the incremental engine starts from the
-    pure-power degrees and lowers a copy to a degree of ``alpha``; the
-    recursive engine emits its links' corner degrees, its slices' degrees
-    and the incremental step's components; ``irr_oracle`` reads degrees off
-    the generator axes.  And a component ``beta`` of the closure, whichever
-    engine computed it, has ``X^(beta - 1)`` outside the ideal, so ``1 <=
-    beta_i <= d_i``, ``d_i`` being the pure-power degree of ``x_i``.  A
-    native ``d_i`` is a generator degree, at most ``MAX_EXPONENT``.  An
-    injected one is ``bounds[i]``, which relabels to INF, and a smaller
-    ``beta_i`` is at most ``bounds[i] - 1``, a generator degree.  So every
-    coordinate is INF or an int in ``[1, MAX_EXPONENT]``.  An injected bound
-    may be ``MAX_EXPONENT + 1``, which is why the closure's own vectors are
-    never validated as components.
+    coordinate is INF or an int in ``[1, MAX_EXPONENT]``.  A fixed
+    coordinate is INF or a generator degree.  The closure's generators are
+    validated ints in ``[0, MAX_EXPONENT]`` and injected powers of degree
+    ``bounds[k] <= MAX_EXPONENT + 1``, and every engine's coordinates are
+    degrees of those generators.  A component ``beta`` of the closure has
+    ``X^(beta - 1)`` outside the ideal, so ``1 <= beta_k <= d_k``, the
+    pure-power degree of ``x_k``.  A native ``d_k`` is a generator degree.
+    An injected one is ``bounds[k]``, which relabels to INF, and a smaller
+    ``beta_k`` is at most ``bounds[k] - 1``, a generator degree.  An
+    injected bound may be ``MAX_EXPONENT + 1``, which is why the closure's
+    own vectors are never validated as components.
     """
-    return ComponentSet._build(art.n, map(art.relabel, vectors))
+    return ComponentSet._build(len(art.fixed), map(art.relabel, vectors))
 
 
 def is_generic(g):

@@ -52,13 +52,6 @@ reactivation; states built directly, such as the recursive engine's chain
 tails, never take it.  In every other state the window is the whole
 active list.
 
-The divisor probe reads, for each variable ``k``, the degree bucket
-``(k, beta_k)`` of a lowered component ``beta``.  Every bucket is kept
-sorted by one other coordinate ``c`` (``x_0``, or ``x_1`` when ``k = 0``),
-and a lone matcher, which lies below ``beta`` off ``x_k``, has
-``m_c < beta_c``; so the probe stops at the first member with
-``m_c >= beta_c``, found by bisection, and nothing past it can match.
-
 The partition, the divisor probe and the lowering limits run in plain
 Python and C builtins (``map`` over ``operator.gt``, ``operator.lt``,
 ``min``, ``max`` and ``bisect``): a step scans only one chain link's
@@ -66,8 +59,9 @@ components, most of which its first coordinates reject, and probes one
 degree bucket per variable for each of the few it lowers, so numpy's fixed
 cost per call would exceed the work.
 
-Engines run on the finite Artinian closure (every internal comparison is
-between integers) and the injected bounds are mapped back to INF at the end.
+Engines run on the finite Artinian closure in the used variables (every
+internal comparison is between integers), and ``deartinianize`` maps the
+result back to the original variables at the end.
 The individual operations also accept vectors with INF coordinates, where a
 generator containing INF stands for the zero polynomial and divides nothing.
 """
@@ -414,9 +408,11 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     ``lowering_limits``, uncharged, and it is kept by the step's own test,
     ``alpha_u >= 1`` and limit below ``alpha_u``.  The step indexed
     ``alpha``, which lies strictly below ``beta`` and so matches it in no
-    variable: the limits read are the step's own.  Vectors are mapped back
-    to the original ideal with the closure's ``relabel``.  The record's
-    work is one probe per removed component, never a pass over all of them.
+    variable: the limits read are the step's own.  Lowerings are listed at
+    the closure's used variables only (at an unused one ``alpha_u = 0``);
+    ``u`` and ``alpha``, which is zero off them, are mapped back to the
+    original variables, and components with the closure's ``relabel``.  The
+    record's work is one probe per removed component, never a full pass.
     """
     if g.is_unit():
         if t_sizes is not None:
@@ -438,11 +434,13 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
         out = {"kept": [], "rejected": []}
         for beta in sorted(removed, key=lex_key):
             limits = lowering_limits(beta, dividing_generators(beta, state.index))
-            for u, (a, limit) in enumerate(zip(alpha, limits)):
+            for u, (i, a, limit) in enumerate(zip(art.used, alpha, limits)):
                 out["kept" if a >= 1 and limit < a else "rejected"].append(
-                    {"beta": list(art.relabel(beta)), "u": u + 1, "d": limit,
+                    {"beta": list(art.relabel(beta)), "u": i + 1, "d": limit,
                      "candidate": list(art.relabel(replace_coord(beta, u, a)))})
-        records.append({"step": len(records) + 1, "alpha": list(alpha),
+        placed = dict(zip(art.used, alpha))
+        records.append({"step": len(records) + 1,
+                        "alpha": [placed.get(i, 0) for i in range(len(art.fixed))],
                         "t1_size": before - len(removed), "t2_size": len(removed), **out})
 
     result = deartinianize(state.components, art)

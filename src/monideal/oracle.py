@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ComponentSet, INF, deartinianize
+from .core import INF, deartinianize
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -122,8 +122,6 @@ def irr_oracle(art, budget=DEFAULT_BUDGET):
 
 def decompose_oracle(g, budget=DEFAULT_BUDGET):
     """Decompose a generator set by exhaustive staircase enumeration."""
-    if g.is_unit():
-        return ComponentSet.from_vectors(g.n, [])
     return irr_oracle(g.closure, budget)
 
 

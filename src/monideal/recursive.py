@@ -7,19 +7,12 @@ ideal are exactly the components that disappear from one link of the chain
 to the next, tagged with the degree at which they disappear.  Recursing on
 the chain links reaches the two-variable base case, whose components are
 read off the corners of the staircase.  Tries are lex-sorted tuples of
-distinct vectors, such as the closure's ``gens``, and never empty.
+distinct vectors, such as the closure's ``gens``, and only a closure that
+uses no variable is empty.
 
-The chain's last link is the unit ideal, which has no components, so the
-link before it loses all of its own and needs no merge.  At height three
-every link is a staircase, and no link is decomposed: ``splice`` adds each
-slice to the staircase of the link before it and returns the corners it
-loses.  From height four up, the one-vector slices that come before the
-last, after the first and after every slice holding several vectors, are
-not decomposed link by link either: each such link is the previous one
-plus a single generator, and the incremental engine's step updates the
-previous link's components to the next one's, returning the lost ones.
-On generic input every slice above degree 0 holds one vector, so
-everything after the first link goes through that tail.
+At height three ``splice`` adds each slice to the staircase of the link
+before it, and from height four up the incremental step absorbs the
+one-vector slices of the chain's tail; ``decompose_trie`` has the proofs.
 """
 
 from bisect import bisect_left
@@ -90,10 +83,11 @@ def splice(stairs, tk, counter=None):
 
 
 def decompose_trie(t, counter=None):
-    """Components of the ideal encoded by a nonempty minimal Artinian trie.
+    """Components of the ideal encoded by a minimal Artinian trie.
 
-    The unit ideal, whose closure is the zero vector alone, has no
-    components.
+    The empty trie is the zero ideal in no variables, a closure that uses
+    none, and its one component is the empty vector.  The unit ideal, whose
+    closure is the zero vector alone, has no components.
     Height one is a single pure power, whose degree is the lone component.
     Above height two, walk the slice chain on the last variable and emit the
     components lost at each step tagged with the degree where they vanish.
@@ -165,14 +159,16 @@ def decompose_trie(t, counter=None):
     comparable, so minimality makes the ``b`` strictly rise and then the
     ``a`` strictly fall.  Slice ``k`` is the single height-1 vector
     ``(a_k,)``, so chain link ``k``, the minimum of slices ``0..k``, is
-    ``(a_k,)`` too, with lone component ``(a_k,)``, or none when
-    ``a_k == 0``.  Passing from link ``k - 1`` to
-    link ``k`` at degree ``b_k`` therefore loses exactly ``(a_{k-1},)``,
-    and the chain emits ``(a_{k-1}, b_k)`` for ``k = 1..m``: each
-    consecutive pair of corners gives one component, and nothing else is
-    emitted.  This is charged to ``counter`` as one operation per adjacent
-    pair, fewer than the chain's merges and differences would charge.
+    ``(a_k,)`` too, with lone component ``(a_k,)``, or none when ``a_k ==
+    0``.  Passing from link ``k - 1`` to link ``k`` at degree ``b_k``
+    therefore loses exactly ``(a_{k-1},)``, and the chain emits
+    ``(a_{k-1}, b_k)`` for ``k = 1..m``: each consecutive pair of corners
+    gives one component, and nothing else is emitted.  This is charged to
+    ``counter`` as one operation per adjacent pair, fewer than the chain's
+    merges and differences would charge.
     """
+    if not t:
+        return [()]
     if not any(t[0]):  # the zero vector sorts first
         return []
     height = len(t[0])
@@ -219,32 +215,9 @@ def decompose_trie(t, counter=None):
 def decompose_recursive(g, counter=None):
     """Decompose a generator set with the staircase-recursive engine.
 
-    A variable that no non-pure generator of the closure uses is split off
-    first.  The closure is then the sum of its pure power x_i^d_i and the
-    ideal J of the other generators, which lives in the other variables,
-    so the components are those of J with ``d_i`` placed at ``i``;
-    ``deartinianize`` turns an injected ``d_i`` into INF.  Only J's trie,
-    in the used variables, is decomposed, so the recursion is only as deep
-    as the used variables are many: the zero ideal or the maximal ideal in
-    a thousand variables has no non-pure generator, and its one component
-    is the vector of pure-power degrees.  A non-pure generator uses at least
-    two variables, so J's trie has height two or more, or J has no variables
-    and its one component is the empty vector.  The projection keeps the lex
-    order, since every vector it keeps is zero on the split-off variables.
-    The unit ideal, whose closure is the zero vector alone, goes to
-    ``decompose_trie`` whole and has no components.
+    The closure ``g.closure`` lives in the used variables only
+    (``artinianize``), so the recursion is as deep as they are many, and
+    ``deartinianize`` places the result back in the original variables.
     """
     art = g.closure
-    # x_i's pure power is its only generator when the column holds one nonzero
-    used = [i for i, col in enumerate(zip(*art.gens)) if len(col) - col.count(0) > 1]
-    if len(used) == art.n or not any(art.gens[0]):  # all used, or the unit ideal
-        return deartinianize(decompose_trie(art.gens, counter), art)
-    t = tuple(tuple(v[i] for i in used) for v in art.gens if any(v[i] for i in used))
-    degs = list(art.pure_degrees())
-
-    def place(c):
-        for i, e in zip(used, c):  # every call rewrites all of ``used``
-            degs[i] = e
-        return tuple(degs)
-
-    return deartinianize(map(place, decompose_trie(t, counter) if used else [()]), art)
+    return deartinianize(decompose_trie(art.gens, counter), art)

@@ -5,8 +5,8 @@ import random
 from operator import le
 
 from monideal import GeneratorSet, INF, gen_random
-from monideal.core import (deartinianize, leq, lex_key, maximalize, minimalize,
-                           replace_coord)
+from monideal.core import (ArtinianizedIdeal, deartinianize, leq, lex_key, maximalize,
+                           minimalize, replace_coord, unit_vector)
 from monideal.oracle import maximal_points, staircase
 from monideal.trie import min_merge, top_slices
 
@@ -34,6 +34,26 @@ def random_ideal(rng, n_choices=(2, 3, 4), max_p=8, max_deg=6, generic=False):
     if generic and p - 1 > maxdeg:
         p = maxdeg + 1
     return gen_random(n, p, maxdeg, seed=rng.randrange(2 ** 32), generic=generic)
+
+
+def plain_closure(g):
+    """Reference closure of ``g`` in all of its ``n`` variables.
+
+    Every variable counts as used: each one lacking a pure power gets
+    ``x_i^(maxdeg_i + 1)``, none is dropped, and the unit ideal gets
+    nothing.  ``relabel`` then maps only injected bounds to INF, so the
+    result decomposes the same ideal as ``g.closure``.  Tests that read the
+    closure as an ideal in all ``n`` variables, such as the incremental
+    state's and the slice chain's, use it.
+    """
+    n = g.n
+    maxdeg = [max(col, default=0) for col in zip((0,) * n, *g.gens)]
+    has_pure = [any(v[i] and v.count(0) == n - 1 for v in g.gens) for i in range(n)]
+    bounds = tuple(d + 1 for d in maxdeg)
+    added = tuple(not (h or g.is_unit()) for h in has_pure)
+    injected = tuple(unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
+    return ArtinianizedIdeal(n, bounds, added, tuple(sorted(g.gens + injected, key=lex_key)),
+                             tuple(range(n)), (INF,) * n)
 
 
 def match_variables(m, beta):
@@ -71,9 +91,10 @@ def plain_components_generate(c, g):
 
 
 def plain_decompose_oracle(g):
-    """Uncompressed reference for ``oracle.decompose_oracle`` on a proper
-    ideal: the maximal points of the plain ``staircase`` box, shifted up."""
-    art = g.closure
+    """Uncompressed reference for ``oracle.decompose_oracle``: the maximal
+    points of the plain ``staircase`` box of ``plain_closure``, in all
+    ``g.n`` variables, shifted up."""
+    art = plain_closure(g)
     return deartinianize([increment(p) for p in maximal_points(staircase(art))], art)
 
 
@@ -138,6 +159,13 @@ def checked_step(state, alpha):
             or sorted(lost) != sorted(set(before) - set(after))):
         raise RuntimeError(f"exact update disagrees with full reduction at {alpha}")
     return lost
+
+
+def pairwise_minimal(vectors):
+    """Reference for ``core.minimalize``: the distinct vectors that no other
+    one divides, by ``leq`` on every pair, lex-sorted."""
+    vs = set(map(tuple, vectors))
+    return sorted((v for v in vs if not any(w != v and leq(w, v) for w in vs)), key=lex_key)
 
 
 def is_antichain(vectors):

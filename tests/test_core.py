@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 import weakref
@@ -18,7 +19,8 @@ from monideal import core
 from monideal.core import (deartinianize, is_generic, leq, lex_key, maximalize,
                            minimalize, replace_coord, unit_vector)
 from conftest import (SHOWCASE_GENS, ideal_intersection, ideal_sum, is_antichain,
-                      is_zero, lcm_vector, random_ideal, showcase, strictly_below)
+                      is_zero, lcm_vector, pairwise_minimal, plain_decompose_oracle,
+                      random_ideal, showcase, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -117,11 +119,17 @@ class TestAntichains:
         assert maximalize(out) == out
 
 
+def scan_degree(v):
+    """The coordinate sum, INF for a vector mixing INF and -INF."""
+    d = sum(v)
+    return INF if math.isnan(d) else d
+
+
 def reference_minimalize(vectors):
-    """The plain sequential scan: distinct vectors in (sum, lex) order, each
-    kept unless a kept vector divides it."""
+    """The plain sequential scan: distinct vectors in (degree, lex) order,
+    each kept unless a kept vector divides it."""
     kept = []
-    for v in sorted(set(vectors), key=lambda v: (sum(v), lex_key(v))):
+    for v in sorted(set(vectors), key=lambda v: (scan_degree(v), lex_key(v))):
         if not any(leq(m, v) for m in kept):
             kept.append(v)
     return sorted(kept, key=lex_key)
@@ -193,6 +201,21 @@ class TestKernel:
         assert minimalize(vs) == out
         assert kernel_calls == [len(vs)]
 
+    def test_mixed_row_is_divided(self):
+        # (0, -INF) divides (INF, -INF), whose degree INF + -INF is nan
+        assert minimalize([(INF, -INF), (0, -INF)]) == [(0, -INF)]
+        assert maximalize([(INF, -INF), (0, -INF)]) == [(INF, -INF)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(st.tuples(
+        *[st.sampled_from([0, 1, INF, -INF])] * n), min_size=1, max_size=20)))
+    def test_infinite_alphabet_matches_pairwise_reference(self, vs):
+        # rows that mix INF and -INF, against no scan order at all
+        assert minimalize(vs) == pairwise_minimal(vs)
+        negated = [tuple(-x for x in v) for v in vs]
+        assert maximalize(vs) == sorted((tuple(-x for x in v)
+                                         for v in pairwise_minimal(negated)), key=lex_key)
+
     def test_equal_degrees_of_unequal_lengths_raise(self, kernel_calls):
         # the length check runs before the one-degree return
         with pytest.raises(ValueError, match="length mismatch"):
@@ -251,26 +274,35 @@ class TestArtinianize:
         assert (0, 0, 4) in art.gens
 
     def test_zero_ideal(self):
+        # no generator uses a variable: the closure has none, and each
+        # variable's fixed coordinate is INF, as it appears nowhere
         g = GeneratorSet.from_vectors(2, [])
         art = artinianize(g)
-        assert set(art.gens) == {(1, 0), (0, 1)}
-        assert art.bounds == (1, 1)
+        assert (art.n, art.gens, art.bounds, art.used) == (0, (), (), ())
+        assert art.fixed == (INF, INF)
+        assert art.relabel(()) == (INF, INF)
 
     def test_unit_ideal_adds_nothing(self):
         art = artinianize(GeneratorSet.from_vectors(3, [(0, 0, 0)]))
-        assert art.gens == ((0, 0, 0),)
-        assert art.added == (False, False, False)
+        assert art.gens == ((),)
+        assert art.added == () and art.used == ()
 
     def test_added_iff_pure_power_injected(self):
-        # added[i] holds exactly when the closure gained x_i^bounds[i]
+        # added[k] holds exactly when the closure gained x_k^bounds[k], and
+        # an unused variable's fixed coordinate is INF exactly when it has
+        # no pure power, else that power's degree
         rng = random.Random(19)
         ideals = [random_ideal(rng, n_choices=(1, 2, 3, 4)) for _ in range(200)]
         ideals += [GeneratorSet.from_vectors(n, [(0,) * n]) for n in (1, 2, 3)]
         assert sum(g.is_unit() for g in ideals) >= 3
+        assert sum(0 < g.closure.n < g.n for g in ideals) > 20
         for g in ideals:
             art = artinianize(g)
-            for i in range(g.n):
-                assert art.added[i] == (unit_vector(g.n, i, art.bounds[i]) in art.gens), g
+            for k in range(art.n):
+                assert art.added[k] == (unit_vector(art.n, k, art.bounds[k]) in art.gens), g
+            for i in set(range(g.n)) - set(art.used):
+                assert art.fixed[i] == next((max(v) for v in g.gens
+                                             if v.count(0) == g.n - 1 and v[i]), INF)
 
     def test_pure_degrees_and_alphas(self):
         art = artinianize(showcase())
@@ -286,7 +318,7 @@ class TestArtinianize:
         if g.is_unit():
             return
         art = g.closure
-        scanned = [None] * n
+        scanned = [None] * art.n
         for v in art.gens:
             nz = [i for i, e in enumerate(v) if e]
             if len(nz) == 1:
@@ -328,6 +360,48 @@ class TestDeartinianize:
             deartinianize(ComponentSet.from_vectors(3, [(9, 1, 1)]), art)
 
 
+class TestClosureMap:
+    """The closure keeps the used variables only, and its map back places
+    every unused variable's fixed coordinate."""
+
+    ENGINES = (decompose_incremental, decompose_recursive, decompose_oracle)
+
+    def test_zero_ideal_in_two_thousand_variables(self):
+        g = GeneratorSet.from_vectors(2000, [])
+        art = g.closure
+        assert (art.n, art.used, art.gens) == (0, (), ())
+        assert art.fixed == (INF,) * 2000
+        for engine in self.ENGINES:
+            assert engine(GeneratorSet.from_vectors(2000, [])).comps == ((INF,) * 2000,)
+
+    def test_one_product_in_thirty_variables(self):
+        # the box over all thirty variables held 2,415,919,104 cells; the
+        # closure's box is over x_1 and x_2 alone
+        g = GeneratorSet.from_vectors(30, [(1, 1) + (0,) * 28])
+        assert g.closure.used == (0, 1)
+        want = {(1,) + (INF,) * 29, (INF, 1) + (INF,) * 28}
+        for engine in self.ENGINES:
+            assert set(engine(g).comps) == want
+
+    def test_native_pure_power_is_a_fixed_coordinate(self):
+        # x_3^5 is the only generator in x_3, and x_4 appears in none: in
+        # every component x_3 is 5 and x_4 is INF
+        rng = random.Random(83)
+        for _ in range(40):
+            rest = gen_random(3, rng.randint(2, 6), 5, rng.randrange(2 ** 32)).gens
+            vs = [v + (0, 0) for v in rest] + [(0, 0, 0, 5, 0)]
+            g = GeneratorSet.from_vectors(5, vs)
+            if g.is_unit():
+                continue
+            art = g.closure
+            assert 3 not in art.used and 4 not in art.used
+            assert art.fixed[3:] == (5, INF)
+            outs = [engine(g) for engine in self.ENGINES]
+            assert outs[0] == outs[1] == outs[2] and len(outs[0])
+            assert all(c[3:] == (5, INF) for c in outs[0])
+            assert outs[0] == plain_decompose_oracle(g)
+
+
 def closure_cases():
     """Generic and non-generic ideals in 1..5 variables, plus the zero and
     the unit ideal of each variable count."""
@@ -353,19 +427,30 @@ class TestClosureProofs:
     """The docstring proofs that let the closure skip its antichain passes."""
 
     def test_closure_is_already_minimal(self):
+        # the generators nonzero on a used variable, and the zero vector,
+        # restricted to the used variables, plus the injected powers
         for g in closure_cases():
             art = artinianize(g)
-            injected = [unit_vector(g.n, i, art.bounds[i])
-                        for i in range(g.n) if art.added[i]]
-            assert art.gens == tuple(minimalize(list(g.gens) + injected)), g
+            kept = [tuple(v[i] for i in art.used) for v in g.gens
+                    if any(v[i] for i in art.used) or not any(v)]
+            injected = [unit_vector(art.n, k, art.bounds[k])
+                        for k in range(art.n) if art.added[k]]
+            assert art.gens == tuple(minimalize(kept + injected)), g
 
     def test_relabelled_components_are_antichain(self):
+        # the closure decomposed as an ideal of its own, in the used
+        # variables, maps back to the original ideal's components; with no
+        # variable used it is the empty trie, one empty component, or the
+        # unit ideal, none
         for g in closure_cases():
             art = artinianize(g)
-            closure = GeneratorSet.from_vectors(g.n, art.gens)
-            out = deartinianize(decompose_incremental(closure), art)
+            if art.n:
+                comps = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
+            else:
+                comps = [] if art.gens else [()]
+            out = deartinianize(comps, art)
             assert maximalize(out.comps) == list(out.comps), g
-            assert out == decompose_incremental(g)
+            assert out == decompose_incremental(g) == plain_decompose_oracle(g)
 
     def test_engine_outputs_validate(self):
         for g in closure_cases():

@@ -463,16 +463,18 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["zero", "maximal"])
     def test_recursive_engine_in_a_thousand_variables(self, tmp_path, kind):
-        # no non-pure generator uses a variable, so the recursive engine
-        # splits every one off instead of recursing once per variable
+        # no non-pure generator uses a variable, so the closure drops every
+        # one: no engine recurses once per variable or builds a box in a
+        # thousand dimensions, and each reads the one component off the
+        # fixed coordinates
         src = tmp_path / f"{kind}.ideal"
         src.write_text(thousand_variables(kind))
         outputs = []
-        for algo in ("recursive", "incremental"):
+        for algo in ("recursive", "incremental", "oracle"):
             out = tmp_path / f"{algo}.components"
             assert cli_main(["decompose", "--algo", algo, str(src), str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0].startswith(b"components 1000 1\n")
 
     def test_batch_directory_in_a_thousand_variables(self, tmp_path):

@@ -25,8 +25,8 @@ from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie
 from monideal.trie import build
-from conftest import (checked_step, fourvar, match_variables, random_ideal, showcase,
-                      slice_chain, strictly_below)
+from conftest import (checked_step, fourvar, match_variables, plain_closure, random_ideal,
+                      showcase, slice_chain, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -240,8 +240,9 @@ def run_states(g, inf_flavour, rng=None):
     from the injected powers and the lone component relabelled to INF, so
     INF generators and components are probed.  With ``rng`` the generators
     are absorbed in a shuffled order, which reactivates retired
-    components."""
-    art = artinianize(g)
+    components.  The closure is ``plain_closure``'s, in all ``g.n``
+    variables."""
+    art = plain_closure(g)
     degs = art.pure_degrees()
     generators = [unit_vector(art.n, i, d) for i, d in enumerate(degs)]
     if inf_flavour:
@@ -388,7 +389,8 @@ class TestTraceLimits:
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         checked = set()
         for rec in records:
-            art = artinianize(ideals[int(Path(rec["file"]).stem)])
+            # the record is in the original variables, and so is the plain closure
+            art = plain_closure(ideals[int(Path(rec["file"]).stem)])
             degs, alphas = art.pure_degrees(), art.alphas()
             # a lex run absorbs every alpha, one step each
             assert rec["alpha"] == list(alphas[rec["step"] - 1])
@@ -407,16 +409,19 @@ class TestTraceLimits:
         """A record's kept candidates are exactly those present in a state
         stepped through the same alphas, and its rejected ones are absent:
         the record's test is the step's, on generic, non-generic and
-        shell ideals in 1-5 variables."""
+        shell ideals in 1-5 variables.  The state runs on the closure's
+        used variables; the record's ``alpha`` is the original generator,
+        zero off them, and its lowerings are at them only."""
         rng = random.Random(73)
         ideals = [random_ideal(rng, n_choices=(1, 2, 3, 4, 5), max_p=12,
                                generic=i % 2 == 0) for i in range(120)]
         ideals += list(shell_ideals(rng, 40))
-        kept = rejected = 0
+        kept = rejected = unused = 0
         for g in ideals:
             if g.is_unit():
                 continue
             art = artinianize(g)
+            unused += art.n < g.n
             trace = []
             decompose_incremental(g, trace=trace)
             records = iter(trace)
@@ -427,7 +432,11 @@ class TestTraceLimits:
                 if not removed:
                     continue
                 rec = next(records)
-                assert rec["alpha"] == list(alpha)
+                placed = dict(zip(art.used, alpha))
+                assert rec["alpha"] == [placed.get(i, 0) for i in range(g.n)]
+                assert rec["alpha"] in map(list, g.gens)
+                assert sorted(e["u"] - 1 for e in rec["kept"] + rec["rejected"]) == \
+                    sorted(art.used * len(removed))
                 assert (rec["t1_size"], rec["t2_size"]) == (before - len(removed), len(removed))
                 present = {tuple(art.relabel(c)) for c in state.components}
                 assert all(tuple(e["candidate"]) in present for e in rec["kept"])
@@ -436,7 +445,7 @@ class TestTraceLimits:
                 kept += len(rec["kept"])
                 rejected += len(rec["rejected"])
             assert next(records, None) is None
-        assert kept > 1000 and rejected > 1000
+        assert kept > 1000 and rejected > 1000 and unused > 20
 
 
 class TestAddGenerator:
@@ -494,7 +503,7 @@ class TestAddGenerator:
             g = random_ideal(rng, max_p=10)
             if g.is_unit():
                 continue
-            art = artinianize(g)
+            art = plain_closure(g)
             degs = art.pure_degrees()
             state = IncrementalState.start(art)
             alphas = list(art.alphas())
@@ -564,7 +573,7 @@ class TestAddGenerator:
             g = random_ideal(rng, n_choices=(3, 4, 5), max_p=12)
             if g.is_unit():
                 continue
-            art = artinianize(g)
+            art = plain_closure(g)
             state = IncrementalState.start(art)
             alphas = list(art.alphas())
             rng.shuffle(alphas)
@@ -685,7 +694,7 @@ class TestRetirement:
             boundaries += 1
 
         for g in lex_run_ideals():
-            art = artinianize(g)
+            art = plain_closure(g)
             links = dict(slice_chain(build(art.n, art.gens)))
             last_b = art.pure_degrees()[-1]
             state = IncrementalState.start(art)
@@ -732,7 +741,7 @@ class TestStaircase:
         g = random_ideal(rng, n_choices=(3,), max_p=12, generic=generic)
         if g.is_unit():
             return
-        art = artinianize(g)
+        art = plain_closure(g)
         last_b = art.pure_degrees()[2]
         state = IncrementalState.start(art)
         assert state.staircase
@@ -754,7 +763,7 @@ class TestStaircase:
         # out in lex order of their parents, (10, 2, 10) first, and must be
         # spliced back by x_0-degree
         pure = GeneratorSet.from_vectors(3, [(10, 0, 0), (0, 10, 0), (0, 0, 10)])
-        state = IncrementalState.start(artinianize(pure))
+        state = IncrementalState.start(plain_closure(pure))
         checked_step(state, (5, 5, 1))
         assert state.active == [(5, 10, 10), (10, 5, 10)]
         assert checked_step(state, (2, 2, 1)) == [(5, 10, 10), (10, 5, 10)]
@@ -774,7 +783,7 @@ class TestStaircase:
 
         runs = []
         for seed in range(40):
-            art = artinianize(gen_random(3, 10, 20, seed, generic=seed % 2 == 0))
+            art = plain_closure(gen_random(3, 10, 20, seed, generic=seed % 2 == 0))
             alphas = sorted(art.alphas(), key=lex_key, reverse=True)
             pure = [unit_vector(3, i, d) for i, d in enumerate(art.pure_degrees())]
             direct = IncrementalState(3, [art.pure_degrees()], pure, OpCounter())
@@ -960,7 +969,7 @@ class TestDecompose:
             g = random_ideal(rng, max_p=6)
             if g.is_unit():
                 continue
-            art = artinianize(g)
+            art = plain_closure(g)
             state = IncrementalState.start(art)
             generators = [m for m in art.gens if m not in art.alphas()]
             for alpha in art.alphas():

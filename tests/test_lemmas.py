@@ -2,20 +2,22 @@
 
 Every suite draws at least 300 random small ideals and checks one structural
 fact about staircases or the incremental update, always against the
-exhaustive staircase box rather than against the engines themselves.
+exhaustive staircase box rather than against the engines themselves.  The
+boxes and the states are those of ``plain_closure``, in all of the ideal's
+variables.
 """
 
 import random
 
 import numpy as np
 
-from monideal import GeneratorSet, artinianize, decompose_oracle
+from monideal import GeneratorSet, decompose_oracle
 from monideal.core import replace_coord
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits)
 from monideal.oracle import maximal_points, staircase
-from conftest import (increment, match_variables, random_ideal, slice_chain,
-                      strictly_below)
+from conftest import (increment, match_variables, plain_closure, random_ideal,
+                      slice_chain, strictly_below)
 
 INSTANCES = 300
 
@@ -42,7 +44,7 @@ def incremental_steps(g):
     """Yield ``(state-before, generators, alpha)`` along a lex-order run,
     ``generators`` being those absorbed so far: the pure powers and the
     earlier alphas."""
-    art = artinianize(g)
+    art = plain_closure(g)
     state = IncrementalState.start(art)
     alphas = art.alphas()
     generators = [v for v in art.gens if v not in alphas]
@@ -55,7 +57,7 @@ def incremental_steps(g):
 def test_basis_membership_iff_strictly_below_some_component():
     # a point avoids the ideal exactly when it sits strictly below a component
     for g in proper_ideals(101, max_p=6, max_deg=5):
-        art = artinianize(g)
+        art = plain_closure(g)
         box = staircase(art)
         comps = [increment(p) for p in maximal_points(box)]
         free = ~box
@@ -69,7 +71,7 @@ def test_components_are_shifted_maximal_basis_points():
     # decrementing any component lands on a maximal basis point, and the
     # counts agree, so the correspondence is a bijection
     for g in proper_ideals(103, max_p=6, max_deg=5):
-        art = artinianize(g)
+        art = plain_closure(g)
         box = staircase(art)
         maxpts = set(maximal_points(box))
         comps = decompose_oracle(g)
@@ -107,7 +109,7 @@ def test_single_variable_matchers_exist():
     # every component admits, for each variable, a dividing generator whose
     # degree meets the component in that variable alone
     for g in proper_ideals(109, max_p=6, max_deg=5):
-        art = artinianize(g)
+        art = plain_closure(g)
         state = IncrementalState.start(art)
         for alpha in art.alphas():
             state.add_generator(alpha)
@@ -122,7 +124,7 @@ def test_divisor_envelope_equals_component():
     # the coordinatewise maximum of the dividing generators recovers the
     # component exactly
     for g in proper_ideals(113, max_p=6, max_deg=5):
-        art = artinianize(g)
+        art = plain_closure(g)
         state = IncrementalState.start(art)
         for alpha in art.alphas():
             state.add_generator(alpha)
@@ -166,7 +168,7 @@ def test_slice_membership_reduction():
         g = random_ideal(rng, n_choices=(2, 3), max_p=5, max_deg=4)
         if g.is_unit():
             continue
-        art = artinianize(g)
+        art = plain_closure(g)
         n = art.n
         t = build(n, art.gens)
         degrees, tries = map(list, zip(*slice_chain(t)))
@@ -174,7 +176,7 @@ def test_slice_membership_reduction():
         link_boxes = []
         for trie_k in tries:
             sub = GeneratorSet.from_vectors(n - 1, paths(trie_k))
-            link_boxes.append(staircase(artinianize(sub)))
+            link_boxes.append(staircase(plain_closure(sub)))
         gamma = tuple(rng.randrange(c) for c in art.bounds)
         mu, d = gamma[:-1], gamma[-1]
         expected = False

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from monideal import (BudgetError, ComponentSet, GeneratorSet, INF,
                       artinianize, components_generate, decompose_incremental,
-                      decompose_oracle)
+                      decompose_oracle, decompose_recursive)
 from monideal.bench import degree_shell
+from monideal.core import lex_key
 from monideal.oracle import irr_oracle, maximal_points, staircase
-from conftest import (ideals_equal, is_antichain, plain_components_generate,
+from conftest import (ideals_equal, is_antichain, plain_closure, plain_components_generate,
                       plain_decompose_oracle, random_ideal, showcase)
 
 # Degrees with gaps, so that the distinct-degree box is smaller than the plain
@@ -68,9 +69,44 @@ def brute_basis(gens, bounds):
     return out
 
 
+def minimal_vertex_covers(n, edges):
+    """Every minimal vertex cover of a graph on ``n`` vertices, by brute
+    force over all 2^n vertex subsets."""
+    covers = [s for s in range(1 << n) if all(s >> i & 1 or s >> j & 1 for i, j in edges)]
+    cover_set = set(covers)
+    return [s for s in covers if not any(s >> i & 1 and s & ~(1 << i) in cover_set
+                                         for i in range(n))]
+
+
+class TestVertexCovers:
+    """The components of an edge ideal are its graph's minimal vertex covers
+    (Miller-Sturmfels, Ch. 1): 1 on the cover and INF elsewhere.  Checked on
+    seeded G(n, q), apart from the box and from both engines' internals."""
+
+    def test_engines_match_brute_force_covers(self):
+        rng = random.Random(89)
+        isolated = connected = 0
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            q = rng.choice((0.1, 0.2, 0.35, 0.6))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < q]
+            touched = {v for e in edges for v in e}
+            isolated += len(touched) < n
+            connected += len(touched) == n
+            g = GeneratorSet.from_vectors(
+                n, [tuple(int(k in e) for k in range(n)) for e in edges])
+            want = sorted((tuple(1 if s >> k & 1 else INF for k in range(n))
+                           for s in minimal_vertex_covers(n, edges)), key=lex_key)
+            for engine in (decompose_incremental, decompose_recursive, decompose_oracle):
+                assert list(engine(g).comps) == want, (n, edges)
+        # isolated vertices are unused variables
+        assert isolated > 10 and connected > 10
+
+
 class TestStaircase:
     def test_two_squares(self):
-        art = artinianize(GeneratorSet.from_vectors(2, [(2, 0), (0, 2)]))
+        # the closure uses no variable here; the plain one keeps both
+        art = plain_closure(GeneratorSet.from_vectors(2, [(2, 0), (0, 2)]))
         box = staircase(art)
         assert box.dtype == bool and box.shape == (4, 4)  # closed box [0, 3]^2
         assert basis_points(box) == {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -92,9 +128,10 @@ class TestStaircase:
         rng = random.Random(5)
         for _ in range(25):
             g = random_ideal(rng)
-            pts = basis_points(staircase(artinianize(g)))
+            art = artinianize(g)
+            pts = basis_points(staircase(art))
             for gamma in pts:
-                for i in range(g.n):
+                for i in range(art.n):
                     if gamma[i] > 0:
                         below = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
                         assert below in pts

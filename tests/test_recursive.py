@@ -6,9 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monideal import (GeneratorSet, INF, OpCounter, artinianize,
-                      decompose_incremental, decompose_oracle,
-                      decompose_recursive, gen_random)
+from monideal import (GeneratorSet, INF, OpCounter, decompose_incremental,
+                      decompose_oracle, decompose_recursive, gen_random)
 from monideal import recursive
 from monideal.bench import degree_shell
 from monideal.core import leq, lex_key
@@ -18,7 +17,8 @@ from monideal.oracle import staircase
 from monideal.recursive import corners, decompose_trie, difference, splice
 from monideal.trie import build, min_merge, paths, top_slices
 import conftest
-from conftest import SHOWCASE_GENS, is_antichain, random_ideal, showcase, slice_chain
+from conftest import (SHOWCASE_GENS, is_antichain, plain_closure, random_ideal, showcase,
+                      slice_chain)
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
@@ -140,7 +140,7 @@ class TestEngine:
         def spy(t, counter=None):
             out = inner(t, counter)
             assert len(set(out)) == len(out), t
-            heights.append(len(t[0]))
+            heights.append(len(t[0]) if t else 0)
             return out
 
         monkeypatch.setattr(recursive, "decompose_trie", spy)
@@ -149,7 +149,8 @@ class TestEngine:
             g = random_ideal(rng)
             comps = decompose_recursive(g).comps
             assert len(set(comps)) == len(comps)
-        assert set(heights) == {2, 3, 4}
+        # height 0: a closure that uses no variable
+        assert set(heights) == {0, 2, 3, 4}
 
 
 def slice_chain_walk(t, counter=None):
@@ -207,9 +208,9 @@ def chain_ideals(draw, n=None):
 @st.composite
 def height_three_tries(draw):
     """Tries of three-variable ``chain_ideals``, their missing pure powers
-    at the closure's bounds or at INF."""
+    at the plain closure's bounds or at INF."""
     g = draw(chain_ideals(3))
-    return inf_padded_trie(g) if draw(st.booleans()) else build(3, g.closure.gens)
+    return inf_padded_trie(g) if draw(st.booleans()) else build(3, plain_closure(g).gens)
 
 
 def has_tail(t):
@@ -270,8 +271,8 @@ def spy_height_three(monkeypatch):
 
     def spy(t, counter=None):
         assert not stack or stack[-1] != 3, "a link decomposed at height 3"
-        stack.append(len(t[0]))
-        heights.append(len(t[0]))
+        stack.append(len(t[0]) if t else 0)
+        heights.append(stack[-1])
         try:
             return inner(t, counter)
         finally:
@@ -420,14 +421,15 @@ class TestHeightTwoBase:
         inner = recursive.decompose_trie
 
         def spy(t, counter=None):
-            heights.append(len(t[0]))
+            heights.append(len(t[0]) if t else 0)
             return inner(t, counter)
 
         monkeypatch.setattr(recursive, "decompose_trie", spy)
         rng = random.Random(41)
         for _ in range(100):
             decompose_recursive(random_ideal(rng))
-        assert set(heights) == {2, 3, 4}
+        # height 0: a closure that uses no variable
+        assert set(heights) == {0, 2, 3, 4}
 
 
 def minimal(vectors):
@@ -550,7 +552,7 @@ class TestLastSlice:
 
 def inf_padded_trie(g):
     """Trie of ``g``'s generators with every missing pure power as INF."""
-    art = artinianize(g)
+    art = plain_closure(g)
     return build(g.n, map(art.relabel, art.gens))
 
 
@@ -588,7 +590,7 @@ class TestSliceChain:
         rng = random.Random(31)
         for _ in range(50):
             g = random_ideal(rng, n_choices=(2, 3, 4), max_p=6)
-            art = artinianize(g)
+            art = plain_closure(g)
             t = build(art.n, art.gens)
             degrees, tries = map(list, zip(*slice_chain(t)))
             assert degrees == sorted(degrees)
@@ -603,7 +605,7 @@ class TestSliceChain:
         rng = random.Random(37)
         for _ in range(50):
             g = random_ideal(rng, n_choices=(2, 3), max_p=6, max_deg=4)
-            art = artinianize(g)
+            art = plain_closure(g)
             n = art.n
             if n < 2:
                 continue
@@ -613,7 +615,7 @@ class TestSliceChain:
             link_boxes = []
             for trie_k in tries:
                 sub = GeneratorSet.from_vectors(n - 1, paths(trie_k))
-                link_boxes.append(staircase(artinianize(sub)))
+                link_boxes.append(staircase(plain_closure(sub)))
             for _ in range(30):
                 gamma = tuple(rng.randrange(c) for c in art.bounds)
                 mu, d = gamma[:-1], gamma[-1]

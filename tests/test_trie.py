@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monideal import INF, GeneratorSet, OpCounter, artinianize
 from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
-from conftest import SHOWCASE_GENS, full_scan_min_merge, showcase
+from conftest import SHOWCASE_GENS, full_scan_min_merge, plain_closure, showcase
 
 
 def vector_lists():
@@ -133,7 +133,7 @@ def closure_tries(draw):
     powers relabelled INF or not."""
     n = draw(st.integers(2, 5))
     vs = draw(st.lists(st.tuples(*([st.integers(0, 5)] * n)), max_size=14))
-    art = artinianize(GeneratorSet.from_vectors(n, vs))
+    art = plain_closure(GeneratorSet.from_vectors(n, vs))
     return build(n, map(art.relabel, art.gens) if draw(st.booleans()) else art.gens)
 
 
