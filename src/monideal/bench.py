@@ -31,6 +31,7 @@ from .incremental import decompose_incremental
 from .oracle import DEFAULT_BUDGET, decompose_oracle
 from .randgen import gen_random
 from .recursive import decompose_recursive
+from .trie import is_thin
 
 INCREMENTAL_ENVELOPE = 0.25
 RECURSIVE_ENVELOPE = 0.05
@@ -69,28 +70,30 @@ def distinct_degree_counts(art):
     return tuple(len({v[j] for v in art.gens}) for j in range(art.n))
 
 
-# The recursive engine is chosen when the closure's compressed box, prod(s_j),
-# is at most this many times p^2.  On a seeded grid of 124 ideals in 2-5
-# variables (degree-shell subsets at 2-75% density, m^d, generic ladders,
-# random sets and shells mixed with generic points; table in the README),
-# every ideal over 0.5 ms with prod(s_j)/p^2 <= 10 ran faster under the
-# recursive engine (0.12-0.54 of the incremental time), while generic
-# ladders in 3-5 variables lie at 14-33,000.  Under the recursive engine,
-# 18 of those ladders (p <= 40) take 0.38-0.53 of the incremental time at
-# n = 3, 0.77-0.92 at n = 4 and 0.83-0.93 at n = 5 (README), though the
-# rule sends them to the incremental engine.
+# The recursive engine is chosen when the closure's generators are thin
+# (``trie.is_thin``: fewer than two per distinct degree of the last
+# variable, which ``decompose_trie`` absorbs one vector at a time), or when
+# its compressed box, prod(s_j), is at most this many times p^2.  Both
+# sides measured faster under the recursive engine (README, Performance):
+# generic ladders and near-shell input are thin, m^d and degree-shell
+# subsets have a small box, and generic duals at n >= 4, which are neither,
+# run 3.7-41 times slower under it.
 RECURSIVE_BOX_RATIO = 10
 
 
 def preferred_engine(g):
     """The engine ``g`` favours: ``"recursive"`` or ``"incremental"``.
 
-    The recursive envelope is p^2 * prod(s_j); when prod(s_j) stays within
-    ``RECURSIVE_BOX_RATIO * p^2`` the degrees repeat enough for slicing to
-    win.  The statistic is read off ``g.closure``, over its used variables,
-    which either engine then reuses.
+    Recursive when the closure's generators are thin, or else when
+    prod(s_j), the recursive envelope's box, stays within
+    ``RECURSIVE_BOX_RATIO * p^2``.  Thinness is tested first, so the box is
+    counted only when it decides.  Both are read off ``g.closure``, over its
+    used variables, which either engine then reuses.
     """
-    box = math.prod(distinct_degree_counts(g.closure))
+    art = g.closure
+    if is_thin(art.gens):
+        return "recursive"
+    box = math.prod(distinct_degree_counts(art))
     return "recursive" if box <= RECURSIVE_BOX_RATIO * g.p ** 2 else "incremental"
 
 

@@ -2,9 +2,10 @@
 
 ``decompose`` without ``--algo`` picks the engine per ideal (per file in
 directory mode) with ``bench.preferred_engine``: recursive when the closure's
-prod(s_j) is at most ``bench.RECURSIVE_BOX_RATIO`` times p^2, incremental
-otherwise, and incremental whenever ``--trace`` is given.  ``--stats``
-names the engine that ran.
+generators are thin (``trie.is_thin``, fewer than two per distinct degree of
+the last variable) or its prod(s_j) is at most ``bench.RECURSIVE_BOX_RATIO``
+times p^2, incremental otherwise, and incremental whenever ``--trace`` is
+given.  ``--stats`` names the engine that ran.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 3 the oracle's box exceeds ``--budget`` cells: ``verify`` and ``decompose
@@ -155,8 +156,10 @@ def _build_parser():
     d = sub.add_parser("decompose", help="decompose an ideal file (or directory of them)")
     d.add_argument("--algo", choices=["recursive", "incremental", "oracle"],
                    help="force an engine; by default each ideal gets the one it "
-                        f"favours (recursive when prod(s_j) <= {RECURSIVE_BOX_RATIO} "
-                        "p^2, incremental otherwise or with --trace)")
+                        "favours (recursive when its closure averages fewer than two "
+                        "generators per degree of the last variable or prod(s_j) <= "
+                        f"{RECURSIVE_BOX_RATIO} p^2, incremental otherwise or with "
+                        "--trace)")
     d.add_argument("--trace", action="store_true",
                    help="emit one JSON record per incremental step on stderr")
     d.add_argument("--stats", action="store_true",

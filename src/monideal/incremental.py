@@ -268,13 +268,15 @@ class IncrementalState:
         state.staircase = art.n == 3
         return state
 
-    def add_generator(self, alpha):
+    def add_generator(self, alpha, created=None):
         """Absorb one generator, update the components exactly and return
         the list of components the step removed.
 
         ``alpha`` is any exponent vector of length ``n`` (else
-        ``ValueError``), absorbed in any order.  The components ``beta``
-        decompose the ideal I of the generators, and X^alpha lies outside
+        ``ValueError``), absorbed in any order.  ``created`` (a list), when
+        given, receives the kept candidates, the components the step adds.
+        The components ``beta`` decompose the ideal I of the generators,
+        and X^alpha lies outside
         the irreducible ideal of ``beta`` iff ``alpha_i < beta_i`` for every
         ``i``.  So X^alpha is already in I iff no component lies strictly
         above ``alpha``; the components are then left as they are, ``alpha``
@@ -389,6 +391,9 @@ class IncrementalState:
             self.active = untouched
         self._index(alpha)
         self.retired.extend(retiring)
+        if created is not None:
+            created += lowered
+            created += retiring
         return affected
 
 

@@ -11,8 +11,10 @@ distinct vectors, such as the closure's ``gens``, and only a closure that
 uses no variable is empty.
 
 At height three ``splice`` adds each slice to the staircase of the link
-before it, and from height four up the incremental step absorbs the
-one-vector slices of the chain's tail; ``decompose_trie`` has the proofs.
+before it.  From height four up the incremental step absorbs the chain's
+tail: every slice after link 0 of a thin trie (``trie.is_thin``), and the
+one-vector slices after the last multi-vector one of any other;
+``decompose_trie`` has the proofs.
 """
 
 from bisect import bisect_left
@@ -20,7 +22,7 @@ from operator import itemgetter
 
 from .core import deartinianize
 from .incremental import IncrementalState
-from .trie import min_merge, top_slices
+from .trie import is_thin, min_merge, top_slices
 
 
 def difference(a, b, counter=None):
@@ -119,17 +121,28 @@ def decompose_trie(t, counter=None):
     decomposed, link 0 included, and no merge or ``difference`` runs.
 
     From height four up, the walk decomposes links from scratch with
-    ``min_merge`` only up to link ``K``, the last slice before ``D``
-    holding more than one vector, or link 0.  The one-vector slices ``(d,
-    (v,))`` between it and ``D`` make the tail: link ``k`` is link ``k -
-    1`` plus X^v.  Link ``K``'s components and vectors seed an
-    ``IncrementalState`` that absorbs each ``v`` with ``add_generator``,
-    which returns exactly Irr(link ``k - 1``) minus Irr(link ``k``), so
-    those are emitted with ``d``, the tail needs no merge and no
-    ``difference``, and its components after the last ``v`` are the ones
-    emitted with ``D``.  Tail vectors come in the order of the last
-    variable, not in lex order, so the state's reactivation branch is in
-    use here.  The choice reads only the sizes of the trie's slices.
+    ``min_merge`` only up to link ``K``, and the slices ``(d, tk)`` between
+    it and ``D`` make the tail: link ``k`` is link ``k - 1`` plus X^v for
+    each ``v`` of ``tk``.  A thin trie (``is_thin``: fewer than two vectors
+    per slice, ``D``'s included) has ``K = 0``.  Any other has ``K`` the
+    last slice before ``D`` holding more than one vector, or 0, so its
+    tail slices hold one vector each.  Link ``K``'s components and vectors
+    seed an ``IncrementalState`` that absorbs each ``v`` with
+    ``add_generator``, which returns the components the step removes.  For
+    a one-vector slice that is exactly Irr(link ``k - 1``) minus Irr(link
+    ``k``), emitted with ``d``.  A multi-vector slice is absorbed one
+    vector at a time, and a step may remove a component that an earlier
+    step of the same slice created, which is in neither link.  No removed
+    component comes back: it was removed because its irreducible ideal
+    misses X^v, which every later ideal holds.  So the components removed
+    within the slice and not created within it, which the steps' ``created``
+    lists collect, are exactly Irr(link ``k - 1``) minus Irr(link ``k``),
+    and only they are emitted with ``d``; one op is charged per removed
+    component looked up among the created ones.  The tail needs no merge
+    and no ``difference``, and its components after the last slice are
+    the ones emitted with ``D``.  Tail vectors come in the order of the
+    last variable, not in lex order, so the state's reactivation branch is
+    in use here.  The choice reads only the sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
@@ -151,8 +164,9 @@ def decompose_trie(t, counter=None):
     call, which is duplicate-free by induction on the height (the base
     cases below plainly are), and the step to ``D`` emits ``prev`` itself.
     At height three each step emits a sublist of a staircase's corners,
-    whose ``a`` are distinct.  A tail step emits a sublist of the state's
-    components (``add_generator``).
+    whose ``a`` are distinct.  A tail slice emits a sublist of the
+    components its steps remove, and each step removes distinct current
+    components of the state (``add_generator``), which never come back.
 
     Height two is read off the corners.  Write the vectors, in lex order, as
     ``(a_0, b_0), ..., (a_m, b_m)``.  Two vectors with equal ``b`` would be
@@ -192,7 +206,7 @@ def decompose_trie(t, counter=None):
         for d, tk in slices[1:]:
             out.extend(c + (d,) for c in splice(stairs, tk, counter))
         return out + [c + (d_last,) for c in corners(stairs)]
-    tail = len(slices)  # slices[tail:] hold one vector each
+    tail = 1 if is_thin(t) else len(slices)  # slices[tail:] are absorbed by the state
     while tail > 1 and len(slices[tail - 1][1]) == 1:
         tail -= 1
     link = slices[0][1]
@@ -205,8 +219,17 @@ def decompose_trie(t, counter=None):
         prev = cur
     if tail < len(slices):
         state = IncrementalState(height - 1, prev, link, counter)
-        for d, (v,) in slices[tail:]:
-            out.extend(b + (d,) for b in state.add_generator(v))
+        for d, tk in slices[tail:]:
+            if len(tk) == 1:
+                out.extend(b + (d,) for b in state.add_generator(tk[0]))
+                continue
+            created, lost = [], []
+            for v in tk:
+                lost += state.add_generator(v, created)
+            if counter is not None:
+                counter.add(len(lost))
+            made = set(created)
+            out.extend(b + (d,) for b in lost if b not in made)
         prev = state.components
     out.extend(v + (d_last,) for v in prev)
     return out

@@ -11,7 +11,7 @@ slice divides and interleaves the rest with the slice.
 """
 
 from itertools import groupby
-from operator import le
+from operator import itemgetter, le
 
 from .core import lex_key
 
@@ -91,3 +91,17 @@ def top_slices(t):
     if t and len(t[0]) < 2:
         raise ValueError(f"cannot slice a trie of height {len(t[0])}")
     return [(d, tuple(v[:-1] for v in run)) for d, run in groupby(t, key=lambda v: v[-1])]
+
+
+def is_thin(t):
+    """True when the trie averages fewer than two vectors per top slice:
+    ``len(t) < 2 * len(top_slices(t))``, the last slice included.
+
+    The slices are counted as the distinct last coordinates, so a trie of
+    height one, one slice per vector, is thin.  The empty trie and the
+    height-0 trie of the unit closure have no last coordinate and are not.
+    From height four up, ``recursive.decompose_trie`` absorbs the slices of
+    a thin trie one vector at a time, and ``bench.preferred_engine`` sends
+    a closure with thin generators to the recursive engine.
+    """
+    return bool(t and t[0]) and len(t) < 2 * len(set(map(itemgetter(-1), t)))

@@ -4,7 +4,7 @@ import itertools
 import random
 from operator import le
 
-from monideal import GeneratorSet, INF, gen_random
+from monideal import GeneratorSet, INF, decompose_incremental, gen_random
 from monideal.core import (ArtinianizedIdeal, deartinianize, leq, lex_key, maximalize,
                            minimalize, replace_coord, unit_vector)
 from monideal.oracle import maximal_points, staircase
@@ -34,6 +34,42 @@ def random_ideal(rng, n_choices=(2, 3, 4), max_p=8, max_deg=6, generic=False):
     if generic and p - 1 > maxdeg:
         p = maxdeg + 1
     return gen_random(n, p, maxdeg, seed=rng.randrange(2 ** 32), generic=generic)
+
+
+def near_shell(n, p, seed):
+    """``p`` distinct seeded vectors near the degree-1000 shell: each is a
+    random composition of 1000 into ``n`` positive parts (``n - 1`` distinct
+    cut points from 1..999) plus ``randint(0, 40)`` on each coordinate.
+    Degrees repeat, so it is not generic; it is not squarefree either, and
+    no slice is large."""
+    rng = random.Random(seed)
+    vectors = set()
+    while len(vectors) < p:
+        cuts = sorted(rng.sample(range(1, 1000), n - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [1000])]
+        vectors.add(tuple(x + rng.randint(0, 40) for x in parts))
+    return GeneratorSet.from_vectors(n, vectors)
+
+
+def generic_dual(g):
+    """The Alexander dual of ``g`` in its closure's box: ``a + 1 - beta``
+    for each component ``beta``, ``a`` being the closure's bounds placed at
+    its used variables, which must be all of them, and INF read as ``a_i``."""
+    art = g.closure
+    a = dict(zip(art.used, art.bounds))
+    comps = decompose_incremental(g).comps
+    return GeneratorSet.from_vectors(g.n, [
+        tuple(a[i] + 1 - (a[i] if b == INF else b) for i, b in enumerate(beta))
+        for beta in comps])
+
+
+def edge_ideal(n, q, seed=1):
+    """The edge ideal of a seeded graph G(n, q): x_i x_j for each pair
+    ``i < j``, in order, kept when the next ``random()`` is below ``q``."""
+    rng = random.Random(seed)
+    return GeneratorSet.from_vectors(n, [
+        tuple(int(k in (i, j)) for k in range(n))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < q])
 
 
 def plain_closure(g):

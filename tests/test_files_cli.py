@@ -623,6 +623,13 @@ class TestParserReuse:
         assert all(seen.out or seen.err for seen in fresh)
 
 
+# The 12-cycle with the chords i ~ i + 3: a squarefree edge ideal, thick and
+# with a box of 3^12 cells, which the engine rule sends to the incremental
+# engine.
+TWELVE_CYCLE = GeneratorSet.from_vectors(12, [
+    tuple(int(k in (i, (i + s) % 12)) for k in range(12)) for i in range(12) for s in (1, 3)])
+
+
 class TestDefaultEngine:
     """Without --algo each ideal runs under the engine it favours; the
     component files are those of --algo incremental, byte for byte."""
@@ -639,8 +646,10 @@ class TestDefaultEngine:
         "power": emit_ideal(GeneratorSet.from_vectors(3, degree_shell(3, 9))),
         "generic4": emit_ideal(gen_random(4, 20, 40, seed=6, generic=True)),
         "generic5": emit_ideal(gen_random(5, 12, 24, seed=7, generic=True)),
+        "edges": emit_ideal(TWELVE_CYCLE),
     }
-    RECURSIVE = {"unit", "univariate", "bivariate", "top", "showcase", "shell", "power"}
+    RECURSIVE = {"unit", "univariate", "bivariate", "top", "showcase", "shell", "power",
+                 "generic4", "generic5"}
 
     def decompose(self, tmp_path, argv):
         src, out = tmp_path / "in", tmp_path / "out"
@@ -684,7 +693,7 @@ class TestDefaultEngine:
 
     def test_closure_built_once_per_file(self, tmp_path, capsys, monkeypatch):
         # the engine rule and the engine it picks read one cached closure
-        g = gen_random(4, 30, 60, seed=1, generic=True)
+        g = GeneratorSet.from_vectors(12, TWELVE_CYCLE.gens)
         assert g.closure is g.closure
         closed = []
         inner = core.artinianize
@@ -698,12 +707,12 @@ class TestDefaultEngine:
         src.mkdir()
         (src / "power.ideal").write_text(
             emit_ideal(GeneratorSet.from_vectors(3, degree_shell(3, 6))))
-        (src / "generic.ideal").write_text(emit_ideal(g))
+        (src / "edges.ideal").write_text(emit_ideal(g))
         assert cli_main(["decompose", "--stats", str(src), str(out)]) == 0
         stats = capsys.readouterr().err
         assert "power.ideal algo=recursive " in stats
-        assert "generic.ideal algo=incremental " in stats
-        assert sorted(closed) == [3, 4]
+        assert "edges.ideal algo=incremental " in stats
+        assert sorted(closed) == [3, 12]
 
     def test_trace_runs_incremental(self, tmp_path, capsys):
         self.decompose(tmp_path, ["--trace", "--stats"])
