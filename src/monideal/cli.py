@@ -10,7 +10,8 @@ given.  ``--stats`` names the engine that ran.
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 3 the oracle's box exceeds ``--budget`` cells: ``verify`` and ``decompose
 --algo oracle`` size it as the product over the variables of the number of
-distinct degrees (see ``oracle``), however large the exponents.
+distinct degrees (see ``oracle``), however large the exponents.  A budget
+below 1 could never be met and is a usage error.
 ``decompose`` on a directory handles one file at a time; a failing file is
 reported by path and its output file removed, every other output is still
 written, and the exit code is the largest of the failing files' codes.
@@ -146,6 +147,18 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+def _budget(text):
+    """A ``--budget`` value: a box has one cell at least, so a budget
+    below 1 could never be met and is a usage error."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return budget
+
+
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -164,8 +177,9 @@ def _build_parser():
                    help="emit one JSON record per incremental step on stderr")
     d.add_argument("--stats", action="store_true",
                    help="print operation counts and timing on stderr")
-    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="oracle cell budget")
+    d.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="largest oracle box, in cells, that --algo oracle "
+                        f"enumerates (a positive integer, default {DEFAULT_BUDGET})")
     d.add_argument("input")
     d.add_argument("output", nargs="?")
     d.set_defaults(func=_cmd_decompose)
@@ -173,7 +187,9 @@ def _build_parser():
     v = sub.add_parser("verify", help="check a component file against an ideal file")
     v.add_argument("components")
     v.add_argument("ideal")
-    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="largest oracle box, in cells, that verify enumerates "
+                        f"(a positive integer, default {DEFAULT_BUDGET})")
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("gen", help="write a seeded random ideal file")

@@ -8,6 +8,7 @@ partial order drives everything in this package.
 """
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -77,9 +78,10 @@ def minimalize(vectors):
     lengths = set(map(len, distinct))
     if len(lengths) > 1:
         raise ValueError(f"length mismatch: {min(lengths)} vs {max(lengths)}")
-    degrees = [d if d == d else INF for d in map(sum, distinct)]
+    degrees = list(map(sum, distinct))
     if len(set(degrees)) == 1 and math.isfinite(degrees[0]):
         return sorted(distinct, key=lex_key)
+    degrees = [d if d == d else INF for d in degrees]
     # two distinct vectors never tie on both keys, so no vectors are compared
     order = sorted(zip(degrees, map(lex_key, distinct), distinct))
     return sorted(_blocked_scan([v for _, _, v in order]), key=lex_key)
@@ -173,6 +175,19 @@ def _validate_generator_vector(n, v):
             raise ValueError(f"generator exponent {e} outside [0, 2^32]")
 
 
+def _generators_pass(n, vs):
+    """True only if ``_validate_generator_vector(n, v)`` passes on every
+    tuple of ``vs``: a sufficient test, one C pass per property.  Lengths
+    must all be ``n`` and exponents of type ``int`` exactly, in ``[0,
+    MAX_EXPONENT]``; an int subclass such as bool fails here and gets the
+    per-vector verdict.  The range is read off the distinct exponents."""
+    flat = list(chain.from_iterable(vs))
+    if set(map(len, vs)) - {n} or set(map(type, flat)) - {int}:
+        return False
+    values = set(flat)
+    return not values or (min(values) >= 0 and max(values) <= MAX_EXPONENT)
+
+
 def _validate_component_vector(n, v):
     if len(v) != n:
         raise ValueError(f"component {v} has length {len(v)}, expected {n}")
@@ -182,6 +197,22 @@ def _validate_component_vector(n, v):
         if not (finite and 1 <= e <= MAX_EXPONENT or type(e) is float and e == INF):
             raise ValueError("component exponents must be inf, or >= 1 and at most "
                              f"2^32; got {e!r}")
+
+
+def _components_pass(n, vs):
+    """True only if ``_validate_component_vector(n, v)`` passes on every
+    tuple of ``vs``, as ``_generators_pass`` is for generators.  Every
+    coordinate must be an ``int`` in ``[1, MAX_EXPONENT]`` or a ``float``
+    equal to INF: no int equals INF, so the floats are all INF exactly when
+    they are as many as the coordinates equal to INF."""
+    flat = list(chain.from_iterable(vs))
+    types = list(map(type, flat))
+    if set(map(len, vs)) - {n} or set(types) - {int, float}:
+        return False
+    if types.count(float) != flat.count(INF):
+        return False
+    finite = set(flat) - {INF}
+    return not finite or (min(finite) >= 1 and max(finite) <= MAX_EXPONENT)
 
 
 def _validate_names(n, names):
@@ -208,9 +239,11 @@ class GeneratorSet:
     def from_vectors(cls, n, vectors, names=None):
         """Validate, deduplicate and minimalize ``vectors``."""
         _validate_variable_count(n)
-        vs = [tuple(v) for v in vectors]
-        for v in vs:
-            _validate_generator_vector(n, v)
+        vs = list(map(tuple, vectors))
+        if not _generators_pass(n, vs):
+            # the first bad vector raises its own message
+            for v in vs:
+                _validate_generator_vector(n, v)
         if names is not None:
             names = tuple(names)
             _validate_names(n, names)
@@ -218,16 +251,17 @@ class GeneratorSet:
 
     @classmethod
     def _build(cls, n, vs, names=None):
-        """Deduplicate and minimalize the validated tuples ``vs``; the file
-        reader, which validates each row with its line number, calls it too."""
-        keep = set(minimalize(vs))
-        seen = set()
-        out = []
-        for v in vs:
-            if v in keep and v not in seen:
-                seen.add(v)
-                out.append(v)
-        return cls(n, tuple(out), names)
+        """Deduplicate and minimalize the validated tuples ``vs``, keeping
+        first occurrences in input order; the file reader, which validates
+        each row with its line number, calls it too.  ``minimalize``'s lex
+        order is stored as ``_lex_gens`` for the closure."""
+        gens = tuple(dict.fromkeys(vs))
+        lex = tuple(minimalize(gens))
+        if len(lex) < len(gens):
+            gens = tuple(filter(set(lex).__contains__, gens))
+        g = cls(n, gens, names)
+        vars(g)["_lex_gens"] = lex
+        return g
 
     @property
     def p(self):
@@ -239,9 +273,15 @@ class GeneratorSet:
         and hashing read the declared fields only."""
         return artinianize(self)
 
+    @cached_property
+    def _lex_gens(self):
+        """``gens`` in lex order, kept like ``closure``; ``_build`` stores
+        the order ``minimalize`` already made."""
+        return tuple(sorted(self.gens, key=lex_key))
+
     def is_unit(self):
         """The monomial 1 generates: the whole ring."""
-        return any(not any(v) for v in self.gens)
+        return (0,) * self.n in self.gens
 
 
 @dataclass(frozen=True)
@@ -255,9 +295,10 @@ class ComponentSet:
     @classmethod
     def from_vectors(cls, n, vectors):
         _validate_variable_count(n)
-        vs = [tuple(v) for v in vectors]
-        for v in vs:
-            _validate_component_vector(n, v)
+        vs = list(map(tuple, vectors))
+        if not _components_pass(n, vs):
+            for v in vs:
+                _validate_component_vector(n, v)
         return cls._build(n, vs)
 
     @classmethod
@@ -323,7 +364,7 @@ class ArtinianizedIdeal:
 
     def alphas(self):
         """The non-pure generators, in lex order."""
-        return tuple(v for v in self.gens if sum(1 for e in v if e) != 1)
+        return tuple(v for v in self.gens if v.count(0) != self.n - 1)
 
     def relabel(self, v):
         """Map a vector of the closure back to the original ideal: coordinate
@@ -366,6 +407,11 @@ def artinianize(g):
     ``x_k`` has no pure power and 1 generates only the unit ideal, which
     uses no variable.  Two injected powers live in different variables.
 
+    No sort is made either.  The generators are read in lex order
+    (``g._lex_gens``: ``minimalize``'s output, which ``_build`` stores),
+    and dropping coordinates that every kept generator has at 0 keeps that
+    order.  Each injected power is placed by bisection.
+
     ``x_i`` is used exactly when more of its degrees are nonzero than its
     pure power's (a minimal set holds one at most).  A non-pure generator
     uses two variables at least, so ``itemgetter`` projects to tuples.
@@ -374,25 +420,28 @@ def artinianize(g):
     cols = list(zip(*g.gens)) or [()] * n
     pure = {v.index(max(v)): v for v in g.gens if v.count(0) == n - 1}  # x_i: its power
     used = tuple(i for i, col in enumerate(cols) if len(col) - col.count(0) > (i in pure))
-    rows = list(g.gens)
+    rows = list(g._lex_gens)
     if len(used) < n:
         dropped = {pure[i] for i in pure.keys() - set(used)}
         rows = [v for v in rows if v not in dropped]
         rows = list(map(itemgetter(*used), rows)) if used else [()] * len(rows)
     bounds = tuple(max(cols[i]) + 1 for i in used)
     added = tuple(i not in pure for i in used)
-    rows += [unit_vector(len(used), k, b) for k, b in enumerate(bounds) if added[k]]
+    for k, b in enumerate(bounds):
+        if added[k]:
+            insort(rows, unit_vector(len(used), k, b), key=lex_key)
     fixed = tuple(pure[i][i] if i in pure else INF for i in range(n))
-    gens = tuple(sorted(rows, key=lex_key))
-    return ArtinianizedIdeal(len(used), bounds, added, gens, used, fixed)
+    return ArtinianizedIdeal(len(used), bounds, added, tuple(rows), used, fixed)
 
 
 def deartinianize(vectors, art):
     """Map components of the Artinian closure back to the original ideal.
 
     ``vectors`` is any iterable of the closure's component vectors (a
-    ``ComponentSet`` iterates its ``comps``), each mapped by
-    ``art.relabel``, which also rejects a coordinate above its bound.
+    ``ComponentSet`` iterates its ``comps``), each mapped as by
+    ``art.relabel``, a column at a time: a finite coordinate above its
+    bound raises RuntimeError, an injected column reads its bound as INF,
+    and an unused variable's column is its ``fixed`` coordinate.
 
     The map is exact.  The original ideal is ``J + K`` in disjoint variables
     (``artinianize``), ``K`` generated by pure powers ``x_i^d_i`` of unused
@@ -419,7 +468,22 @@ def deartinianize(vectors, art):
     injected bound may be ``MAX_EXPONENT + 1``, which is why the closure's
     own vectors are never validated as components.
     """
-    return ComponentSet._build(len(art.fixed), map(art.relabel, vectors))
+    rows = list(vectors)
+    cols = list(zip(*rows))
+    for k, (col, b, injected) in enumerate(zip(cols, art.bounds, art.added)):
+        top = max(col)
+        if top == INF:
+            top = max(filter(INF.__ne__, col), default=b)
+        if top > b:
+            raise RuntimeError(f"component coordinate {top} exceeds bound {b}")
+        if injected:
+            cols[k] = tuple(map({b: INF}.get, col, col))
+    if art.n < len(art.fixed):
+        whole = [(e,) * len(rows) for e in art.fixed]
+        for i, col in zip(art.used, cols):
+            whole[i] = col
+        cols = whole
+    return ComponentSet._build(len(art.fixed), zip(*cols) if cols else rows)
 
 
 def is_generic(g):

@@ -110,8 +110,9 @@ def parse_components(text):
 
 
 def _emit(header, vectors):
-    """A file of ``header``, one row per vector and ``end``."""
-    rows = (" ".join("inf" if e == INF else str(e) for e in v) for v in vectors)
+    """A file of ``header``, one row per vector and ``end``; ``str(INF)`` is
+    ``'inf'``."""
+    rows = (" ".join(map(str, v)) for v in vectors)
     return "\n".join([header, *rows, "end"]) + "\n"
 
 

@@ -1,5 +1,6 @@
 """Order relations, antichain reductions, and Artinian closure."""
 
+import enum
 import gc
 import itertools
 import math
@@ -16,8 +17,9 @@ from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
                       decompose_incremental, decompose_oracle, decompose_recursive,
                       gen_random)
 from monideal import core
-from monideal.core import (deartinianize, is_generic, leq, lex_key, maximalize,
-                           minimalize, replace_coord, unit_vector)
+from monideal.core import (ArtinianizedIdeal, deartinianize, is_generic, leq, lex_key,
+                           maximalize, minimalize, replace_coord, unit_vector)
+from monideal.files import emit_ideal, parse_ideal
 from conftest import (SHOWCASE_GENS, ideal_intersection, ideal_sum, is_antichain,
                       is_zero, lcm_vector, pairwise_minimal, plain_decompose_oracle,
                       random_ideal, showcase, strictly_below)
@@ -551,3 +553,220 @@ class TestIdealAlgebra:
         a = GeneratorSet.from_vectors(2, [(2, 0)])
         b = GeneratorSet.from_vectors(2, [(0, 3)])
         assert ideal_intersection(a, b).gens == ((2, 3),)
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def per_vector_outcome(validate, n, vectors):
+    """What the per-vector loop that ``from_vectors`` ran before its bulk
+    check raises on ``vectors``, as ``(type, message)``, or None."""
+    try:
+        core._validate_variable_count(n)
+        for v in [tuple(v) for v in vectors]:
+            validate(n, v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def outcome(construct, n, vectors):
+    try:
+        construct(n, vectors)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# one invalid (or, for IntEnum and 2^32, valid) vector of each kind, after a
+# valid one, so that the message must name the right vector and exponent
+BULK_CASES = {
+    "bool": [(1, 2), (True, 2)],
+    "intenum": [(1, 2), (Level.ONE, 2)],
+    "numpy-int64": [(1, 2), (np.int64(2), 2)],
+    "numpy-float64-inf": [(1, 2), (np.float64(INF), 2)],
+    "float": [(1, 2), (2.0, 2)],
+    "nan": [(1, 2), (math.nan, 2)],
+    "inf": [(1, 2), (INF, 2)],
+    "negative": [(1, 2), (-1, 2)],
+    "zero": [(1, 2), (0, 2)],
+    "2^32": [(1, 2), (2 ** 32, 2)],
+    "2^32+1": [(1, 2), (2 ** 32 + 1, 2)],
+    "ragged": [(1, 2), (1, 2, 3)],
+    "short": [(1, 2), (1,)],
+    "two-bad": [(1, 2), (-1, 2), (1, 2, 3)],
+    "empty": [],
+}
+
+
+class TestBulkPaths:
+    """Each one-pass path around the engines equals the per-item code it
+    replaced."""
+
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    @pytest.mark.parametrize("kind", ["generators", "components"])
+    def test_from_vectors_raises_as_the_per_vector_loop(self, case, kind):
+        construct, validate = {
+            "generators": (GeneratorSet.from_vectors, core._validate_generator_vector),
+            "components": (ComponentSet.from_vectors, core._validate_component_vector),
+        }[kind]
+        vectors = BULK_CASES[case]
+        assert outcome(construct, 2, vectors) == per_vector_outcome(validate, 2, vectors)
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = {per_vector_outcome(core._validate_generator_vector, 2, vs) is None
+                    for vs in BULK_CASES.values()}
+        assert verdicts == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.sampled_from([0, 1, 2, core.MAX_EXPONENT, core.MAX_EXPONENT + 1,
+                                  -1, INF, -INF, math.nan, 2.0, True, False, Level.ONE,
+                                  np.int64(1), np.float64(INF), "1"]),
+                 min_size=n - 1, max_size=n + 1).map(tuple), max_size=5))))
+    def test_bulk_pass_implies_per_vector_pass(self, case):
+        """The bulk tests are sufficient conditions: whatever they pass, the
+        per-vector validators pass too.  On exact ints and floats they are
+        also necessary, so the fast path is the one taken on such input."""
+        n, vs = case
+        for bulk, validate in ((core._generators_pass, core._validate_generator_vector),
+                               (core._components_pass, core._validate_component_vector)):
+            valid = per_vector_outcome(validate, n, vs) is None
+            if bulk(n, vs):
+                assert valid
+            elif valid:
+                assert any(type(e) not in (int, float) for v in vs for e in v)
+
+    def test_bulk_check_skips_the_per_vector_loop(self):
+        calls = []
+        for name in ("_validate_generator_vector", "_validate_component_vector"):
+            with mock.patch.object(core, name, side_effect=calls.append):
+                GeneratorSet.from_vectors(3, SHOWCASE_GENS)
+                ComponentSet.from_vectors(2, [(1, INF), (INF, 2 ** 32)])
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(vectors(n, max_deg=3), max_size=12))))
+    def test_build_keeps_first_occurrences_in_input_order(self, case):
+        n, vs = case
+        keep = set(minimalize(vs))
+        want = []
+        for v in vs:
+            if v in keep and v not in want:
+                want.append(v)
+        g = GeneratorSet._build(n, vs)
+        assert g.gens == tuple(want)
+        assert g == GeneratorSet.from_vectors(n, vs)
+
+    def test_build_examples(self):
+        vs = [(1, 2), (3, 0), (1, 2), (2, 2), (0, 5), (3, 0)]
+        assert GeneratorSet._build(2, vs).gens == ((1, 2), (3, 0), (0, 5))
+        assert GeneratorSet._build(2, [(0, 3), (2, 0), (0, 3)]).gens == ((0, 3), (2, 0))
+
+
+def relabelled(vectors, art):
+    """The row-at-a-time map back that ``deartinianize`` replaced."""
+    return ComponentSet._build(len(art.fixed), map(art.relabel, vectors))
+
+
+def closure_rows(art, rng, count):
+    """``count`` seeded vectors in the closure's variables: each coordinate
+    is 1 up to its bound, the bound itself (INF once mapped back when it was
+    injected), or INF."""
+    return [tuple(rng.choice([rng.randint(1, b), b, b, INF]) for b in art.bounds)
+            for _ in range(count)]
+
+
+class TestColumnMapBack:
+    """``deartinianize`` maps a column at a time; ``relabel`` a row."""
+
+    def ideals(self):
+        rng = random.Random(7)
+        out = list(closure_cases())
+        out += [random_ideal(rng, n_choices=(1, 2, 3, 4, 5)) for _ in range(60)]
+        # x_4 held only by its native pure power x_4^5, x_5 in no generator
+        for seed in range(10):
+            rest = gen_random(3, 2 + seed % 5, 6, seed=seed).gens
+            out.append(GeneratorSet.from_vectors(5, [v + (0, 0) for v in rest]
+                                                 + [(0, 0, 0, 5, 0)]))
+        return out
+
+    def test_equals_relabel_on_random_closures(self):
+        rng = random.Random(11)
+        shapes = {"unused": 0, "injected": 0, "n=0": 0}
+        for g in self.ideals():
+            art = g.closure
+            shapes["unused"] += art.n < g.n
+            shapes["injected"] += any(art.added)
+            shapes["n=0"] += art.n == 0
+            for count in (0, 1, 5):
+                rows = closure_rows(art, rng, count)
+                assert deartinianize(rows, art) == relabelled(rows, art), g
+        assert min(shapes.values()) > 0
+
+    def test_no_variable_used(self):
+        # the zero ideal's closure has one empty component, the unit
+        # ideal's none; both map to the fixed coordinates
+        zero = GeneratorSet.from_vectors(3, [])
+        unit = GeneratorSet.from_vectors(3, [(0, 0, 0)])
+        assert deartinianize([()], zero.closure).comps == ((INF, INF, INF),)
+        assert deartinianize([], unit.closure).comps == ()
+        held = GeneratorSet.from_vectors(3, [(0, 4, 0)])
+        assert held.closure.n == 0
+        assert deartinianize([()], held.closure).comps == ((INF, 4, INF),)
+
+    def test_unused_variables_take_their_fixed_coordinates(self):
+        g = GeneratorSet.from_vectors(5, [(2, 1, 0, 0, 0), (1, 3, 0, 0, 0),
+                                          (0, 0, 0, 5, 0)])
+        art = g.closure
+        assert (art.used, art.bounds, art.added) == ((0, 1), (3, 4), (True, True))
+        rows = [(3, 1), (2, 4), (1, INF)]
+        assert deartinianize(rows, art).comps == (
+            (INF, 1, INF, 5, INF), (1, INF, INF, 5, INF), (2, INF, INF, 5, INF))
+        assert deartinianize(rows, art) == relabelled(rows, art)
+
+    @pytest.mark.parametrize("rows", [[(9, 1, 1)], [(INF, 1, 1), (9, 2, 2)],
+                                      [(4, 1, 1), (4, 6, 1)]])
+    def test_coordinate_above_its_bound_raises(self, rows):
+        art = artinianize(showcase())
+        with pytest.raises(RuntimeError, match="exceeds bound"):
+            deartinianize(rows, art)
+        with pytest.raises(RuntimeError, match="exceeds bound"):
+            relabelled(rows, art)
+
+
+class TestClosureReuse:
+    """``_build`` stores ``minimalize``'s lex order for the closure; a set
+    built any other way sorts its own, to the same closure."""
+
+    def test_direct_set_closes_as_built_one(self):
+        rng = random.Random(5)
+        for g in closure_cases():
+            gens = list(g.gens)
+            rng.shuffle(gens)
+            direct = GeneratorSet(g.n, tuple(gens))
+            assert "_lex_gens" not in vars(direct)
+            assert direct == GeneratorSet.from_vectors(g.n, gens)
+            want = artinianize(direct)
+            assert isinstance(want, ArtinianizedIdeal)
+            assert artinianize(GeneratorSet.from_vectors(g.n, gens)) == want
+            assert artinianize(parse_ideal(emit_ideal(direct))) == want
+            assert want.gens == tuple(sorted(want.gens, key=lex_key))
+
+    def test_unit_and_zero(self):
+        for n in (1, 3):
+            for vs in ([], [(0,) * n], [(0,) * n, (1,) * n]):
+                built = GeneratorSet.from_vectors(n, vs)
+                direct = GeneratorSet(n, built.gens)
+                assert artinianize(direct) == artinianize(built)
+                assert direct.is_unit() == built.is_unit() == bool(vs)
+
+    def test_stored_order_is_not_a_field(self):
+        g = GeneratorSet.from_vectors(3, SHOWCASE_GENS)
+        direct = GeneratorSet(3, g.gens)
+        assert vars(g)["_lex_gens"] == tuple(sorted(g.gens, key=lex_key))
+        assert g == direct and hash(g) == hash(direct)
+        assert repr(g) == repr(direct)
+        assert direct._lex_gens == g._lex_gens

@@ -118,6 +118,23 @@ class TestComponentFormat:
         c = decompose_incremental(GeneratorSet.from_vectors(2, []))
         assert emit_components(c) == "components 2 1\ninf inf\nend\n"
 
+    def test_emission_equals_the_per_exponent_formatter(self):
+        # the formatter before rows were joined with map(str, ...), which
+        # wrote INF as 'inf' by a test on each exponent
+        def old_emit(c):
+            rows = (" ".join("inf" if e == INF else str(e) for e in v) for v in c.comps)
+            return "\n".join([f"components {c.n} {len(c.comps)}", *rows, "end"]) + "\n"
+        sets = [decompose_incremental(showcase()), decompose_incremental(fourvar()),
+                decompose_incremental(GeneratorSet.from_vectors(4, [])),
+                ComponentSet.from_vectors(3, []),
+                ComponentSet.from_vectors(3, [(MAX_EXPONENT, INF, 1), (INF, INF, 2)])]
+        sets += [decompose_incremental(GeneratorSet.from_vectors(
+            5, [v + (0, 0) for v in g.gens] + [(0, 0, 0, 5, 0)]))
+            for g in (showcase(), GeneratorSet.from_vectors(3, [(1, 1, 1)]))]
+        assert sum(INF in v for c in sets for v in c.comps) > 5
+        for c in sets:
+            assert emit_components(c).encode() == old_emit(c).encode()
+
     def test_count_mismatch(self):
         with pytest.raises(FormatError, match="announced"):
             parse_components("components 2 2\n1 1\nend\n")
@@ -428,6 +445,21 @@ class TestCli:
         assert cli_main(["decompose", "--algo", "oracle", "--budget", "1000",
                          str(big)]) == 3
         assert capsys.readouterr().err == "error: box of 1331 cells exceeds budget 1000\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "x"])
+    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
+        # a box has one cell at least, so such a budget could never be met
+        src = tmp_path / "showcase.ideal"
+        src.write_text(SHOWCASE_TEXT)
+        out = tmp_path / "showcase.components"
+        out.write_text(emit_components(decompose_incremental(showcase())))
+        for argv in (["verify", "--budget", budget, str(out), str(src)],
+                     ["decompose", "--algo", "oracle", "--budget", budget, str(src)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"argument --budget: must be a positive integer, got '{budget}'" in err
+        assert cli_main(["verify", "--budget", "1", str(out), str(src)]) == 3
+        assert cli_main(["decompose", "--algo", "oracle", "--budget", "125", str(src)]) == 0
 
     def test_verify_million_exponents(self, tmp_path):
         # x^(10^6), x^500000 y^500000, y^(10^6): the box over every degree
