@@ -218,18 +218,39 @@ def _components_pass(n, vs):
 def _validate_names(n, names):
     if len(names) != n:
         raise ValueError(f"expected {n} variable names, got {len(names)}")
+    seen = set()
     for name in names:
         # the ideal file's header lists the names split by whitespace, and
         # '#' starts a comment there
         if not isinstance(name, str) or "#" in name or name.split() != [name]:
             raise ValueError(f"variable name {name!r} must be a nonempty "
                              "string without whitespace or '#'")
+        if name in seen:
+            raise ValueError(f"variable name {name!r} is given twice")
+        seen.add(name)
+
+
+def _valid_vectors(n, vectors, bulk, validate):
+    """``vectors`` as tuples, checked by ``bulk``'s one-pass test, else by
+    ``validate`` on each in order; the first bad vector's ValueError carries
+    its position as ``index``, which the file readers map to a line."""
+    _validate_variable_count(n)
+    vs = list(map(tuple, vectors))
+    if not bulk(n, vs):
+        for i, v in enumerate(vs):
+            try:
+                validate(n, v)
+            except ValueError as exc:
+                exc.index = i
+                raise
+    return vs
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """Finite antichain of all-finite exponent vectors: the minimal generators
-    of a monomial ideal in ``n`` variables.  Input order is preserved."""
+    of a monomial ideal in ``n`` variables, lex-sorted like components.  They
+    are unique, so ``from_vectors`` sets are equal iff ideals and names are."""
 
     n: int
     gens: tuple
@@ -238,30 +259,11 @@ class GeneratorSet:
     @classmethod
     def from_vectors(cls, n, vectors, names=None):
         """Validate, deduplicate and minimalize ``vectors``."""
-        _validate_variable_count(n)
-        vs = list(map(tuple, vectors))
-        if not _generators_pass(n, vs):
-            # the first bad vector raises its own message
-            for v in vs:
-                _validate_generator_vector(n, v)
+        vs = _valid_vectors(n, vectors, _generators_pass, _validate_generator_vector)
         if names is not None:
             names = tuple(names)
             _validate_names(n, names)
-        return cls._build(n, vs, names)
-
-    @classmethod
-    def _build(cls, n, vs, names=None):
-        """Deduplicate and minimalize the validated tuples ``vs``, keeping
-        first occurrences in input order; the file reader, which validates
-        each row with its line number, calls it too.  ``minimalize``'s lex
-        order is stored as ``_lex_gens`` for the closure."""
-        gens = tuple(dict.fromkeys(vs))
-        lex = tuple(minimalize(gens))
-        if len(lex) < len(gens):
-            gens = tuple(filter(set(lex).__contains__, gens))
-        g = cls(n, gens, names)
-        vars(g)["_lex_gens"] = lex
-        return g
+        return cls(n, tuple(minimalize(vs)), names)
 
     @property
     def p(self):
@@ -272,12 +274,6 @@ class GeneratorSet:
         """``artinianize(self)``, built on the first read and kept; equality
         and hashing read the declared fields only."""
         return artinianize(self)
-
-    @cached_property
-    def _lex_gens(self):
-        """``gens`` in lex order, kept like ``closure``; ``_build`` stores
-        the order ``minimalize`` already made."""
-        return tuple(sorted(self.gens, key=lex_key))
 
     def is_unit(self):
         """The monomial 1 generates: the whole ring."""
@@ -294,18 +290,13 @@ class ComponentSet:
 
     @classmethod
     def from_vectors(cls, n, vectors):
-        _validate_variable_count(n)
-        vs = list(map(tuple, vectors))
-        if not _components_pass(n, vs):
-            for v in vs:
-                _validate_component_vector(n, v)
-        return cls._build(n, vs)
+        return cls._build(n, _valid_vectors(n, vectors, _components_pass,
+                                            _validate_component_vector))
 
     @classmethod
     def _build(cls, n, vs):
-        """The set of the validated tuples ``vs``, lex-sorted.  The file
-        reader, which validates each row with its line number, calls it too,
-        and so does ``deartinianize``, whose rows are valid by construction."""
+        """The set of the valid tuples ``vs``, lex-sorted; ``deartinianize``,
+        whose rows are valid by construction, calls it directly."""
         return cls(n, tuple(sorted(vs, key=lex_key)))
 
     def __len__(self):
@@ -328,7 +319,7 @@ class ComponentSet:
 @dataclass(frozen=True)
 class ArtinianizedIdeal:
     """The Artinian closure of a generator set in the variables it uses,
-    with the one map back to the original ideal.
+    with the coordinates that ``deartinianize`` maps its vectors back by.
 
     A variable is *used* when a non-pure generator has a nonzero degree in
     it; ``used`` lists their original indices, ascending.  The closure lives
@@ -366,28 +357,6 @@ class ArtinianizedIdeal:
         """The non-pure generators, in lex order."""
         return tuple(v for v in self.gens if v.count(0) != self.n - 1)
 
-    def relabel(self, v):
-        """Map a vector of the closure back to the original ideal: coordinate
-        ``k`` goes to variable ``used[k]``, as INF if it equals an injected
-        bound, and each unused variable takes its ``fixed`` coordinate.
-        Raises RuntimeError if a finite coordinate exceeds its bound, which
-        no component of the closure, nor any lowered candidate, can do.
-        """
-        out = []
-        for e, b, injected in zip(v, self.bounds, self.added):
-            if e >= b:
-                if e != b and e != INF:
-                    raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
-                if injected:
-                    e = INF
-            out.append(e)
-        if self.n == len(self.fixed):
-            return tuple(out)
-        whole = list(self.fixed)
-        for i, e in zip(self.used, out):
-            whole[i] = e
-        return tuple(whole)
-
 
 def artinianize(g):
     """Restrict ``g`` to its used variables and close it up there.
@@ -407,10 +376,11 @@ def artinianize(g):
     ``x_k`` has no pure power and 1 generates only the unit ideal, which
     uses no variable.  Two injected powers live in different variables.
 
-    No sort is made either.  The generators are read in lex order
-    (``g._lex_gens``: ``minimalize``'s output, which ``_build`` stores),
-    and dropping coordinates that every kept generator has at 0 keeps that
-    order.  Each injected power is placed by bisection.
+    The generators are sorted into lex order once: ``from_vectors`` already
+    stores them so, and a sorted run costs one pass, while a set built
+    directly may hold them in any order.  Dropping coordinates that every
+    kept generator has at 0 keeps that order, and each injected power is
+    placed by bisection.
 
     ``x_i`` is used exactly when more of its degrees are nonzero than its
     pure power's (a minimal set holds one at most).  A non-pure generator
@@ -420,7 +390,7 @@ def artinianize(g):
     cols = list(zip(*g.gens)) or [()] * n
     pure = {v.index(max(v)): v for v in g.gens if v.count(0) == n - 1}  # x_i: its power
     used = tuple(i for i, col in enumerate(cols) if len(col) - col.count(0) > (i in pure))
-    rows = list(g._lex_gens)
+    rows = sorted(g.gens, key=lex_key)
     if len(used) < n:
         dropped = {pure[i] for i in pure.keys() - set(used)}
         rows = [v for v in rows if v not in dropped]
@@ -438,10 +408,8 @@ def deartinianize(vectors, art):
     """Map components of the Artinian closure back to the original ideal.
 
     ``vectors`` is any iterable of the closure's component vectors (a
-    ``ComponentSet`` iterates its ``comps``), each mapped as by
-    ``art.relabel``, a column at a time: a finite coordinate above its
-    bound raises RuntimeError, an injected column reads its bound as INF,
-    and an unused variable's column is its ``fixed`` coordinate.
+    ``ComponentSet`` iterates its ``comps``), mapped by ``_mapped_back``
+    and lex-sorted.
 
     The map is exact.  The original ideal is ``J + K`` in disjoint variables
     (``artinianize``), ``K`` generated by pure powers ``x_i^d_i`` of unused
@@ -455,7 +423,7 @@ def deartinianize(vectors, art):
     "injected bound -> INF" is strictly increasing.  It preserves and
     reflects ``<=``, as does the placing, so no antichain re-check is made.
 
-    Nor does a relabelled component need ``from_vectors``'s check that every
+    Nor does a mapped component need ``from_vectors``'s check that every
     coordinate is INF or an int in ``[1, MAX_EXPONENT]``.  A fixed
     coordinate is INF or a generator degree.  The closure's generators are
     validated ints in ``[0, MAX_EXPONENT]`` and injected powers of degree
@@ -463,11 +431,19 @@ def deartinianize(vectors, art):
     degrees of those generators.  A component ``beta`` of the closure has
     ``X^(beta - 1)`` outside the ideal, so ``1 <= beta_k <= d_k``, the
     pure-power degree of ``x_k``.  A native ``d_k`` is a generator degree.
-    An injected one is ``bounds[k]``, which relabels to INF, and a smaller
+    An injected one is ``bounds[k]``, which maps to INF, and a smaller
     ``beta_k`` is at most ``bounds[k] - 1``, a generator degree.  An
     injected bound may be ``MAX_EXPONENT + 1``, which is why the closure's
     own vectors are never validated as components.
     """
+    return ComponentSet._build(len(art.fixed), _mapped_back(vectors, art))
+
+
+def _mapped_back(vectors, art):
+    """The closure's ``vectors`` in the original variables, in order, a
+    column at a time: a finite coordinate above its bound raises RuntimeError,
+    an injected column reads its bound as INF, column ``k`` goes to variable
+    ``art.used[k]``, and an unused variable's column is its ``fixed`` one."""
     rows = list(vectors)
     cols = list(zip(*rows))
     for k, (col, b, injected) in enumerate(zip(cols, art.bounds, art.added)):
@@ -483,7 +459,7 @@ def deartinianize(vectors, art):
         for i, col in zip(art.used, cols):
             whole[i] = col
         cols = whole
-    return ComponentSet._build(len(art.fixed), zip(*cols) if cols else rows)
+    return zip(*cols) if cols else iter(rows)
 
 
 def is_generic(g):

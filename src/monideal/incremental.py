@@ -69,8 +69,8 @@ generator containing INF stands for the zero polynomial and divides nothing.
 from bisect import bisect_left, bisect_right, insort
 from operator import gt, itemgetter, lt
 
-from .core import (ComponentSet, INF, deartinianize, lex_key, replace_coord,
-                   unit_vector)
+from .core import (ComponentSet, INF, _mapped_back, deartinianize, lex_key,
+                   replace_coord, unit_vector)
 
 
 def partition_components(comps, alpha, counter=None):
@@ -416,8 +416,9 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     variable: the limits read are the step's own.  Lowerings are listed at
     the closure's used variables only (at an unused one ``alpha_u = 0``);
     ``u`` and ``alpha``, which is zero off them, are mapped back to the
-    original variables, and components with the closure's ``relabel``.  The
-    record's work is one probe per removed component, never a full pass.
+    original variables, and a step's components and candidates in one call
+    of ``deartinianize``'s column map, ``_mapped_back``.  The record's work
+    is one probe per removed component, never a full pass.
     """
     if g.is_unit():
         if t_sizes is not None:
@@ -437,12 +438,20 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
         if trace is None or not removed:
             continue
         out = {"kept": [], "rejected": []}
-        for beta in sorted(removed, key=lex_key):
+        betas = sorted(removed, key=lex_key)
+        # each beta, then its candidates, mapped back in one pass
+        rows = []
+        for beta in betas:
+            rows.append(beta)
+            rows += [replace_coord(beta, u, a) for u, a in enumerate(alpha)]
+        back = _mapped_back(rows, art)
+        for beta in betas:
             limits = lowering_limits(beta, dividing_generators(beta, state.index))
-            for u, (i, a, limit) in enumerate(zip(art.used, alpha, limits)):
+            original = next(back)
+            for i, a, limit in zip(art.used, alpha, limits):
                 out["kept" if a >= 1 and limit < a else "rejected"].append(
-                    {"beta": list(art.relabel(beta)), "u": i + 1, "d": limit,
-                     "candidate": list(art.relabel(replace_coord(beta, u, a)))})
+                    {"beta": list(original), "u": i + 1, "d": limit,
+                     "candidate": list(next(back))})
         placed = dict(zip(art.used, alpha))
         records.append({"step": len(records) + 1,
                         "alpha": [placed.get(i, 0) for i in range(len(art.fixed))],

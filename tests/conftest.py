@@ -92,6 +92,28 @@ def plain_closure(g):
                              tuple(range(n)), (INF,) * n)
 
 
+def relabel(art, v):
+    """Reference for the map back, one vector at a time: coordinate ``k`` of
+    ``v`` goes to variable ``art.used[k]``, as INF if it equals an injected
+    bound, and each unused variable takes its ``fixed`` coordinate.  Raises
+    RuntimeError if a finite coordinate exceeds its bound.  ``deartinianize``
+    maps a column at a time instead (``TestColumnMapBack``); tests read a
+    closure's vectors in the original variables through this.
+    """
+    out = []
+    for e, b, injected in zip(v, art.bounds, art.added):
+        if e >= b:
+            if e != b and e != INF:
+                raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
+            if injected:
+                e = INF
+        out.append(e)
+    whole = list(art.fixed)
+    for i, e in zip(art.used, out):
+        whole[i] = e
+    return tuple(whole)
+
+
 def match_variables(m, beta):
     """Variables (0-based) where the degree of ``m`` meets that of ``beta``."""
     return tuple(u for u in range(len(beta)) if m[u] == beta[u])

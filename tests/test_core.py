@@ -22,7 +22,7 @@ from monideal.core import (ArtinianizedIdeal, deartinianize, is_generic, leq, le
 from monideal.files import emit_ideal, parse_ideal
 from conftest import (SHOWCASE_GENS, ideal_intersection, ideal_sum, is_antichain,
                       is_zero, lcm_vector, pairwise_minimal, plain_decompose_oracle,
-                      random_ideal, showcase, strictly_below)
+                      random_ideal, relabel, showcase, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -282,7 +282,7 @@ class TestArtinianize:
         art = artinianize(g)
         assert (art.n, art.gens, art.bounds, art.used) == (0, (), (), ())
         assert art.fixed == (INF, INF)
-        assert art.relabel(()) == (INF, INF)
+        assert relabel(art, ()) == (INF, INF)
 
     def test_unit_ideal_adds_nothing(self):
         art = artinianize(GeneratorSet.from_vectors(3, [(0, 0, 0)]))
@@ -649,26 +649,21 @@ class TestBulkPaths:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(vectors(n, max_deg=3), max_size=12))))
-    def test_build_keeps_first_occurrences_in_input_order(self, case):
+    def test_from_vectors_stores_the_minimal_generators_in_lex_order(self, case):
         n, vs = case
-        keep = set(minimalize(vs))
-        want = []
-        for v in vs:
-            if v in keep and v not in want:
-                want.append(v)
-        g = GeneratorSet._build(n, vs)
-        assert g.gens == tuple(want)
-        assert g == GeneratorSet.from_vectors(n, vs)
+        g = GeneratorSet.from_vectors(n, vs)
+        assert g.gens == tuple(pairwise_minimal(vs))
+        assert g == GeneratorSet.from_vectors(n, reversed(vs))
 
-    def test_build_examples(self):
+    def test_from_vectors_examples(self):
         vs = [(1, 2), (3, 0), (1, 2), (2, 2), (0, 5), (3, 0)]
-        assert GeneratorSet._build(2, vs).gens == ((1, 2), (3, 0), (0, 5))
-        assert GeneratorSet._build(2, [(0, 3), (2, 0), (0, 3)]).gens == ((0, 3), (2, 0))
+        assert GeneratorSet.from_vectors(2, vs).gens == ((3, 0), (1, 2), (0, 5))
+        assert GeneratorSet.from_vectors(2, [(0, 3), (2, 0), (0, 3)]).gens == ((2, 0), (0, 3))
 
 
 def relabelled(vectors, art):
-    """The row-at-a-time map back that ``deartinianize`` replaced."""
-    return ComponentSet._build(len(art.fixed), map(art.relabel, vectors))
+    """The row-at-a-time map back, as a component set."""
+    return ComponentSet._build(len(art.fixed), [relabel(art, v) for v in vectors])
 
 
 def closure_rows(art, rng, count):
@@ -680,7 +675,8 @@ def closure_rows(art, rng, count):
 
 
 class TestColumnMapBack:
-    """``deartinianize`` maps a column at a time; ``relabel`` a row."""
+    """``deartinianize`` maps a column at a time; the reference ``relabel``
+    a row."""
 
     def ideals(self):
         rng = random.Random(7)
@@ -738,8 +734,8 @@ class TestColumnMapBack:
 
 
 class TestClosureReuse:
-    """``_build`` stores ``minimalize``'s lex order for the closure; a set
-    built any other way sorts its own, to the same closure."""
+    """The closure sorts the generators once: ``from_vectors`` stores them
+    lex-sorted, and a set built directly in any order closes the same."""
 
     def test_direct_set_closes_as_built_one(self):
         rng = random.Random(5)
@@ -747,11 +743,11 @@ class TestClosureReuse:
             gens = list(g.gens)
             rng.shuffle(gens)
             direct = GeneratorSet(g.n, tuple(gens))
-            assert "_lex_gens" not in vars(direct)
-            assert direct == GeneratorSet.from_vectors(g.n, gens)
+            built = GeneratorSet.from_vectors(g.n, gens)
+            assert built == g == GeneratorSet(g.n, tuple(sorted(gens, key=lex_key)))
             want = artinianize(direct)
             assert isinstance(want, ArtinianizedIdeal)
-            assert artinianize(GeneratorSet.from_vectors(g.n, gens)) == want
+            assert artinianize(built) == want
             assert artinianize(parse_ideal(emit_ideal(direct))) == want
             assert want.gens == tuple(sorted(want.gens, key=lex_key))
 
@@ -764,9 +760,12 @@ class TestClosureReuse:
                 assert direct.is_unit() == built.is_unit() == bool(vs)
 
     def test_stored_order_is_not_a_field(self):
+        """No order is stored beside ``gens``: the lex order is that field
+        itself, and the cached closure is no field either."""
         g = GeneratorSet.from_vectors(3, SHOWCASE_GENS)
+        assert g.gens == tuple(sorted(SHOWCASE_GENS, key=lex_key))
+        assert set(vars(g)) == {"n", "gens", "names"}
         direct = GeneratorSet(3, g.gens)
-        assert vars(g)["_lex_gens"] == tuple(sorted(g.gens, key=lex_key))
+        assert g.closure == direct.closure
         assert g == direct and hash(g) == hash(direct)
         assert repr(g) == repr(direct)
-        assert direct._lex_gens == g._lex_gens

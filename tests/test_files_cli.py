@@ -60,8 +60,9 @@ class TestIdealFormat:
         assert parse_ideal(emit_ideal(g)) == g
 
     @pytest.mark.parametrize("names", [("x#", "y"), ("a b", "c"), ("", "y"),
-                                       ("x\ty", "z"), ("x", 1)],
-                             ids=["hash", "space", "empty", "tab", "not-a-string"])
+                                       ("x\ty", "z"), ("x", 1), ("x", "x")],
+                             ids=["hash", "space", "empty", "tab", "not-a-string",
+                                  "duplicate"])
     def test_names_the_format_cannot_read_back_rejected(self, names):
         with pytest.raises(ValueError, match="variable name"):
             GeneratorSet.from_vectors(2, [(1, 1)], names=names)
@@ -224,26 +225,119 @@ def test_reader_accepts_exactly_what_the_constructors_accept(data):
             parse(text)
 
 
+def spy_validators(monkeypatch):
+    """Record each call of ``core``'s two bulk tests (the number of vectors)
+    and two per-vector validators (the vector), by name."""
+    calls = {}
+    for name in ("_generators_pass", "_components_pass",
+                 "_validate_generator_vector", "_validate_component_vector"):
+        check = getattr(core, name)
+        calls[name] = []
+
+        def counted(n, vs, check=check, log=calls[name], bulk=name.endswith("_pass")):
+            log.append(len(vs) if bulk else vs)
+            return check(n, vs)
+        monkeypatch.setattr(core, name, counted)
+    return calls
+
+
+def six_hundred_rows(kind):
+    """A 600-row ideal or component file whose row on line 501 is bad: an
+    exponent above 2^32, or a component exponent 0."""
+    if kind == "ideal":
+        rows = [f"{i} {600 - i} 1" for i in range(600)]
+        rows[499] = "1 4294967297 1"
+        return "\n".join(["ideal 3", *rows, "end"]) + "\n"
+    rows = [f"{i + 1} inf {601 - i}" for i in range(600)]
+    rows[499] = "1 0 1"
+    return "\n".join(["components 3 600", *rows, "end"]) + "\n"
+
+
 def test_readers_validate_each_row_once(monkeypatch):
-    """The readers check each row with its line number and build the set
-    from the checked rows, with no second pass of the validators."""
-    from monideal import files
+    """The readers build through ``from_vectors``: all rows in one bulk
+    test, with no per-vector validator on a valid file and none past the
+    first bad row of an invalid one."""
     want = GeneratorSet.from_vectors(3, SHOWCASE_GENS, names=("x", "y", "z"))
     comps = decompose_incremental(want)
-    calls = []
-    for name in ("_validate_generator_vector", "_validate_component_vector"):
-        check = getattr(core, name)
-
-        def counted(n, v, check=check):
-            calls.append(v)
-            return check(n, v)
-        monkeypatch.setattr(core, name, counted)
-        monkeypatch.setattr(files, name, counted)
+    calls = spy_validators(monkeypatch)
     assert parse_ideal(SHOWCASE_TEXT) == want
-    assert len(calls) == 5
-    calls.clear()
     assert parse_components(emit_components(comps)) == comps
-    assert len(calls) == len(comps)
+    assert calls == {"_generators_pass": [5], "_components_pass": [len(comps)],
+                     "_validate_generator_vector": [], "_validate_component_vector": []}
+    for kind, parse in (("ideal", parse_ideal), ("components", parse_components)):
+        for log in calls.values():
+            log.clear()
+        with pytest.raises(FormatError, match="^line 501: "):
+            parse(six_hundred_rows(kind))
+        per_vector = [log for name, log in calls.items() if not name.endswith("_pass")]
+        assert sorted(map(len, per_vector)) == [0, 500]
+
+
+# messages of malformed files, byte for byte as the row-at-a-time reader
+# wrote them: a file's first bad line is reported, header first
+READER_ERRORS = [
+    (parse_ideal, six_hundred_rows("ideal"),
+     "line 501: generator exponent 4294967297 outside [0, 2^32]"),
+    (parse_components, six_hundred_rows("components"),
+     "line 501: component exponents must be inf, or >= 1 and at most 2^32; got 0"),
+    # a bad header and a bad row
+    (parse_ideal, "ideal 0\n-1 0\nend\n",
+     "line 1: variable count must be a positive integer, got 0"),
+    (parse_ideal, "ideal 2 x\n1 2 3\nend\n", "line 1: expected 2 variable names, got 1"),
+    (parse_components, "components 2 -1\n0 1\nend\n",
+     "line 1: '-1' is not a nonnegative integer"),
+    # a bad value, then a bad token or frame
+    (parse_ideal, "ideal 2\n1 2 3\n1 -1\nend\n",
+     "line 2: generator (1, 2, 3) has length 3, expected 2"),
+    (parse_components, "components 2 2\n0 1\n1 x\nend\n",
+     "line 2: component exponents must be inf, or >= 1 and at most 2^32; got 0"),
+    (parse_ideal, "ideal 2\n1 inf\nend\n1 1\n",
+     "line 2: generator exponent inf is not an integer"),
+    (parse_components, "components 2 1\n1 1 1\n",
+     "line 2: component (1, 1, 1) has length 3, expected 2"),
+    # a count that the valid rows do not meet
+    (parse_components, "components 2 3\n1 1\n2 inf\nend\n",
+     "line 1: header announced 3 components, found 2"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", READER_ERRORS)
+def test_reader_error_messages(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=10))),
+    st.randoms(use_true_random=False))
+def test_one_ideal_is_one_set_and_one_text(case, rng):
+    """Shuffled and duplicated lists of one ideal's vectors give one set,
+    whether built or read, with one hash and one emitted text."""
+    n, vs = case
+    shuffled = vs + vs[:len(vs) // 2]
+    rng.shuffle(shuffled)
+    text = "\n".join([f"ideal {n}", *(" ".join(map(str, v)) for v in shuffled),
+                      "end"]) + "\n"
+    sets = [GeneratorSet.from_vectors(n, vs), GeneratorSet.from_vectors(n, shuffled),
+            parse_ideal(text)]
+    assert sets[0] == sets[1] == sets[2]
+    assert len({hash(g) for g in sets}) == 1
+    assert len({emit_ideal(g).encode() for g in sets}) == 1
+    emitted = emit_ideal(sets[2])
+    assert emit_ideal(parse_ideal(emitted)) == emitted
+
+
+def test_duplicate_variable_names_rejected(tmp_path, capsys):
+    text = "ideal 3 x x y\n1 0 0\n0 1 1\nend\n"
+    with pytest.raises(FormatError) as info:
+        parse_ideal(text)
+    assert str(info.value) == "line 1: variable name 'x' is given twice"
+    src = tmp_path / "twice.ideal"
+    src.write_text(text)
+    assert cli_main(["decompose", str(src)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}: line 1: ")
 
 
 def thousand_variables(kind):

@@ -26,7 +26,7 @@ from monideal.incremental import (IncrementalState, dividing_generators,
 from monideal.recursive import decompose_trie
 from monideal.trie import build
 from conftest import (checked_step, fourvar, match_variables, plain_closure, random_ideal,
-                      showcase, slice_chain, strictly_below)
+                      relabel, showcase, slice_chain, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -246,8 +246,8 @@ def run_states(g, inf_flavour, rng=None):
     degs = art.pure_degrees()
     generators = [unit_vector(art.n, i, d) for i, d in enumerate(degs)]
     if inf_flavour:
-        generators = [art.relabel(m) for m in generators]
-        degs = art.relabel(degs)
+        generators = [relabel(art, m) for m in generators]
+        degs = relabel(art, degs)
     state = IncrementalState(art.n, [degs], generators)
     alphas = list(art.alphas())
     if rng is not None:
@@ -438,7 +438,7 @@ class TestTraceLimits:
                 assert sorted(e["u"] - 1 for e in rec["kept"] + rec["rejected"]) == \
                     sorted(art.used * len(removed))
                 assert (rec["t1_size"], rec["t2_size"]) == (before - len(removed), len(removed))
-                present = {tuple(art.relabel(c)) for c in state.components}
+                present = {relabel(art, c) for c in state.components}
                 assert all(tuple(e["candidate"]) in present for e in rec["kept"])
                 assert not any(tuple(e["candidate"]) in present for e in rec["rejected"])
                 assert len(rec["kept"]) == len(state) - before + len(removed)
@@ -756,7 +756,7 @@ class TestStaircase:
                 assert removed == sorted(removed)
         assert not reactivated or order != "lex"
         want = decompose_oracle(g)
-        assert sorted(map(art.relabel, state.components)) == sorted(want.comps)
+        assert sorted(relabel(art, c) for c in state.components) == sorted(want.comps)
 
     def test_a_step_splices_two_corners_in_order(self):
         # (2, 2, 1) lies below both active components; the kept copies come

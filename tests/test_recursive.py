@@ -18,7 +18,7 @@ from monideal.recursive import corners, decompose_trie, difference, splice
 from monideal.trie import build, is_thin, min_merge, paths, top_slices
 import conftest
 from conftest import (SHOWCASE_GENS, is_antichain, near_shell, plain_closure, random_ideal,
-                      showcase, slice_chain)
+                      relabel, showcase, slice_chain)
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
@@ -620,7 +620,7 @@ class TestLastSlice:
 def inf_padded_trie(g):
     """Trie of ``g``'s generators with every missing pure power as INF."""
     art = plain_closure(g)
-    return build(g.n, map(art.relabel, art.gens))
+    return build(g.n, [relabel(art, v) for v in art.gens])
 
 
 class TestSliceChain:

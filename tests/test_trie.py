@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monideal import INF, GeneratorSet, OpCounter, artinianize
 from monideal.core import lex_key, maximalize, minimalize
 from monideal.trie import build, min_merge, paths, top_slices
-from conftest import SHOWCASE_GENS, full_scan_min_merge, plain_closure, showcase
+from conftest import SHOWCASE_GENS, full_scan_min_merge, plain_closure, relabel, showcase
 
 
 def vector_lists():
@@ -134,7 +134,8 @@ def closure_tries(draw):
     n = draw(st.integers(2, 5))
     vs = draw(st.lists(st.tuples(*([st.integers(0, 5)] * n)), max_size=14))
     art = plain_closure(GeneratorSet.from_vectors(n, vs))
-    return build(n, map(art.relabel, art.gens) if draw(st.booleans()) else art.gens)
+    return build(n, [relabel(art, v) for v in art.gens] if draw(st.booleans())
+                 else art.gens)
 
 
 class TestPrefixMerge:
