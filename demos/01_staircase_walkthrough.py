@@ -26,12 +26,14 @@ print("\nz-degrees and their coefficient vectors:")
 for d, sub in top_slices(t):
     print(f"  z^{d}: {list(sub)}")
 
-# The engine needs a power of every variable; the closure injects z^4 (one
-# more than the largest z-degree) and remembers that it did.  It is built
-# once per generator set, and every engine reads the same one.
+# The engine needs a power of every variable; the closure injects z^inf.
+# That power is the zero polynomial, so it changes no component, and the
+# components read inf in z wherever the ideal places no bound on z.  The
+# closure is built once per generator set, and every engine reads the same
+# one.
 art = g.closure
-print("\nartinian closure adds:", [v for v, a in zip(("x", "y", "z"), art.added) if a],
-      "with bounds", art.bounds)
+print("\nartinian closure: pure-power degrees", dict(zip(("x", "y", "z"), art.pure_degrees())),
+      "(inf where injected)")
 
 # Adding the slices in turn gives the chain links, two-variable staircases
 # where the recursion stops.  The link at z^d holds the minimal (x, y) parts

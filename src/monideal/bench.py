@@ -9,8 +9,9 @@ that the counts stay inside fixed envelopes:
 
 where p is the number of minimal generators of the input, l the number of
 components, and s_j the number of distinct degrees of variable j over the
-Artinian closure (zeros and injected bounds included), which has only the
-variables that some non-pure generator uses.
+Artinian closure (zeros and pure powers included, an injected x_j^INF
+counting as one degree), which has only the variables that some non-pure
+generator uses.
 
 The envelope constants were calibrated once over the default generic sweep
 (worst observed incremental ratio 0.112, worst recursive ratio 0.015 across

@@ -19,10 +19,10 @@ import numpy as np
 INF = math.inf
 
 # Exponents are validated against this bound so sums and lcms stay exact
-# and finite values always sort below INF.  Every coordinate the package
-# compares (an exponent, or an Artinian bound one above it) is at most 2^33,
-# below 2^53, so float64 holds it exactly and ``minimalize``'s numpy kernel,
-# the only float64 comparison in the package, gives exact answers.
+# and finite values always sort below INF.  Every finite coordinate the
+# package compares is an exponent, below 2^53, so float64 holds it exactly
+# and ``minimalize``'s numpy kernel, the only float64 comparison in the
+# package, gives exact answers.
 MAX_EXPONENT = 2 ** 32
 
 # Cells (block rows x antichain vectors) of each comparison temporary in
@@ -68,9 +68,8 @@ def minimalize(vectors):
     each other, like ``(0, 0, INF)`` and ``(INF, INF, INF)``.
 
     Every coordinate must be ``INF``, ``-INF`` or an integer of magnitude at
-    most 2^33, as every caller in the package guarantees (see
-    ``MAX_EXPONENT``): the kernel compares float64 copies, which are exact
-    only below 2^53.
+    most ``MAX_EXPONENT``, as every caller in the package guarantees: the
+    kernel compares float64 copies, which are exact only below 2^53.
     """
     distinct = list(set(map(tuple, vectors)))
     if not distinct:
@@ -323,35 +322,28 @@ class ArtinianizedIdeal:
 
     A variable is *used* when a non-pure generator has a nonzero degree in
     it; ``used`` lists their original indices, ascending.  The closure lives
-    in them: ``n`` counts them, and ``bounds``, ``added`` and the vectors of
-    ``gens`` have one coordinate per used variable.  ``bounds[k]`` is one
-    more than the largest degree of ``x_k`` over the original generators,
-    and ``added[k]`` says whether ``x_k^bounds[k]`` was injected, exactly
-    when ``x_k`` had no pure power.  ``gens`` is the closure's minimal
+    in them: ``n`` counts them, and the vectors of ``gens`` have one
+    coordinate per used variable.  ``gens`` is the closure's minimal
     generating set, lex-sorted: the original generators but the pure powers
-    of unused variables, restricted to the used ones, plus the injected
-    powers.  ``fixed`` has one entry per original variable: the degree of
-    its pure power, or INF when it has none.  An unused variable ``x_i``
-    takes the coordinate ``fixed[i]`` in every component (``deartinianize``).
-    With no variable used the closure is the empty vector alone, for the
-    unit ideal, or else has no generators and the one empty component.
+    of unused variables, restricted to the used ones, plus ``x_k^INF`` for
+    each used ``x_k`` without a pure power.  ``fixed`` has one entry per
+    original variable: the degree of its pure power, or INF when it has
+    none, so at a used variable it is the degree of the closure's pure
+    power.  An unused variable ``x_i`` takes the coordinate ``fixed[i]`` in
+    every component (``deartinianize``).  With no variable used the closure
+    is the empty vector alone, for the unit ideal, or else has no generators
+    and the one empty component.
     """
 
     n: int
-    bounds: tuple
-    added: tuple
     gens: tuple
     used: tuple
     fixed: tuple
 
     def pure_degrees(self):
-        """Degree of the unique pure power of each used variable in ``gens``.
-
-        An injected power has degree ``bounds[k]``.  A native power
-        ``x_k^d`` has degree ``bounds[k] - 1``: minimality keeps every other
-        generator's degree in ``x_k`` below ``d``, so ``d`` is the largest.
-        """
-        return tuple(b if a else b - 1 for b, a in zip(self.bounds, self.added))
+        """Degree of the unique pure power of each used variable in
+        ``gens``: ``fixed`` at ``used``, INF for an injected power."""
+        return tuple(self.fixed[i] for i in self.used)
 
     def alphas(self):
         """The non-pure generators, in lex order."""
@@ -361,8 +353,11 @@ class ArtinianizedIdeal:
 def artinianize(g):
     """Restrict ``g`` to its used variables and close it up there.
 
-    Each used ``x_k`` lacking a pure power gets ``x_k^(maxdeg_k + 1)``, the
-    smallest bound that keeps the component correspondence exact.  Every
+    Each used ``x_k`` lacking a pure power gets ``x_k^INF``.  An INF power
+    is the zero polynomial, so adding it changes no component (the sum rule
+    of ``deartinianize``), yet it is the pure power in ``x_k`` that the
+    engines' algorithms need: it divides no monomial, and the components
+    read INF at ``x_k`` wherever the ideal places no bound on it.  Every
     generator but the pure powers of unused variables is zero off the used
     variables: a non-pure one by definition, and the unit ideal's zero
     vector everywhere.  So the ideal is ``J + K`` in disjoint variables,
@@ -371,8 +366,8 @@ def artinianize(g):
 
     The kept generators plus the injected powers are already an antichain,
     so they are returned lex-sorted without a minimalization pass.  An
-    injected ``x_k^b`` has ``b > maxdeg_k``, so it divides no generator.  A
-    divisor of it is a power of ``x_k``; no generator is one, because
+    injected ``x_k^INF`` divides no generator, since generators are finite.
+    A divisor of it is a power of ``x_k``; no generator is one, because
     ``x_k`` has no pure power and 1 generates only the unit ideal, which
     uses no variable.  Two injected powers live in different variables.
 
@@ -395,13 +390,11 @@ def artinianize(g):
         dropped = {pure[i] for i in pure.keys() - set(used)}
         rows = [v for v in rows if v not in dropped]
         rows = list(map(itemgetter(*used), rows)) if used else [()] * len(rows)
-    bounds = tuple(max(cols[i]) + 1 for i in used)
-    added = tuple(i not in pure for i in used)
-    for k, b in enumerate(bounds):
-        if added[k]:
-            insort(rows, unit_vector(len(used), k, b), key=lex_key)
+    for k, i in enumerate(used):
+        if i not in pure:
+            insort(rows, unit_vector(len(used), k, INF), key=lex_key)
     fixed = tuple(pure[i][i] if i in pure else INF for i in range(n))
-    return ArtinianizedIdeal(len(used), bounds, added, tuple(rows), used, fixed)
+    return ArtinianizedIdeal(len(used), tuple(rows), used, fixed)
 
 
 def deartinianize(vectors, art):
@@ -418,48 +411,41 @@ def deartinianize(vectors, art):
     meets are comparable.  Irr(K) is one vector, ``d_i`` at each such
     ``x_i`` and INF elsewhere, so each component is one of ``J`` placed at
     ``used``, with ``fixed`` at every unused variable.  Irr(J) is the
-    closure's components with each injected bound read as INF: they are
-    finite with ``beta_k <= bounds[k]``, and on ``[0, bounds[k]]`` the map
-    "injected bound -> INF" is strictly increasing.  It preserves and
-    reflects ``<=``, as does the placing, so no antichain re-check is made.
+    closure's components as they are, since the closure adds to ``J`` only
+    INF powers, which are zero.  Placing preserves and reflects ``<=``, so
+    no antichain re-check is made.
 
     Nor does a mapped component need ``from_vectors``'s check that every
     coordinate is INF or an int in ``[1, MAX_EXPONENT]``.  A fixed
-    coordinate is INF or a generator degree.  The closure's generators are
-    validated ints in ``[0, MAX_EXPONENT]`` and injected powers of degree
-    ``bounds[k] <= MAX_EXPONENT + 1``, and every engine's coordinates are
-    degrees of those generators.  A component ``beta`` of the closure has
-    ``X^(beta - 1)`` outside the ideal, so ``1 <= beta_k <= d_k``, the
-    pure-power degree of ``x_k``.  A native ``d_k`` is a generator degree.
-    An injected one is ``bounds[k]``, which maps to INF, and a smaller
-    ``beta_k`` is at most ``bounds[k] - 1``, a generator degree.  An
-    injected bound may be ``MAX_EXPONENT + 1``, which is why the closure's
-    own vectors are never validated as components.
+    coordinate is INF or a generator degree.  The closure's finite
+    generator degrees are validated ints in ``[0, MAX_EXPONENT]``, and every
+    engine's coordinates are degrees of the closure's generators, INF
+    included.  A component ``beta`` of the closure has ``X^(beta - 1)``
+    outside the ideal, so ``1 <= beta_k <= d_k``, the degree of the pure
+    power of ``x_k``: a finite ``beta_k`` is a generator degree of at least
+    1.  An injected ``d_k`` is INF, which bounds nothing.  So
+    ``_mapped_back`` checks only the native columns against ``d_k``, and
+    the suite checks every finite coordinate against the generator degrees.
     """
     return ComponentSet._build(len(art.fixed), _mapped_back(vectors, art))
 
 
 def _mapped_back(vectors, art):
-    """The closure's ``vectors`` in the original variables, in order, a
-    column at a time: a finite coordinate above its bound raises RuntimeError,
-    an injected column reads its bound as INF, column ``k`` goes to variable
-    ``art.used[k]``, and an unused variable's column is its ``fixed`` one."""
+    """The closure's ``vectors`` in the original variables, in order: a
+    coordinate above its variable's native pure-power degree raises
+    RuntimeError, column ``k`` goes to variable ``art.used[k]``, and an
+    unused variable's column is its ``fixed`` one."""
     rows = list(vectors)
     cols = list(zip(*rows))
-    for k, (col, b, injected) in enumerate(zip(cols, art.bounds, art.added)):
-        top = max(col)
-        if top == INF:
-            top = max(filter(INF.__ne__, col), default=b)
-        if top > b:
-            raise RuntimeError(f"component coordinate {top} exceeds bound {b}")
-        if injected:
-            cols[k] = tuple(map({b: INF}.get, col, col))
-    if art.n < len(art.fixed):
-        whole = [(e,) * len(rows) for e in art.fixed]
-        for i, col in zip(art.used, cols):
-            whole[i] = col
-        cols = whole
-    return zip(*cols) if cols else iter(rows)
+    for col, d in zip(cols, art.pure_degrees()):
+        if d < INF and max(col) > d:
+            raise RuntimeError(f"component coordinate {max(col)} exceeds bound {d}")
+    if art.n == len(art.fixed):
+        return iter(rows)
+    whole = [(e,) * len(rows) for e in art.fixed]
+    for i, col in zip(art.used, cols):
+        whole[i] = col
+    return zip(*whole)
 
 
 def is_generic(g):

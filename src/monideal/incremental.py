@@ -59,11 +59,12 @@ components, most of which its first coordinates reject, and probes one
 degree bucket per variable for each of the few it lowers, so numpy's fixed
 cost per call would exceed the work.
 
-Engines run on the finite Artinian closure in the used variables (every
-internal comparison is between integers), and ``deartinianize`` maps the
-result back to the original variables at the end.
-The individual operations also accept vectors with INF coordinates, where a
-generator containing INF stands for the zero polynomial and divides nothing.
+Engines run on the Artinian closure in the used variables, and
+``deartinianize`` places the result back in the original variables at the
+end.  A variable without a pure power gets ``x_k^INF`` there, which stands
+for the zero polynomial: like any generator containing INF it divides
+nothing and is never a lone matcher (``INF + 1`` is INF), and the
+components read INF at ``x_k`` wherever the ideal places no bound on it.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -199,8 +200,8 @@ class IncrementalState:
     Holds the degree index ``{(u, degree): [generators]}`` of the generators
     absorbed so far over their nonzero degrees, which only grows (see
     ``add_generator``).  Each bucket is sorted by its ``bucket_coordinate``:
-    the constructor fills the buckets and sorts each once, and a later
-    generator is inserted in order.  It also holds the current components,
+    the constructor and every later step file a generator with ``_index``,
+    which inserts it in order.  It also holds the current components,
     which always equal the decomposition of the ideal the absorbed
     generators span.  They are split in two lists:
 
@@ -229,11 +230,7 @@ class IncrementalState:
         self.index = {}
         self._keys = [_BY[bucket_coordinate(u, n)] for u in range(n)]
         for m in map(tuple, generators):
-            for u, d in enumerate(m):
-                if d:
-                    self.index.setdefault((u, d), []).append(m)
-        for (u, _), bucket in self.index.items():
-            bucket.sort(key=self._keys[u])
+            self._index(m)
         self.counter = counter
 
     @property
@@ -244,9 +241,9 @@ class IncrementalState:
         return len(self.active) + len(self.retired)
 
     def _index(self, m):
-        """File ``m`` under each nonzero degree, in bucket order.  A probed
-        component has no zero coordinate, so no probe reads a bucket
-        ``(u, 0)``."""
+        """File ``m`` under each nonzero degree, in bucket order, after the
+        members it ties with.  A probed component has no zero coordinate,
+        so no probe reads a bucket ``(u, 0)``."""
         for u, d in enumerate(m):
             if d:
                 bucket = self.index.get((u, d))
@@ -409,9 +406,11 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     the component count before it, and the removed components ``beta`` in
     lex order, each with one lowering per variable ``u`` (reported 1-based).
     A lowering's candidate is ``beta`` with coordinate ``u`` set to
-    ``alpha_u``, its limit is read again with ``dividing_generators`` and
-    ``lowering_limits``, uncharged, and it is kept by the step's own test,
-    ``alpha_u >= 1`` and limit below ``alpha_u``.  The step indexed
+    ``alpha_u``, its limit ``d`` is read again with ``dividing_generators``
+    and ``lowering_limits``, uncharged, and it is kept by the step's own
+    test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is -INF when
+    ``beta`` has no lone matcher at any other variable, which happens
+    exactly when its other coordinates are all INF.  The step indexed
     ``alpha``, which lies strictly below ``beta`` and so matches it in no
     variable: the limits read are the step's own.  Lowerings are listed at
     the closure's used variables only (at an unused one ``alpha_u = 0``);

@@ -9,8 +9,7 @@ compete with them, so box sizes are guarded by a budget.
 ``components_generate`` and ``irr_oracle`` run on a rank-compressed box:
 each variable's axis holds only its distinct degrees (``_rank_axes``), so
 the box has one cell per combination of distinct degrees, and exponents of
-10^6 cost no more than small ones in the same order.  ``staircase`` keeps
-the plain box over every degree up to the closure's bounds.
+10^6 cost no more than small ones in the same order.
 """
 
 import math
@@ -73,19 +72,6 @@ def _rank_axes(n, vectors, budget):
     return axes, rank
 
 
-def staircase(art, budget=DEFAULT_BUDGET):
-    """Membership box of an Artinian closure, filled by divisibility scan.
-
-    A bool array: ``box[gamma]`` is True iff X^gamma lies in the ideal, and
-    the staircase basis (the monomials outside it) is ``np.argwhere(~box)``.
-    The box is closed (side ``bounds[i] + 1``) so that every basis point has
-    all of its upward neighbours inside the array.
-    """
-    shape = tuple(c + 1 for c in art.bounds)
-    _check_budget(shape, budget)
-    return _indicator(art.gens, shape)
-
-
 def maximal_points(box):
     """Basis points whose every upward neighbour lies in the ideal."""
     maximal = ~box
@@ -106,17 +92,32 @@ def irr_oracle(art, budget=DEFAULT_BUDGET):
 
     The box is ``_rank_axes``'s over the closure's generators, pure powers
     included, and a maximal point ``k`` of it gives the closure's component
-    ``beta_j = axes[j][k_j + 1]``.  A maximal basis point ``q`` of the plain
-    staircase has every ``X^(q + e_j)`` in the ideal, so some generator has
-    degree ``q_j + 1`` in ``x_j``: ``q_j + 1`` is on axis ``j``, the next
-    degree after ``r(q)_j``.  Hence ``q -> rank(r(q))`` and ``k -> beta - 1``
-    are inverse bijections between the maximal points of the two boxes, and
-    ``q + 1 = beta``.  The last degree on axis ``j`` is ``x_j``'s pure
-    power, so a point outside the ideal has ``k_j + 1`` on the axis.
+    ``beta_j = axes[j][k_j + 1]``, read as INF past the end of axis ``j``.
+
+    For an Artinian closure that is exact.  A maximal basis point ``q`` of
+    the plain staircase has every ``X^(q + e_j)`` in the ideal, so some
+    generator has degree ``q_j + 1`` in ``x_j``: ``q_j + 1`` is on axis
+    ``j``, the next degree after ``r(q)_j``.  Hence ``q -> rank(r(q))`` and
+    ``k -> beta - 1`` are inverse bijections between the maximal points of
+    the two boxes, and ``q + 1 = beta``.  The last degree on axis ``j`` is
+    ``x_j``'s pure power, so a point outside the ideal has ``k_j + 1`` on
+    the axis.
+
+    An injected ``x_j^INF`` ranks past the end of its axis and fills no
+    cell.  Read it as ``x_j^N``, N above every finite degree.  By the sum
+    rule the components of the ideal plus ``x_j^N`` are the ideal's with
+    INF at ``j`` read as N: each meets the one component of ``x_j^N``, N at
+    ``j`` and INF elsewhere, in place, and distinct ones stay incomparable.
+    That ideal is Artinian in ``x_j``, and its box gains N past the end of
+    axis ``j``, a layer of cells all in the ideal, which ``maximal_points``
+    already counts as in the ideal past the edge.  So both boxes have the
+    same maximal points, and ``beta_j`` is N, read as INF, at the top of
+    axis ``j``.
     """
     axes, rank = _rank_axes(art.n, art.gens, budget)
     box = _indicator(map(rank, art.gens), tuple(map(len, axes)))
-    comps = [tuple(axis[k + 1] for axis, k in zip(axes, p)) for p in maximal_points(box)]
+    tops = [axis + [INF] for axis in axes]
+    comps = [tuple(top[k + 1] for top, k in zip(tops, p)) for p in maximal_points(box)]
     return deartinianize(comps, art)
 
 

@@ -90,7 +90,12 @@ def decompose_trie(t, counter=None):
     The empty trie is the zero ideal in no variables, a closure that uses
     none, and its one component is the empty vector.  The unit ideal, whose
     closure is the zero vector alone, has no components.
-    Height one is a single pure power, whose degree is the lone component.
+    A minimal Artinian trie holds one pure power per variable, and lex order
+    puts the power of ``x_i`` at ``t[i]`` when they are all it holds: its
+    lone component is their degrees.  That covers height one and ends the
+    recursion at every link of pure powers alone, whatever the height, so a
+    link of many variables recurses no further.  Any other trie of as many
+    vectors as variables takes the general path and its checks.
     Above height two, walk the slice chain on the last variable and emit the
     components lost at each step tagged with the degree where they vanish.
     Link ``k`` is the ideal generated by link ``k - 1`` and slice ``k``.
@@ -186,11 +191,11 @@ def decompose_trie(t, counter=None):
     if not any(t[0]):  # the zero vector sorts first
         return []
     height = len(t[0])
-    if height == 1:
-        return [t[-1]]
     if any(t[0][1:]):
         raise ValueError("no generator is free of the last variable; "
                          "the encoded ideal is not Artinian in the others")
+    if len(t) == height and all(v[i] and v.count(0) == height - 1 for i, v in enumerate(t)):
+        return [tuple(v[i] for i, v in enumerate(t))]
     if height == 2:
         if counter is not None:
             counter.add(len(t) - 1)

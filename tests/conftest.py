@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from operator import le
 
-from monideal import GeneratorSet, INF, decompose_incremental, gen_random
-from monideal.core import (ArtinianizedIdeal, deartinianize, leq, lex_key, maximalize,
-                           minimalize, replace_coord, unit_vector)
-from monideal.oracle import maximal_points, staircase
+from monideal import ComponentSet, GeneratorSet, INF, decompose_incremental, gen_random
+from monideal.core import (ArtinianizedIdeal, leq, lex_key, maximalize, minimalize,
+                           replace_coord, unit_vector)
+from monideal.oracle import DEFAULT_BUDGET, _check_budget, _indicator, maximal_points
 from monideal.trie import min_merge, top_slices
 
 # The five-generator showcase ideal x^4, y^4, x^3y^2z^2, xy^3z^2, x^2yz^3
@@ -52,11 +53,10 @@ def near_shell(n, p, seed):
 
 
 def generic_dual(g):
-    """The Alexander dual of ``g`` in its closure's box: ``a + 1 - beta``
-    for each component ``beta``, ``a`` being the closure's bounds placed at
-    its used variables, which must be all of them, and INF read as ``a_i``."""
-    art = g.closure
-    a = dict(zip(art.used, art.bounds))
+    """The Alexander dual of ``g`` in the box of ``a``, one more than each
+    variable's largest degree among the generators: ``a + 1 - beta`` for
+    each component ``beta``, INF read as ``a_i``."""
+    a = [max(col) + 1 for col in zip(*g.gens)]
     comps = decompose_incremental(g).comps
     return GeneratorSet.from_vectors(g.n, [
         tuple(a[i] + 1 - (a[i] if b == INF else b) for i, b in enumerate(beta))
@@ -72,15 +72,27 @@ def edge_ideal(n, q, seed=1):
         for i in range(n) for j in range(i + 1, n) if rng.random() < q])
 
 
+@dataclass(frozen=True)
+class PlainClosure(ArtinianizedIdeal):
+    """A finite Artinian closure in all of an ideal's variables: ``bounds[i]``
+    is one more than the largest degree of ``x_i``, and ``added[i]`` says
+    whether ``x_i^bounds[i]`` was injected."""
+
+    bounds: tuple = ()
+    added: tuple = ()
+
+
 def plain_closure(g):
-    """Reference closure of ``g`` in all of its ``n`` variables.
+    """Finite reference closure of ``g`` in all of its ``n`` variables.
 
     Every variable counts as used: each one lacking a pure power gets
-    ``x_i^(maxdeg_i + 1)``, none is dropped, and the unit ideal gets
-    nothing.  ``relabel`` then maps only injected bounds to INF, so the
-    result decomposes the same ideal as ``g.closure``.  Tests that read the
-    closure as an ideal in all ``n`` variables, such as the incremental
-    state's and the slice chain's, use it.
+    ``x_i^(maxdeg_i + 1)``, a finite bound where ``g.closure`` injects
+    ``x_i^INF``, none is dropped, and the unit ideal gets nothing.
+    ``fixed`` holds each variable's pure-power degree, which
+    ``pure_degrees`` reads.  ``relabel`` maps injected bounds to INF, so
+    the result decomposes the same ideal as ``g.closure``.  Tests that read
+    the closure as a finite Artinian ideal in all ``n`` variables, such as
+    the lemma suites, the incremental state's and the slice chain's, use it.
     """
     n = g.n
     maxdeg = [max(col, default=0) for col in zip((0,) * n, *g.gens)]
@@ -88,30 +100,29 @@ def plain_closure(g):
     bounds = tuple(d + 1 for d in maxdeg)
     added = tuple(not (h or g.is_unit()) for h in has_pure)
     injected = tuple(unit_vector(n, i, bounds[i]) for i in range(n) if added[i])
-    return ArtinianizedIdeal(n, bounds, added, tuple(sorted(g.gens + injected, key=lex_key)),
-                             tuple(range(n)), (INF,) * n)
+    fixed = tuple(b if a else b - 1 for b, a in zip(bounds, added))
+    return PlainClosure(n, tuple(sorted(g.gens + injected, key=lex_key)), tuple(range(n)),
+                        fixed, bounds, added)
 
 
 def relabel(art, v):
-    """Reference for the map back, one vector at a time: coordinate ``k`` of
-    ``v`` goes to variable ``art.used[k]``, as INF if it equals an injected
-    bound, and each unused variable takes its ``fixed`` coordinate.  Raises
-    RuntimeError if a finite coordinate exceeds its bound.  ``deartinianize``
-    maps a column at a time instead (``TestColumnMapBack``); tests read a
-    closure's vectors in the original variables through this.
+    """A vector ``v`` of the plain closure ``art`` in the original ideal:
+    each coordinate equal to an injected bound reads INF."""
+    return tuple(INF if a and e == b else e for e, b, a in zip(v, art.bounds, art.added))
+
+
+def staircase(art, budget=DEFAULT_BUDGET):
+    """Membership box of a plain closure, filled by divisibility scan.
+
+    A bool array: ``box[gamma]`` is True iff X^gamma lies in the ideal, and
+    the staircase basis (the monomials outside it) is ``np.argwhere(~box)``.
+    The box is closed (side ``bounds[i] + 1``) so that every basis point has
+    all of its upward neighbours inside the array.  Raises ``BudgetError``
+    over ``budget`` cells.
     """
-    out = []
-    for e, b, injected in zip(v, art.bounds, art.added):
-        if e >= b:
-            if e != b and e != INF:
-                raise RuntimeError(f"component coordinate {e} exceeds bound {b}")
-            if injected:
-                e = INF
-        out.append(e)
-    whole = list(art.fixed)
-    for i, e in zip(art.used, out):
-        whole[i] = e
-    return tuple(whole)
+    shape = tuple(c + 1 for c in art.bounds)
+    _check_budget(shape, budget)
+    return _indicator(art.gens, shape)
 
 
 def match_variables(m, beta):
@@ -151,9 +162,10 @@ def plain_components_generate(c, g):
 def plain_decompose_oracle(g):
     """Uncompressed reference for ``oracle.decompose_oracle``: the maximal
     points of the plain ``staircase`` box of ``plain_closure``, in all
-    ``g.n`` variables, shifted up."""
+    ``g.n`` variables, shifted up and relabelled."""
     art = plain_closure(g)
-    return deartinianize([increment(p) for p in maximal_points(staircase(art))], art)
+    return ComponentSet.from_vectors(g.n, [relabel(art, increment(p))
+                                           for p in maximal_points(staircase(art))])
 
 
 def lcm_vector(a, b):

@@ -19,10 +19,11 @@ from monideal import (ComponentSet, GeneratorSet, INF, artinianize,
 from monideal import core
 from monideal.core import (ArtinianizedIdeal, deartinianize, is_generic, leq, lex_key,
                            maximalize, minimalize, replace_coord, unit_vector)
+from monideal.bench import degree_shell
 from monideal.files import emit_ideal, parse_ideal
 from conftest import (SHOWCASE_GENS, ideal_intersection, ideal_sum, is_antichain,
                       is_zero, lcm_vector, pairwise_minimal, plain_decompose_oracle,
-                      random_ideal, relabel, showcase, strictly_below)
+                      random_ideal, showcase, strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -265,34 +266,35 @@ class TestArtinianize:
     def test_single_generator(self):
         g = GeneratorSet.from_vectors(2, [(2, 3)])
         art = artinianize(g)
-        assert art.bounds == (3, 4)
-        assert set(art.gens) == {(3, 0), (2, 3), (0, 4)}
-        assert art.added == (True, True)
+        assert art.gens == ((INF, 0), (2, 3), (0, INF))
+        assert art.pure_degrees() == (INF, INF)
 
     def test_showcase_z_bound(self):
+        # x and y have native pure powers, z gets z^INF
         art = artinianize(showcase())
-        assert art.bounds[2] == 4
-        assert art.added == (False, False, True)
-        assert (0, 0, 4) in art.gens
+        assert art.fixed == (4, 4, INF)
+        assert (0, 0, INF) in art.gens
+        assert (0, 0, 4) not in art.gens
 
     def test_zero_ideal(self):
         # no generator uses a variable: the closure has none, and each
         # variable's fixed coordinate is INF, as it appears nowhere
         g = GeneratorSet.from_vectors(2, [])
         art = artinianize(g)
-        assert (art.n, art.gens, art.bounds, art.used) == (0, (), (), ())
+        assert (art.n, art.gens, art.pure_degrees(), art.used) == (0, (), (), ())
         assert art.fixed == (INF, INF)
-        assert relabel(art, ()) == (INF, INF)
+        assert deartinianize([()], art).comps == ((INF, INF),)
 
     def test_unit_ideal_adds_nothing(self):
         art = artinianize(GeneratorSet.from_vectors(3, [(0, 0, 0)]))
         assert art.gens == ((),)
-        assert art.added == () and art.used == ()
+        assert art.pure_degrees() == () and art.used == ()
 
     def test_added_iff_pure_power_injected(self):
-        # added[k] holds exactly when the closure gained x_k^bounds[k], and
-        # an unused variable's fixed coordinate is INF exactly when it has
-        # no pure power, else that power's degree
+        # the closure gained x_k^INF exactly when x_k has no pure power,
+        # which its pure degree reads as INF, and every variable's fixed
+        # coordinate is INF exactly when it has no pure power, else that
+        # power's degree
         rng = random.Random(19)
         ideals = [random_ideal(rng, n_choices=(1, 2, 3, 4)) for _ in range(200)]
         ideals += [GeneratorSet.from_vectors(n, [(0,) * n]) for n in (1, 2, 3)]
@@ -300,21 +302,23 @@ class TestArtinianize:
         assert sum(0 < g.closure.n < g.n for g in ideals) > 20
         for g in ideals:
             art = artinianize(g)
-            for k in range(art.n):
-                assert art.added[k] == (unit_vector(art.n, k, art.bounds[k]) in art.gens), g
-            for i in set(range(g.n)) - set(art.used):
+            for k, (i, d) in enumerate(zip(art.used, art.pure_degrees())):
+                assert unit_vector(art.n, k, d) in art.gens, g
+                has_pure = any(v[i] and v.count(0) == g.n - 1 for v in g.gens)
+                assert (d == INF) != has_pure, g
+            for i in range(g.n):
                 assert art.fixed[i] == next((max(v) for v in g.gens
                                              if v.count(0) == g.n - 1 and v[i]), INF)
 
     def test_pure_degrees_and_alphas(self):
         art = artinianize(showcase())
-        assert art.pure_degrees() == (4, 4, 4)
+        assert art.pure_degrees() == (4, 4, INF)
         assert set(art.alphas()) == {(3, 2, 2), (1, 3, 2), (2, 1, 3)}
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(vectors(n), max_size=10))))
     def test_pure_degrees_match_pure_powers_in_gens(self, case):
-        # the closed form off bounds and added equals a scan of the gens
+        # the closed form off fixed equals a scan of the gens
         n, vs = case
         g = GeneratorSet.from_vectors(n, vs)
         if g.is_unit():
@@ -345,10 +349,14 @@ class TestArtinianize:
 
 class TestDeartinianize:
     def test_injected_bound_becomes_inf(self):
+        # the closure injects z^INF, so its components carry INF at z
+        # already, and the map back only places columns: no finite
+        # coordinate is translated
         art = artinianize(showcase())
-        c = ComponentSet.from_vectors(3, [(4, 1, 4), (4, 4, 2), (1, 4, 4)])
+        c = ComponentSet.from_vectors(3, [(4, 1, INF), (4, 4, 2), (1, 4, INF)])
         out = deartinianize(c, art)
         assert set(out.comps) == {(4, 1, INF), (4, 4, 2), (1, 4, INF)}
+        assert deartinianize([(4, 1, 4)], art).comps == ((4, 1, 4),)
 
     def test_native_bound_untouched(self):
         art = artinianize(showcase())
@@ -435,19 +443,20 @@ class TestClosureProofs:
             art = artinianize(g)
             kept = [tuple(v[i] for i in art.used) for v in g.gens
                     if any(v[i] for i in art.used) or not any(v)]
-            injected = [unit_vector(art.n, k, art.bounds[k])
-                        for k in range(art.n) if art.added[k]]
+            injected = [unit_vector(art.n, k, INF) for k, i in enumerate(art.used)
+                        if art.fixed[i] == INF]
             assert art.gens == tuple(minimalize(kept + injected)), g
 
     def test_relabelled_components_are_antichain(self):
         # the closure decomposed as an ideal of its own, in the used
-        # variables, maps back to the original ideal's components; with no
-        # variable used it is the empty trie, one empty component, or the
-        # unit ideal, none
+        # variables and without its INF powers, which are zero, maps back
+        # to the original ideal's components; with no variable used it is
+        # the empty trie, one empty component, or the unit ideal, none
         for g in closure_cases():
             art = artinianize(g)
             if art.n:
-                comps = decompose_incremental(GeneratorSet.from_vectors(art.n, art.gens))
+                finite = [v for v in art.gens if INF not in v]
+                comps = decompose_incremental(GeneratorSet.from_vectors(art.n, finite))
             else:
                 comps = [] if art.gens else [()]
             out = deartinianize(comps, art)
@@ -466,8 +475,8 @@ class TestClosureProofs:
     def test_engine_outputs_pass_the_full_validator(self, case):
         """``deartinianize`` builds its result without validating it; the
         coordinates of every engine's output, on exponents up to
-        ``MAX_EXPONENT`` (whose injected bound is one above it), still pass
-        ``from_vectors``'s check, and the components form an antichain."""
+        ``MAX_EXPONENT``, still pass ``from_vectors``'s check, and the
+        components form an antichain."""
         n, vs = case
         g = GeneratorSet.from_vectors(n, vs)
         outs = [engine(g) for engine in (decompose_incremental, decompose_recursive,
@@ -661,21 +670,37 @@ class TestBulkPaths:
         assert GeneratorSet.from_vectors(2, [(0, 3), (2, 0), (0, 3)]).gens == ((2, 0), (0, 3))
 
 
+def placed(art, v):
+    """Reference for the map back, one vector at a time: coordinate ``k`` of
+    ``v`` goes to variable ``art.used[k]``, and each unused variable takes
+    its ``fixed`` coordinate.  Raises RuntimeError if a coordinate exceeds
+    its variable's native pure-power degree."""
+    whole = list(art.fixed)
+    for i, e in zip(art.used, v):
+        if e > art.fixed[i]:
+            raise RuntimeError(f"component coordinate {e} exceeds bound {art.fixed[i]}")
+        whole[i] = e
+    return tuple(whole)
+
+
 def relabelled(vectors, art):
     """The row-at-a-time map back, as a component set."""
-    return ComponentSet._build(len(art.fixed), [relabel(art, v) for v in vectors])
+    return ComponentSet._build(len(art.fixed), [placed(art, v) for v in vectors])
 
 
 def closure_rows(art, rng, count):
     """``count`` seeded vectors in the closure's variables: each coordinate
-    is 1 up to its bound, the bound itself (INF once mapped back when it was
-    injected), or INF."""
-    return [tuple(rng.choice([rng.randint(1, b), b, b, INF]) for b in art.bounds)
+    is 1 up to the largest finite degree ``t`` of its variable among the
+    closure's generators, ``t`` itself, or the pure-power degree, which is
+    ``t`` for a native power and INF for an injected one."""
+    tops = [max(e for e in col if e != INF) for col in zip(*art.gens)]
+    return [tuple(rng.choice([rng.randint(1, t), t, d, d])
+                  for t, d in zip(tops, art.pure_degrees()))
             for _ in range(count)]
 
 
 class TestColumnMapBack:
-    """``deartinianize`` maps a column at a time; the reference ``relabel``
+    """``deartinianize`` maps a column at a time; the reference ``placed``
     a row."""
 
     def ideals(self):
@@ -695,7 +720,7 @@ class TestColumnMapBack:
         for g in self.ideals():
             art = g.closure
             shapes["unused"] += art.n < g.n
-            shapes["injected"] += any(art.added)
+            shapes["injected"] += INF in art.pure_degrees()
             shapes["n=0"] += art.n == 0
             for count in (0, 1, 5):
                 rows = closure_rows(art, rng, count)
@@ -717,20 +742,92 @@ class TestColumnMapBack:
         g = GeneratorSet.from_vectors(5, [(2, 1, 0, 0, 0), (1, 3, 0, 0, 0),
                                           (0, 0, 0, 5, 0)])
         art = g.closure
-        assert (art.used, art.bounds, art.added) == ((0, 1), (3, 4), (True, True))
-        rows = [(3, 1), (2, 4), (1, INF)]
+        assert (art.used, art.pure_degrees()) == ((0, 1), (INF, INF))
+        rows = [(INF, 1), (2, INF), (1, INF)]
         assert deartinianize(rows, art).comps == (
             (INF, 1, INF, 5, INF), (1, INF, INF, 5, INF), (2, INF, INF, 5, INF))
         assert deartinianize(rows, art) == relabelled(rows, art)
 
-    @pytest.mark.parametrize("rows", [[(9, 1, 1)], [(INF, 1, 1), (9, 2, 2)],
+    @pytest.mark.parametrize("rows", [[(9, 1, 1)], [(1, 1, INF), (9, 2, 2)],
                                       [(4, 1, 1), (4, 6, 1)]])
     def test_coordinate_above_its_bound_raises(self, rows):
+        # the showcase's x and y have native pure powers x^4 and y^4: a
+        # coordinate above 4 in their columns raises, whatever the others
         art = artinianize(showcase())
+        assert art.pure_degrees() == (4, 4, INF)
         with pytest.raises(RuntimeError, match="exceeds bound"):
             deartinianize(rows, art)
         with pytest.raises(RuntimeError, match="exceeds bound"):
             relabelled(rows, art)
+
+    def test_injected_column_has_no_bound(self):
+        # z^INF bounds nothing: any finite z passes, while INF in a native
+        # column exceeds that column's pure-power degree
+        art = artinianize(showcase())
+        rows = [(1, 1, 10 ** 6), (4, 4, INF)]
+        assert deartinianize(rows, art) == relabelled(rows, art)
+        for rows in ([(INF, 1, 1)], [(1, INF, INF)]):
+            with pytest.raises(RuntimeError, match="exceeds bound"):
+                deartinianize(rows, art)
+            with pytest.raises(RuntimeError, match="exceeds bound"):
+                relabelled(rows, art)
+
+
+def closure_components(engine, g):
+    """The closure's components as ``engine`` hands them to the map back,
+    and the engine's result."""
+    captured = []
+    mapped_back = core._mapped_back
+
+    def spy(vectors, art):
+        rows = list(vectors)
+        captured.extend(rows)
+        return mapped_back(rows, art)
+
+    with mock.patch.object(core, "_mapped_back", spy):
+        out = engine(g)
+    return captured, out
+
+
+def coordinate_cases():
+    """``TestColumnMapBack``'s ideals, the closure cases among them, and
+    small ideals of the benchmark's shapes: generic ladders, degree-shell
+    subsets and m^d, some once more with every exponent times 1000."""
+    rng = random.Random(31)
+    cases = TestColumnMapBack().ideals()
+    shapes = [gen_random(n, p, p, seed, generic=True)
+              for n, p in ((3, 40), (4, 24), (5, 12)) for seed in range(3)]
+    for n, d, k in ((3, 12, 30), (4, 7, 40), (5, 5, 40)):
+        shell = degree_shell(n, d)
+        shapes += [GeneratorSet.from_vectors(n, rng.sample(shell, k)) for _ in range(2)]
+    shapes += [GeneratorSet.from_vectors(n, degree_shell(n, d)) for n, d in ((3, 6), (4, 4))]
+    shapes += [GeneratorSet.from_vectors(g.n, [tuple(1000 * e for e in v) for v in g.gens])
+               for g in shapes[::3]]
+    return cases + shapes
+
+
+class TestClosureCoordinates:
+    """The proof in ``deartinianize``'s docstring that lets the map back
+    check only the native columns: every finite coordinate of a closure
+    component is at least 1 and a degree of its variable among the
+    closure's generators, whose finite degrees are the ideal's own.  So one
+    in a column whose power was injected is at most that variable's largest
+    degree, below the bound one above it that the closure once injected."""
+
+    def test_finite_coordinates_are_generator_degrees(self):
+        rows = 0
+        for g in coordinate_cases():
+            art = g.closure
+            degrees = [{v[i] for v in g.gens} for i in art.used]
+            for engine in (decompose_incremental, decompose_recursive, decompose_oracle):
+                captured, out = closure_components(engine, g)
+                assert len(captured) == len(out)
+                for beta in captured:
+                    assert len(beta) == art.n
+                    for k, e in enumerate(beta):
+                        assert e == INF or e >= 1 and e in degrees[k], (engine, g, beta)
+                rows += len(captured)
+        assert rows > 5000
 
 
 class TestClosureReuse:

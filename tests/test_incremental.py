@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from monideal import (GeneratorSet, INF, OpCounter, artinianize,
                       decompose_incremental, decompose_oracle, decompose_recursive,
                       gen_random)
-from monideal.core import leq, lex_key
+from monideal.core import deartinianize, leq, lex_key
 from monideal import incremental
 from monideal.bench import INCREMENTAL_ENVELOPE, degree_shell
 from monideal.cli import cli_main
@@ -379,7 +379,10 @@ class TestTraceLimits:
     def test_trace_limits_follow_the_definition(self, tmp_path, capsys):
         """Every kept and rejected record of ``decompose --trace`` carries in
         ``d`` the limit computed from the generators absorbed before its
-        step, beyond the three golden files."""
+        step, beyond the three golden files.  The limit is the closure's, in
+        its used variables, where an injected ``x_k^INF`` is never a lone
+        matcher: a lowering with no lone matcher at another variable reads
+        ``-inf``."""
         ideals = list(shell_ideals(random.Random(71), 80))
         src = tmp_path / "in"
         src.mkdir()
@@ -387,23 +390,48 @@ class TestTraceLimits:
             (src / f"{i:03d}.ideal").write_text(emit_ideal(g))
         assert cli_main(["decompose", "--trace", str(src), str(tmp_path / "out")]) == 0
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        checked = set()
+        checked, limits = set(), set()
         for rec in records:
-            # the record is in the original variables, and so is the plain closure
-            art = plain_closure(ideals[int(Path(rec["file"]).stem)])
-            degs, alphas = art.pure_degrees(), art.alphas()
+            # the record is in the original variables, the closure in the used ones
+            art = ideals[int(Path(rec["file"]).stem)].closure
+            alphas = art.alphas()
             # a lex run absorbs every alpha, one step each
-            assert rec["alpha"] == list(alphas[rec["step"] - 1])
-            generators = ([unit_vector(art.n, i, d) for i, d in enumerate(degs)]
+            placed = dict(zip(art.used, alphas[rec["step"] - 1]))
+            assert rec["alpha"] == [placed.get(i, 0) for i in range(len(art.fixed))]
+            generators = ([unit_vector(art.n, k, d) for k, d in enumerate(art.pure_degrees())]
                           + list(alphas[:rec["step"] - 1]))
             for e in rec["kept"] + rec["rejected"]:
-                beta = tuple(b if c == "inf" else c for c, b in zip(e["beta"], art.bounds))
+                beta = tuple(INF if e["beta"][i] == "inf" else e["beta"][i] for i in art.used)
                 lone = brute_lone_matchers(beta, generators)
-                assert e["d"] == ref_lowering_limits(beta, lone)[e["u"] - 1]
-                checked.add((e["d"] > 0, e in rec["kept"]))
-        # zero and blocking limits, on kept and rejected records
+                d = -INF if e["d"] == "-inf" else e["d"]
+                assert d == ref_lowering_limits(beta, lone)[art.used.index(e["u"] - 1)]
+                checked.add((d > 0, e in rec["kept"]))
+                limits.add(min(d, 1))
+        # unbounded, zero and blocking limits; kept and rejected records
         assert checked == {(a, b) for a in (False, True) for b in (False, True)}
+        assert limits == {-INF, 0, 1}
         assert len(records) > 200
+
+    def test_all_injected_first_step_reads_minus_inf(self, tmp_path, capsys):
+        """<x^2 y, x y^3> has no pure power, so the closure injects x^INF
+        and y^INF.  The first step lowers (INF, INF), which no generator
+        meets in one variable alone: both limits are -inf.  The second
+        lowers (2, INF), met in x alone by x^2 y, whose y-degree 1 limits
+        the lowering at y."""
+        src = tmp_path / "xy.ideal"
+        src.write_text("ideal 2\n2 1\n1 3\nend\n")
+        assert cli_main(["decompose", "--trace", str(src), str(tmp_path / "out")]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [
+            {"step": 1, "alpha": [2, 1], "t1_size": 0, "t2_size": 1, "kept": [
+                {"beta": ["inf", "inf"], "u": 1, "d": "-inf", "candidate": [2, "inf"]},
+                {"beta": ["inf", "inf"], "u": 2, "d": "-inf", "candidate": ["inf", 1]}],
+             "rejected": []},
+            {"step": 2, "alpha": [1, 3], "t1_size": 1, "t2_size": 1, "kept": [
+                {"beta": [2, "inf"], "u": 1, "d": "-inf", "candidate": [1, "inf"]},
+                {"beta": [2, "inf"], "u": 2, "d": 1, "candidate": [2, 3]}],
+             "rejected": []}]
+        assert (tmp_path / "out").read_text() == "components 2 3\ninf 1\n2 3\n1 inf\nend\n"
 
     def test_kept_split_is_the_state_stepped_alongside(self):
         """A record's kept candidates are exactly those present in a state
@@ -438,7 +466,7 @@ class TestTraceLimits:
                 assert sorted(e["u"] - 1 for e in rec["kept"] + rec["rejected"]) == \
                     sorted(art.used * len(removed))
                 assert (rec["t1_size"], rec["t2_size"]) == (before - len(removed), len(removed))
-                present = {relabel(art, c) for c in state.components}
+                present = set(deartinianize(state.components, art))
                 assert all(tuple(e["candidate"]) in present for e in rec["kept"])
                 assert not any(tuple(e["candidate"]) in present for e in rec["rejected"])
                 assert len(rec["kept"]) == len(state) - before + len(removed)

@@ -15,9 +15,9 @@ from monideal import GeneratorSet, decompose_oracle
 from monideal.core import replace_coord
 from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits)
-from monideal.oracle import maximal_points, staircase
+from monideal.oracle import maximal_points
 from conftest import (increment, match_variables, plain_closure, random_ideal,
-                      slice_chain, strictly_below)
+                      slice_chain, staircase, strictly_below)
 
 INSTANCES = 300
 

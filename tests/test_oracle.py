@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monideal import (BudgetError, ComponentSet, GeneratorSet, INF,
-                      artinianize, components_generate, decompose_incremental,
+                      components_generate, decompose_incremental,
                       decompose_oracle, decompose_recursive)
 from monideal.bench import degree_shell
 from monideal.core import lex_key
-from monideal.oracle import irr_oracle, maximal_points, staircase
+from monideal.oracle import maximal_points
 from conftest import (ideals_equal, is_antichain, plain_closure, plain_components_generate,
-                      plain_decompose_oracle, random_ideal, showcase)
+                      plain_decompose_oracle, random_ideal, showcase, staircase)
 
 # Degrees with gaps, so that the distinct-degree box is smaller than the plain
 # one, and small enough that the plain reference enumerates its box quickly.
@@ -113,7 +113,7 @@ class TestStaircase:
 
     def test_single_generator_basis_count(self):
         g = GeneratorSet.from_vectors(2, [(2, 3)])
-        art = artinianize(g)
+        art = plain_closure(g)
         box = staircase(art)
         # independently recount over the open bound box
         expected = brute_basis(art.gens, art.bounds)
@@ -121,14 +121,14 @@ class TestStaircase:
 
     def test_unit_ideal_empty_basis(self):
         g = GeneratorSet.from_vectors(2, [(0, 0)])
-        art = artinianize(g)
+        art = plain_closure(g)
         assert not basis_points(staircase(art))
 
     def test_downward_closed(self):
         rng = random.Random(5)
         for _ in range(25):
             g = random_ideal(rng)
-            art = artinianize(g)
+            art = plain_closure(g)
             pts = basis_points(staircase(art))
             for gamma in pts:
                 for i in range(art.n):
@@ -139,7 +139,7 @@ class TestStaircase:
     def test_budget_guard(self):
         g = GeneratorSet.from_vectors(3, [(40, 50, 60)])
         with pytest.raises(BudgetError):
-            staircase(artinianize(g), budget=1000)
+            staircase(plain_closure(g), budget=1000)
 
 
 class TestIrrOracle:
@@ -157,12 +157,21 @@ class TestIrrOracle:
         got = decompose_oracle(g)
         assert set(got.comps) == {(INF, 1, 1), (1, INF, 1), (1, 1, 2)}
 
+    def test_injected_axis_has_no_bound_cell(self):
+        # <x_1 x_2> in thirty variables: the closure injects x_1^INF and
+        # x_2^INF, whose axes hold 0 and 1 only, so the box has 4 cells
+        g = GeneratorSet.from_vectors(30, [(1, 1) + (0,) * 28])
+        got = decompose_oracle(g, budget=4)
+        assert set(got.comps) == {(1,) + (INF,) * 29, (INF, 1) + (INF,) * 28}
+        with pytest.raises(BudgetError, match="box of 4 cells exceeds budget 3"):
+            decompose_oracle(g, budget=3)
+
     def test_zero_and_unit_conventions(self):
         assert decompose_oracle(GeneratorSet.from_vectors(2, [])).comps == ((INF, INF),)
         assert decompose_oracle(GeneratorSet.from_vectors(2, [(0, 0)])).comps == ()
 
     def test_maximality_means_every_neighbour_inside(self):
-        art = artinianize(showcase())
+        art = plain_closure(showcase())
         box = staircase(art)
         pts = basis_points(box)
         for gamma in maximal_points(box):

@@ -10,15 +10,14 @@ from monideal import (GeneratorSet, INF, OpCounter, decompose_incremental,
                       decompose_oracle, decompose_recursive, gen_random)
 from monideal import recursive
 from monideal.bench import degree_shell
-from monideal.core import leq, lex_key
+from monideal.core import leq, lex_key, unit_vector
 from monideal.files import emit_components
 from monideal.incremental import IncrementalState
-from monideal.oracle import staircase
 from monideal.recursive import corners, decompose_trie, difference, splice
 from monideal.trie import build, is_thin, min_merge, paths, top_slices
 import conftest
 from conftest import (SHOWCASE_GENS, is_antichain, near_shell, plain_closure, random_ideal,
-                      relabel, showcase, slice_chain)
+                      relabel, showcase, slice_chain, staircase)
 
 PUBLISHED = {(4, 4, 2), (4, 2, 3), (3, 3, 3), (4, 1, INF), (2, 3, INF), (1, 4, INF)}
 
@@ -119,6 +118,36 @@ class TestEngine:
             h = GeneratorSet.from_vectors(n, vectors)
             assert emit_components(decompose_recursive(h)) == \
                 emit_components(decompose_incremental(h))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pure_powers_alone_are_read_off(self, n):
+        # a trie of one pure power per variable has their degrees as its
+        # one component, at any height, and charges nothing
+        degs = (2, INF, 3, 4, INF)[:n]
+        t = tuple(sorted((unit_vector(n, i, d) for i, d in enumerate(degs)), key=lex_key))
+        counter = OpCounter()
+        assert decompose_trie(t, counter) == [degs]
+        assert counter.ops == 0
+
+    def test_one_generator_in_many_variables(self, monkeypatch):
+        # x_1 ... x_1100: the closure injects x_i^INF for every variable,
+        # and link 0, those powers but the last, is read off by the
+        # pure-power base case instead of recursing once per variable,
+        # which exhausted the recursion limit
+        heights = []
+        inner = recursive.decompose_trie
+
+        def spy(t, counter=None):
+            heights.append(len(t[0]))
+            return inner(t, counter)
+
+        monkeypatch.setattr(recursive, "decompose_trie", spy)
+        n = 1100
+        g = GeneratorSet.from_vectors(n, [(1,) * n])
+        got = decompose_recursive(g)
+        assert heights == [n, n - 1]
+        assert set(got) == {tuple(1 if j == i else INF for j in range(n)) for i in range(n)}
+        assert got == decompose_incremental(g)
 
     def test_counter_counts_something(self):
         counter = OpCounter()

@@ -160,9 +160,11 @@ class TestSlices:
         assert [d for d, _ in top_slices(t)] == [0, 2, 3]
 
     def test_artinianized_slices(self):
+        # the closure injects z^INF: its slice is the last, at degree INF
         art = artinianize(showcase())
         t = build(3, art.gens)
-        assert [d for d, _ in top_slices(t)] == [0, 2, 3, 4]
+        assert [d for d, _ in top_slices(t)] == [0, 2, 3, INF]
+        assert paths(top_slices(t)[-1][1]) == [(0, 0)]
 
     def test_single_path(self):
         slices = top_slices(build(2, [(2, 3)]))
