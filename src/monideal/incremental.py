@@ -8,8 +8,10 @@ one per variable.  A lowered copy survives exactly when its new exponent
 clears the blocking degree read off the generators matching the component
 in one variable alone, so no reduction pass over the whole list is needed.
 
-A step does only that partition, the divisor probe and the lowering, and
-returns the components it removed; the proofs are in
+A step does only that partition and, per affected component, one pass of
+``lowering_limits``, which probes the degree index and folds the lone
+matchers it finds into the limits as it reads them; it returns the
+components it removed.  The proofs are in
 ``IncrementalState.add_generator``.  It is the sum rule
 Irr(I + <X^alpha>) = max{beta ^ gamma} with a principal ideal, exact for any
 ``alpha`` in any order: an ``alpha`` already in the ideal has no component
@@ -52,19 +54,21 @@ reactivation; states built directly, such as the recursive engine's chain
 tails, never take it.  In every other state the window is the whole
 active list.
 
-The partition, the divisor probe and the lowering limits run in plain
-Python and C builtins (``map`` over ``operator.gt``, ``operator.lt``,
-``min``, ``max`` and ``bisect``): a step scans only one chain link's
-components, most of which its first coordinates reject, and probes one
-degree bucket per variable for each of the few it lowers, so numpy's fixed
-cost per call would exceed the work.
+The partition and the lowering limits run in plain Python and C builtins
+(``map`` over ``operator.gt``, ``operator.lt``, ``min``, ``max`` and
+``bisect``): a step scans only one chain link's components, most of which
+its first coordinates reject, and probes one degree bucket per finite
+coordinate of each of the few it lowers, so numpy's fixed cost per call
+would exceed the work.
 
 Engines run on the Artinian closure in the used variables, and
 ``deartinianize`` places the result back in the original variables at the
 end.  A variable without a pure power gets ``x_k^INF`` there, which stands
 for the zero polynomial: like any generator containing INF it divides
-nothing and is never a lone matcher (``INF + 1`` is INF), and the
-components read INF at ``x_k`` wherever the ideal places no bound on it.
+nothing and is never a lone matcher (``INF + 1`` is INF), so the degree
+index does not file it, and the components read INF at ``x_k`` wherever the
+ideal places no bound on it.  An INF coordinate of a component needs no
+lone matcher, and ``lowering_limits`` reads no bucket for it.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -107,6 +111,36 @@ def bucket_coordinate(k, n):
 _BY = (itemgetter(0), itemgetter(1))  # sort keys of the bucket coordinates
 
 
+def _bucket_window(beta, k, index, c):
+    """The members of bucket ``(k, beta_k)`` that can be lone matchers of
+    ``beta`` at ``k``, and the ops a scan charges to read them.
+
+    ``c`` is the bucket's sort coordinate (``bucket_coordinate``).  The
+    scan stops at the first member with ``m_c >= beta_c``.  Since ``c !=
+    k``, a lone matcher at ``k`` has ``m_c < beta_c``, and so does every
+    member before it in the sorted bucket: none lies at or past the
+    stopping member.  ``bisect_left`` finds that member, unless the last
+    member already has ``m_c < beta_c`` and the whole bucket is read.  The
+    charge is one op per member read, the stopping member included, so
+    never more than the bucket holds.  In one variable there is no such
+    ``c`` (every member of a bucket shares its only coordinate) and the
+    whole bucket is read.
+
+    A singleton bucket, all that generic input has, is read whole without
+    the sort-coordinate test.  That changes neither the charge nor what a
+    caller keeps: either way it is one op, and a member with ``m_c >=
+    beta_c``, which the bisection would have cut, fails the ``bump`` test
+    at ``c``, where ``bump_c = beta_c`` since ``c != k``.
+    """
+    bucket = index.get((k, beta[k]))
+    if not bucket:
+        return (), 0
+    if len(bucket) > 1 and c != k and bucket[-1][c] >= beta[c]:
+        end = bisect_left(bucket, beta[c], key=_BY[c])
+        return bucket[:end], end + 1
+    return bucket, len(bucket)
+
+
 def dividing_generators(beta, index, counter=None):
     """Lone matchers of ``beta`` as ``(k, m)`` pairs, ``k`` ascending.
 
@@ -116,62 +150,49 @@ def dividing_generators(beta, index, counter=None):
     ``x_u``-degree ``d`` (``IncrementalState.index``), so those at ``k`` are
     the members of bucket ``(k, beta_k)`` that lie below ``bump`` in every
     coordinate, ``bump`` being ``beta`` with coordinate ``k`` raised by one.
-    A generator with an INF coordinate, standing for zero, never passes
-    (``INF + 1`` is INF).
+    Each bucket is read through ``_bucket_window``, which charges its ops.
+    The index files no generator with an INF coordinate, so a coordinate
+    ``beta_k = INF`` has no bucket and charges nothing.
 
-    Each bucket ``(k, d)`` is sorted by its coordinate ``c``, ``x_0``, or
-    ``x_1`` when ``k = 0`` (``bucket_coordinate``), and the scan stops at
-    the first member with ``m_c >= beta_c``.  Since ``c != k``, a lone
-    matcher at ``k`` has ``m_c < beta_c``, and so does every member before
-    it in the sorted bucket: none lies at or past the stopping member.
-    ``bisect_left`` finds that member, unless the last member already has
-    ``m_c < beta_c`` and the whole bucket is read.  The probe charges one
-    op per member a scan reads, the stopping member included, so never more
-    than the bucket holds.  In one variable there is no such ``c`` (every
-    member of a bucket shares its only coordinate) and the whole bucket is
-    read.
-
-    A singleton bucket, all that generic input has, is read whole without
-    the sort-coordinate test.  That changes neither the charge nor the
-    result: either way it is one op, and a member with ``m_c >= beta_c``,
-    which the bisection would have cut, fails the ``bump`` test at ``c``,
-    where ``bump_c = beta_c`` since ``c != k``.
+    This is the reference reader of the lone matchers: ``lowering_limits``
+    reads the same windows and charges the same ops, and folds what it
+    finds without listing it.
     """
     lone, compared = [], 0
     bump = list(beta)
     first = bucket_coordinate(0, len(beta))
     for k, b in enumerate(beta):
-        bucket = index.get((k, b))
-        if bucket:
-            c = 0 if k else first
-            if len(bucket) > 1 and c != k and bucket[-1][c] >= beta[c]:
-                end = bisect_left(bucket, beta[c], key=_BY[c])
-                compared += end + 1
-                bucket = bucket[:end]
-            else:
-                compared += len(bucket)
-            bump[k] = b + 1
-            for m in bucket:
-                if all(map(lt, m, bump)):
-                    lone.append((k, m))
-            bump[k] = b
+        members, charge = _bucket_window(beta, k, index, 0 if k else first)
+        compared += charge
+        bump[k] = b + 1
+        for m in members:
+            if all(map(lt, m, bump)):
+                lone.append((k, m))
+        bump[k] = b
     if counter is not None:
         counter.add(compared)
     return lone
 
 
-def lowering_limits(beta, lone):
+def lowering_limits(beta, index, counter=None):
     """Per-variable blocking degrees for lowering component ``beta``.
 
-    ``lone`` holds ``beta``'s lone matchers from ``dividing_generators``.
     The limit at ``u`` is the largest, over the other variables ``k``, of
-    the smallest ``x_u``-degree among the lone matchers at ``k`` (-INF when
-    there are none).  The copy lowered to exponent ``a`` at ``u`` survives
-    exactly when ``limit < a``.  It reads only ``lone``, which the probe
-    has charged, and charges nothing itself.
+    the smallest ``x_u``-degree among the lone matchers of ``beta`` at
+    ``k`` (``dividing_generators``), -INF when there are none.  The copy
+    lowered to exponent ``a`` at ``u`` survives exactly when ``limit < a``.
 
-    Raises ``RuntimeError`` when a finite ``beta_k`` has no lone matcher,
-    which no component of the current ideal I allows.  Add x_i^N for every
+    One pass reads the degree ``index`` itself: for each finite ``beta_k``
+    it reads ``_bucket_window``'s members of bucket ``(k, beta_k)``, takes
+    the coordinatewise ``min`` of those below ``bump`` as row ``k``, and
+    folds that row into the limits with one ``map(max, ...)``, coordinate
+    ``k`` put back as it was, since a variable's own row never limits it.
+    It lists no lone matcher and charges ``counter`` what the probe
+    charges, one op per member read.  An INF coordinate needs no lone
+    matcher and is skipped; no generator the index files has one.
+
+    Raises ``RuntimeError``, charging nothing, when a finite ``beta_k`` has
+    no lone matcher, which no component of the current ideal I allows.  Add x_i^N for every
     variable, N above every finite degree of ``beta`` and of I's minimal
     generators.  By the sum rule ``beta'``, ``beta`` with INF set to N, is a
     component of the result: one above it would come from a component of I
@@ -180,18 +201,30 @@ def lowering_limits(beta, lone):
     is below ``beta'``.  No x_i^N does that, so it is a finite minimal
     generator of I, which the index holds, and a lone matcher at ``k``.
     """
-    n = len(beta)
-    rows = {}  # per matched variable k: coordinatewise min of its lone matchers
-    for k, m in lone:
-        row = rows.get(k)
-        rows[k] = m if row is None else tuple(map(min, row, m))
-    if len(rows) + beta.count(INF) < n:
-        raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher; "
-                           "it cannot be a component of the current ideal")
-    # a variable's own row never limits it; the -INF seed column gives every
-    # coordinate a maximum when no row matched (a component of all INF)
-    masked = [row[:k] + (-INF,) + row[k + 1:] for k, row in rows.items()]
-    return list(map(max, zip((-INF,) * n, *masked)))
+    limits = [-INF] * len(beta)
+    bump = list(beta)
+    compared = 0
+    first = bucket_coordinate(0, len(beta))
+    for k, b in enumerate(beta):
+        if b == INF:
+            continue
+        members, charge = _bucket_window(beta, k, index, 0 if k else first)
+        compared += charge
+        bump[k] = b + 1
+        row = None
+        for m in members:
+            if all(map(lt, m, bump)):
+                row = m if row is None else tuple(map(min, row, m))
+        bump[k] = b
+        if row is None:
+            raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher; "
+                               "it cannot be a component of the current ideal")
+        own = limits[k]
+        limits = list(map(max, limits, row))
+        limits[k] = own
+    if counter is not None:
+        counter.add(compared)
+    return limits
 
 
 class IncrementalState:
@@ -199,7 +232,7 @@ class IncrementalState:
 
     Holds the degree index ``{(u, degree): [generators]}`` of the generators
     absorbed so far over their nonzero degrees, which only grows (see
-    ``add_generator``).  Each bucket is sorted by its ``bucket_coordinate``:
+    ``add_generator``); a generator with an INF coordinate is not filed.  Each bucket is sorted by its ``bucket_coordinate``:
     the constructor and every later step file a generator with ``_index``,
     which inserts it in order.  It also holds the current components,
     which always equal the decomposition of the ideal the absorbed
@@ -243,7 +276,12 @@ class IncrementalState:
     def _index(self, m):
         """File ``m`` under each nonzero degree, in bucket order, after the
         members it ties with.  A probed component has no zero coordinate,
-        so no probe reads a bucket ``(u, 0)``."""
+        so no probe reads a bucket ``(u, 0)``.  A vector with an INF
+        coordinate stands for zero: it divides nothing and is never a lone
+        matcher (``INF + 1`` is INF), so it is not filed at all, and no
+        probe reads a bucket ``(u, INF)``."""
+        if INF in m:
+            return
         for u, d in enumerate(m):
             if d:
                 bucket = self.index.get((u, d))
@@ -282,16 +320,16 @@ class IncrementalState:
         component lies above it.)
 
         Otherwise ``alpha`` is added to the degree index, and no generator
-        it divides is removed: the index holds elements of I, every minimal
-        generator among them.  Such a stale entry changes nothing.  A lone
-        matcher of ``beta`` at ``k`` has ``x_k``-degree ``beta_k`` by
-        definition, so it lies in the bucket ``(k, beta_k)`` that the divisor
-        probe scans: the probe stays complete.  If a stale entry ``e`` is a
-        lone matcher of a component ``beta`` at ``k``, some minimal
-        generator ``g <= e`` is in the index, and ``g``, an element of I,
-        cannot lie strictly below ``beta``, so ``g_k = beta_k`` and ``g`` is
-        a lone matcher at ``k`` too.  So every minimum that
-        ``lowering_limits`` takes is unchanged.
+        it divides is removed: the index holds elements of I, every finite
+        minimal generator among them.  Such a stale entry changes nothing.
+        A lone matcher of ``beta`` at ``k`` has ``x_k``-degree ``beta_k`` by
+        definition, so it lies in the bucket ``(k, beta_k)`` that
+        ``lowering_limits`` reads: the probe stays complete.  If a stale
+        entry ``e`` is a lone matcher of a component ``beta`` at ``k``, some
+        minimal generator ``g <= e``, finite as ``e`` is, is in the index,
+        and ``g``, an element of I, cannot lie strictly below ``beta``, so
+        ``g_k = beta_k`` and ``g`` is a lone matcher at ``k`` too.  So every
+        minimum that ``lowering_limits`` takes is unchanged.
 
         Only the active components are partitioned.  Every retired
         component was kept from a lowering at the last variable, so its
@@ -308,8 +346,8 @@ class IncrementalState:
         never triggers it.  After it every retired ``beta`` has ``beta_n <=
         alpha_n`` and is not strictly above ``alpha``.  Therefore ``beta``
         is untouched by the step, X^alpha is in I iff no *active* component
-        lies strictly above it, and the divisor probe and the lowering
-        limits, which run on affected components only, never see ``beta``.
+        lies strictly above it, and ``lowering_limits``, which runs on
+        affected components only, never sees ``beta``.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -352,7 +390,9 @@ class IncrementalState:
         that of every member from ``end`` on; and the new active list is an
         antichain with one last coordinate, so no two of its ``beta_0`` are
         equal.  The returned components are then the window, in ``beta_0``
-        order.  A candidate is built only when it is kept.
+        order.  A candidate is built only when it is kept, by slicing
+        ``beta`` around ``u``; ``u`` indexes ``alpha``, whose length the
+        step checked is ``beta``'s, so it needs no range check.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
@@ -376,10 +416,10 @@ class IncrementalState:
         last = self.n - 1
         lowered, retiring = [], []
         for beta in affected:
-            limits = lowering_limits(beta, dividing_generators(beta, self.index, self.counter))
+            limits = lowering_limits(beta, self.index, self.counter)
             for u, a in enumerate(alpha):
                 if a >= 1 and limits[u] < a:
-                    (retiring if u == last else lowered).append(replace_coord(beta, u, a))
+                    (retiring if u == last else lowered).append(beta[:u] + (a,) + beta[u + 1:])
         lowered.sort(key=_BY[0])
         untouched += lowered
         if self.staircase:
@@ -406,9 +446,9 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     the component count before it, and the removed components ``beta`` in
     lex order, each with one lowering per variable ``u`` (reported 1-based).
     A lowering's candidate is ``beta`` with coordinate ``u`` set to
-    ``alpha_u``, its limit ``d`` is read again with ``dividing_generators``
-    and ``lowering_limits``, uncharged, and it is kept by the step's own
-    test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is -INF when
+    ``alpha_u``, its limit ``d`` is read again with
+    ``lowering_limits(beta, state.index)``, uncharged, and it is kept by the
+    step's own test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is -INF when
     ``beta`` has no lone matcher at any other variable, which happens
     exactly when its other coordinates are all INF.  The step indexed
     ``alpha``, which lies strictly below ``beta`` and so matches it in no
@@ -417,7 +457,8 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     ``u`` and ``alpha``, which is zero off them, are mapped back to the
     original variables, and a step's components and candidates in one call
     of ``deartinianize``'s column map, ``_mapped_back``.  The record's work
-    is one probe per removed component, never a full pass.
+    is one pass of ``lowering_limits`` per removed component, never a full
+    pass over the components.
     """
     if g.is_unit():
         if t_sizes is not None:
@@ -445,7 +486,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
             rows += [replace_coord(beta, u, a) for u, a in enumerate(alpha)]
         back = _mapped_back(rows, art)
         for beta in betas:
-            limits = lowering_limits(beta, dividing_generators(beta, state.index))
+            limits = lowering_limits(beta, state.index)
             original = next(back)
             for i, a, limit in zip(art.used, alpha, limits):
                 out["kept" if a >= 1 and limit < a else "rejected"].append(

@@ -125,6 +125,24 @@ def staircase(art, budget=DEFAULT_BUDGET):
     return _indicator(art.gens, shape)
 
 
+def fold_limits(beta, lone):
+    """Reference for ``incremental.lowering_limits``: the two-pass fold of
+    the lone matchers that ``dividing_generators`` lists as ``(k, m)``
+    pairs.  Each matched variable's row is the coordinatewise ``min`` of
+    its lone matchers; the rows are copied with their own coordinate masked
+    to -INF and zipped, after a -INF seed column, under one ``max``.  A
+    finite coordinate of ``beta`` with no row raises ``RuntimeError``."""
+    n = len(beta)
+    rows = {}
+    for k, m in lone:
+        row = rows.get(k)
+        rows[k] = m if row is None else tuple(map(min, row, m))
+    if len(rows) + beta.count(INF) < n:
+        raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher")
+    masked = [row[:k] + (-INF,) + row[k + 1:] for k, row in rows.items()]
+    return list(map(max, zip((-INF,) * n, *masked)))
+
+
 def match_variables(m, beta):
     """Variables (0-based) where the degree of ``m`` meets that of ``beta``."""
     return tuple(u for u in range(len(beta)) if m[u] == beta[u])

@@ -25,8 +25,9 @@ from monideal.incremental import (IncrementalState, dividing_generators,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie
 from monideal.trie import build
-from conftest import (checked_step, fourvar, match_variables, plain_closure, random_ideal,
-                      relabel, showcase, slice_chain, strictly_below)
+from conftest import (checked_step, fold_limits, fourvar, match_variables, near_shell,
+                      plain_closure, random_ideal, relabel, showcase, slice_chain,
+                      strictly_below)
 
 exponents = st.one_of(st.integers(0, 6), st.just(INF))
 
@@ -45,7 +46,7 @@ def power_ideal(n, d):
         n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
 
 
-def keep_every_lowering(beta, lone):
+def keep_every_lowering(beta, index, counter=None):
     """A broken ``lowering_limits`` under which no lowered copy is blocked."""
     return [-INF] * len(beta)
 
@@ -105,9 +106,10 @@ class TestDividingGenerators:
         state = inf_state()
         counter = OpCounter()
         got = dividing_generators((4, 4, INF), state.index, counter)
-        # the infinite power is compared in bucket (2, INF) and never passes
+        # the infinite power stands for zero and is not indexed: there is no
+        # bucket (2, INF) to read, and only the two finite powers are charged
         assert got == [(0, (4, 0, 0)), (1, (0, 4, 0))]
-        assert counter.ops == 3
+        assert counter.ops == 2
 
     def test_after_first_generator(self):
         state = inf_state()
@@ -148,13 +150,14 @@ class TestDividingGenerators:
 
     def test_one_variable_reads_the_whole_bucket(self):
         # no second coordinate orders a bucket in one variable: its members
-        # all share their degree, and every one is read and, finite, returned
+        # all share their degree, and every one is read and returned; the
+        # INF vector is not indexed, so probing INF reads nothing
         index = IncrementalState(1, [], [(3,), (5,), (3,), (INF,)]).index
         counter = OpCounter()
         assert dividing_generators((3,), index, counter) == [(0, (3,)), (0, (3,))]
         assert counter.ops == 2
         assert dividing_generators((INF,), index, counter) == []
-        assert counter.ops == 3
+        assert counter.ops == 2
 
 
 class TestMatchVariables:
@@ -169,38 +172,61 @@ class TestMatchVariables:
 
 
 class TestLoweringLimits:
+    """``lowering_limits`` reads the degree index itself, one bucket window
+    per finite coordinate, and charges what the probe charges."""
+
+    @staticmethod
+    def limits(beta, gens):
+        """``(limits, ops)`` of ``beta`` over the index of ``gens``."""
+        counter = OpCounter()
+        index = IncrementalState(len(beta), [], gens).index
+        return lowering_limits(beta, index, counter), counter.ops
+
     def test_two_pure_powers(self):
-        limits = lowering_limits((4, 4, INF), [(0, (4, 0, 0)), (1, (0, 4, 0))])
-        assert limits == [0, 0, 0]
+        assert self.limits((4, 4, INF), INF_FLAVOR_START["generators"]) == ([0, 0, 0], 2)
 
     def test_blocked_in_first_variable(self):
-        limits = lowering_limits((4, 2, INF), [(0, (4, 0, 0)), (1, (3, 2, 2))])
-        assert limits == [3, 0, 2]
+        # x^3 y^2 z^2 meets (4, 2, INF) in y alone and x^4 in x alone
+        gens = INF_FLAVOR_START["generators"] + [(3, 2, 2)]
+        assert self.limits((4, 2, INF), gens) == ([3, 0, 2], 2)
 
     def test_nongeneric_counterexample(self):
-        beta = (2, 2, 2, 2)
-        lone = [(0, (2, 1, 1, 0)), (1, (1, 2, 0, 1)), (2, (0, 0, 2, 0)),
-                (3, (0, 0, 0, 2))]
-        assert lowering_limits(beta, lone) == [1, 1, 1, 1]
+        gens = [(2, 1, 1, 0), (1, 2, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)]
+        assert self.limits((2, 2, 2, 2), gens) == ([1, 1, 1, 1], 4)
 
     def test_no_finite_lone_matcher(self):
         # the zero ideal with every pure power INF: its lone component has no
-        # finite coordinate, the probe returns nothing and nothing blocks
+        # finite coordinate, no bucket is read and nothing blocks
         state = IncrementalState(3, [(INF, INF, INF)],
                                  [(INF, 0, 0), (0, INF, 0), (0, 0, INF)])
-        lone = dividing_generators((INF, INF, INF), state.index)
-        assert lone == [] and lowering_limits((INF, INF, INF), lone) == [-INF] * 3
+        assert state.index == {}
+        counter = OpCounter()
+        assert lowering_limits((INF, INF, INF), state.index, counter) == [-INF] * 3
+        assert counter.ops == 0
 
     def test_all_multimatch_is_internal_error(self):
         # (1, 1) matches the generator (1, 1) in both variables, so it has no
-        # lone matcher and cannot be a component of <xy>
-        index = IncrementalState(2, [], [(1, 1)]).index
-        lone = dividing_generators((1, 1), index)
-        assert lone == []
-        with pytest.raises(RuntimeError, match="no lone matcher"):
-            lowering_limits((1, 1), lone)
-        with pytest.raises(RuntimeError, match="no lone matcher"):
-            lowering_limits((2, 3), [(0, (2, 1))])
+        # lone matcher and cannot be a component of <xy>; nor can (2, 3) be
+        # one of <x^2 y>, which meets it in x alone but nothing in y
+        for beta, gens in (((1, 1), [(1, 1)]), ((2, 3), [(2, 1)])):
+            index = IncrementalState(2, [], gens).index
+            with pytest.raises(RuntimeError, match="no lone matcher"):
+                lowering_limits(beta, index)
+
+    def test_repeated_matchers_take_the_coordinatewise_min(self):
+        # two lone matchers at x: row 0 is their coordinatewise min (3, 1, 1),
+        # so it limits y and z at 1; y's lone matcher limits x at 2
+        gens = [(3, 1, 2), (3, 2, 1), (2, 4, 0), (0, 0, 5)]
+        assert self.limits((3, 4, 5), gens) == ([2, 1, 1], 4)
+
+    def test_own_row_never_limits_its_variable(self):
+        # a lone matcher at k has m_k = beta_k, so its row would set the
+        # limit at k to beta_k, which no lowering below beta clears; the fold
+        # leaves coordinate k to the other rows, -INF when there are none
+        limits, _ = self.limits((5, 5), [(5, 4), (4, 5)])
+        assert limits == [4, 4]
+        limits, _ = self.limits((5, INF), [(5, 4)])
+        assert limits == [-INF, 4]
 
 
 def brute_lone_matchers(beta, generators):
@@ -264,10 +290,11 @@ def ref_probe_charge(beta, generators):
     ``(k, beta_k)`` that a scan in the bucket's order reads, up to and
     including the first with ``m_c >= beta_c`` (``c`` being ``x_0``, or
     ``x_1`` when ``k = 0``), counted from ``generators`` alone; in one
-    variable every member."""
+    variable every member.  A generator with an INF coordinate is in no
+    bucket."""
     n, charge = len(beta), 0
     for k in range(n):
-        bucket = [m for m in generators if m[k] == beta[k]]
+        bucket = [m for m in generators if m[k] == beta[k] and INF not in m]
         if n == 1:
             charge += len(bucket)
             continue
@@ -281,20 +308,26 @@ def check_probe(beta, state, generators):
     """The probe returns exactly the brute-force lone matchers among
     ``generators``, those indexed by ``state``, with their variables,
     charges the members a scan reads up to its stop, never more than the
-    probed buckets hold, and its limits agree with the reference."""
+    probed buckets hold, and the limits that ``lowering_limits`` reads off
+    the index agree with the reference and with the two-pass fold of the
+    probe's pairs; when it does not raise, it charges what the probe
+    charges."""
     lone, charged = outcome(dividing_generators, beta, state.index)
     assert sorted(lone) == sorted(brute_lone_matchers(beta, generators))
     assert charged == ref_probe_charge(beta, generators)
     assert charged <= sum(m[k] == beta[k] for m in generators
                           for k in range(state.n))
     limits = []
-    for fn in (ref_lowering_limits, lowering_limits):
+    for fn in (ref_lowering_limits, fold_limits):
         try:
             limits.append(fn(beta, lone))
         except RuntimeError:
             limits.append("RuntimeError")
-    assert limits[0] == limits[1]
-    return limits[0]
+    fused, fused_charge = outcome(lowering_limits, beta, state.index)
+    assert limits[0] == limits[1] == fused
+    if fused != "RuntimeError":
+        assert fused_charge == charged
+    return fused
 
 
 class TestProbeReference:
@@ -360,6 +393,103 @@ class TestProbeReference:
         for gens in (clipped, clipped + multi, multi + clipped):
             gens = list(dict.fromkeys(gens))
             check_probe(beta, IncrementalState(n, [], gens), gens)
+
+
+def spy_kernel(monkeypatch):
+    """Check every affected component of every step against the reference.
+
+    Rebinds ``IncrementalState.add_generator`` so that, before each step,
+    each active component strictly above ``alpha`` (after any reactivation)
+    gets ``lowering_limits(beta, index, c1)`` compared with ``fold_limits``
+    of ``dividing_generators(beta, index, c2)``, and ``c1.ops`` with
+    ``c2.ops``.  Returns a list that receives, per step checked, the number
+    of components compared and whether the step reactivated."""
+    add = IncrementalState.add_generator
+    seen = []
+
+    def checked(state, alpha, created=None):
+        alpha = tuple(alpha)
+        reactivates = bool(state.retired) and alpha[-1] < state.retired[-1][-1]
+        comps = state.components if reactivates else state.active
+        compared = 0
+        for beta in comps:
+            if strictly_below(alpha, beta):
+                c1, c2 = OpCounter(), OpCounter()
+                fused = lowering_limits(beta, state.index, c1)
+                assert fused == fold_limits(beta, dividing_generators(beta, state.index, c2))
+                assert c1.ops == c2.ops
+                compared += 1
+        seen.append((compared, reactivates))
+        return add(state, alpha, created)
+
+    monkeypatch.setattr(IncrementalState, "add_generator", checked)
+    return seen
+
+
+class TestFusedKernel:
+    """``lowering_limits`` reads the index in one pass; on every affected
+    component of seeded runs it equals the two-pass fold of the probe's
+    pairs (``conftest.fold_limits``) and charges the probe's ops."""
+
+    def test_lex_runs(self, monkeypatch):
+        # generic ladders, m^d, shell subsets, and closures with injected
+        # x_k^INF powers, so components with INF coordinates are lowered
+        seen = spy_kernel(monkeypatch)
+        rng = random.Random(83)
+        ideals = [gen_random(n, p, 2 * p, seed, generic=True)
+                  for n, p in ((3, 60), (4, 40), (5, 25)) for seed in (1, 2)]
+        ideals += [power_ideal(n, d) for n, d in ((3, 8), (4, 6), (5, 4))]
+        ideals += list(shell_ideals(rng, 24))
+        ideals += [random_ideal(rng, n_choices=(2, 3, 4, 5), max_p=10) for _ in range(60)]
+        injected = 0
+        for g in ideals:
+            if g.is_unit():
+                continue
+            injected += INF in g.closure.pure_degrees()
+            decompose_incremental(g)
+        assert injected > 20
+        assert sum(c for c, _ in seen) > 1000
+
+    def test_one_variable(self, monkeypatch):
+        # every bucket is read whole; the lone component's own row never
+        # limits it, so every lowering is kept
+        seen = spy_kernel(monkeypatch)
+        rng = random.Random(89)
+        for _ in range(40):
+            state = IncrementalState(1, [(INF,)], [(INF,)])
+            for a in rng.sample(range(1, 12), rng.randint(1, 6)):
+                state.add_generator((a,))
+            assert state.components == [(min(state.index)[1],)]
+        assert sum(c for c, _ in seen) > 40
+
+    def test_shuffled_runs_reactivate(self, monkeypatch):
+        seen = spy_kernel(monkeypatch)
+        rng = random.Random(97)
+        for _ in range(60):
+            g = random_ideal(rng, n_choices=(3, 4, 5), max_p=12)
+            if g.is_unit():
+                continue
+            art = g.closure
+            state = IncrementalState.start(art)
+            alphas = list(art.alphas())
+            rng.shuffle(alphas)
+            for alpha in alphas:
+                state.add_generator(alpha)
+        assert any(r and c for c, r in seen)
+
+    def test_chain_tail_after_a_reactivation(self, monkeypatch):
+        # the recursive engine's chain tails absorb out of lex order: their
+        # states reactivate retired components and then lower them
+        seen = spy_kernel(monkeypatch)
+        for g in (near_shell(4, 60, 1), near_shell(5, 40, 2),
+                  gen_random(5, 30, 60, 1, generic=True)):
+            assert decompose_recursive(g) == decompose_incremental(g)
+        after = False
+        lowered_after = 0
+        for compared, reactivates in seen:
+            after = after or reactivates
+            lowered_after += compared if after else 0
+        assert lowered_after > 100
 
 
 def shell_ideals(rng, count):
@@ -645,7 +775,7 @@ class TestAddGenerator:
             "from monideal import INF, artinianize, incremental\n"
             "from monideal.incremental import IncrementalState\n"
             "from conftest import checked_step, showcase\n"
-            "incremental.lowering_limits = lambda beta, lone: "
+            "incremental.lowering_limits = lambda beta, index, counter=None: "
             "[-INF] * len(beta)\n"
             "art = artinianize(showcase())\n"
             "state = IncrementalState.start(art)\n"
@@ -919,6 +1049,16 @@ class TestDegreeIndex:
 
     def test_empty(self):
         assert self.index_of(GeneratorSet.from_vectors(2, [])) == {}
+
+    def test_inf_vectors_are_not_filed(self):
+        # an INF coordinate stands for zero, which divides nothing: the
+        # injected x^INF and y^INF of <x^2 y, x y^3> are in no bucket
+        state = IncrementalState.start(GeneratorSet.from_vectors(2, [(2, 1), (1, 3)]).closure)
+        assert state.index == {}
+        for alpha in [(1, 3), (2, 1)]:
+            state.add_generator(alpha)
+        assert state.index == {(0, 1): [(1, 3)], (0, 2): [(2, 1)],
+                               (1, 1): [(2, 1)], (1, 3): [(1, 3)]}
 
     @staticmethod
     def assert_sorted(index, n):
