@@ -75,7 +75,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import gt, itemgetter, lt
 
 from .core import (ComponentSet, INF, _mapped_back, deartinianize, lex_key,
-                   replace_coord, unit_vector)
+                   unit_vector)
 
 
 def partition_components(comps, alpha, counter=None):
@@ -192,14 +192,15 @@ def lowering_limits(beta, index, counter=None):
     matcher and is skipped; no generator the index files has one.
 
     Raises ``RuntimeError``, charging nothing, when a finite ``beta_k`` has
-    no lone matcher, which no component of the current ideal I allows.  Add x_i^N for every
-    variable, N above every finite degree of ``beta`` and of I's minimal
-    generators.  By the sum rule ``beta'``, ``beta`` with INF set to N, is a
-    component of the result: one above it would come from a component of I
-    above ``beta``.  So some generator divides X^(beta' - 1 + e_k) but not
-    X^(beta' - 1): its ``x_k``-degree is ``beta_k`` and every other degree
-    is below ``beta'``.  No x_i^N does that, so it is a finite minimal
-    generator of I, which the index holds, and a lone matcher at ``k``.
+    no lone matcher, which no component of the current ideal I allows.
+    Add x_i^N for every variable, N above every finite degree of ``beta``
+    and of I's minimal generators.  By the sum rule ``beta'``, ``beta`` with
+    INF set to N, is a component of the result: one above it would come
+    from a component of I above ``beta``.  So some generator divides
+    X^(beta' - 1 + e_k) but not X^(beta' - 1): its ``x_k``-degree is
+    ``beta_k`` and every other degree is below ``beta'``.  No x_i^N does
+    that, so it is a finite minimal generator of I, which the index holds,
+    and a lone matcher at ``k``.
     """
     limits = [-INF] * len(beta)
     bump = list(beta)
@@ -232,11 +233,12 @@ class IncrementalState:
 
     Holds the degree index ``{(u, degree): [generators]}`` of the generators
     absorbed so far over their nonzero degrees, which only grows (see
-    ``add_generator``); a generator with an INF coordinate is not filed.  Each bucket is sorted by its ``bucket_coordinate``:
-    the constructor and every later step file a generator with ``_index``,
-    which inserts it in order.  It also holds the current components,
-    which always equal the decomposition of the ideal the absorbed
-    generators span.  They are split in two lists:
+    ``add_generator``); a generator with an INF coordinate is not filed.
+    Each bucket is sorted by its ``bucket_coordinate``: the constructor and
+    every later step file a generator with ``_index``, which inserts it in
+    order.  It also holds the current components, which always equal the
+    decomposition of the ideal the absorbed generators span.  They are
+    split in two lists:
 
     - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable
@@ -419,7 +421,8 @@ class IncrementalState:
             limits = lowering_limits(beta, self.index, self.counter)
             for u, a in enumerate(alpha):
                 if a >= 1 and limits[u] < a:
-                    (retiring if u == last else lowered).append(beta[:u] + (a,) + beta[u + 1:])
+                    kept = beta[:u] + (a,) + beta[u + 1:]
+                    (retiring if u == last else lowered).append(kept)
         lowered.sort(key=_BY[0])
         untouched += lowered
         if self.staircase:
@@ -448,9 +451,9 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     A lowering's candidate is ``beta`` with coordinate ``u`` set to
     ``alpha_u``, its limit ``d`` is read again with
     ``lowering_limits(beta, state.index)``, uncharged, and it is kept by the
-    step's own test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is -INF when
-    ``beta`` has no lone matcher at any other variable, which happens
-    exactly when its other coordinates are all INF.  The step indexed
+    step's own test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is
+    -INF when ``beta`` has no lone matcher at any other variable, which
+    happens exactly when its other coordinates are all INF.  The step indexed
     ``alpha``, which lies strictly below ``beta`` and so matches it in no
     variable: the limits read are the step's own.  Lowerings are listed at
     the closure's used variables only (at an unused one ``alpha_u = 0``);
@@ -483,7 +486,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
         rows = []
         for beta in betas:
             rows.append(beta)
-            rows += [replace_coord(beta, u, a) for u, a in enumerate(alpha)]
+            rows += [beta[:u] + (a,) + beta[u + 1:] for u, a in enumerate(alpha)]
         back = _mapped_back(rows, art)
         for beta in betas:
             limits = lowering_limits(beta, state.index)
