@@ -9,19 +9,29 @@ clears the blocking degree read off the generators matching the component
 in one variable alone, so no reduction pass over the whole list is needed.
 
 A step does only that partition and, per affected component, one pass of
-``lowering_limits``, which probes the degree index and folds the lone
-matchers it finds into the limits as it reads them; it returns the
+``lowering_limits`` over the component's lone-matcher lists; it returns the
 components it removed.  The proofs are in
-``IncrementalState.add_generator``.  It is the sum rule
-Irr(I + <X^alpha>) = max{beta ^ gamma} with a principal ideal, exact for any
-``alpha`` in any order: an ``alpha`` already in the ideal has no component
-strictly above it and changes nothing, and one that divides absorbed
-generators needs no special case.  The degree index of the absorbed
-generators only grows; an entry that a later ``alpha`` divides never
-changes a lowering limit.  Lowered copies are distinct from each other and
-from the untouched components, so no duplicate check is made.
+``IncrementalState.add_generator``.  It is the sum rule Irr(I + <X^alpha>) =
+max{beta ^ gamma} with a principal ideal, exact for any ``alpha`` in any
+order: an ``alpha`` already in the ideal has no component strictly above it
+and changes nothing, and one that divides absorbed generators needs no
+special case.  Lowered copies are distinct from each other and from the
+untouched components, so no duplicate check is made.
 ``decompose_incremental``'s trace is read off the steps from outside, not
 threaded through them.
+
+Each active component carries its lone-matcher lists, one per variable
+``k``: the absorbed generators that meet it in ``x_k`` alone.  A lowered
+copy inherits its parent's lists, filtered, and ``alpha`` alone at the
+variable it was lowered at; the partition's pass finds the untouched
+components that ``alpha`` meets in one variable alone, and ``alpha`` joins
+their lists.  So a lex run never searches for a lone matcher.  On generic
+input each list holds one generator, the storage stays O(n·l), the paper's
+bound, and a copy shares every list but one with its parent.  A component
+that arrives without lists, a chain tail's seed or a reactivated one, is
+probed once through the degree index of the absorbed generators
+(``lone_matchers``), which is filed on its first read and only grows: an
+entry that a later ``alpha`` divides never changes a lowering limit.
 
 Components are kept in two lists.  The partition scans only the active
 ones.  A copy lowered at the last variable takes ``alpha``'s last
@@ -55,24 +65,25 @@ tails, never take it.  In every other state the window is the whole
 active list.
 
 The partition and the lowering limits run in plain Python and C builtins
-(``map`` over ``operator.gt``, ``operator.lt``, ``min``, ``max`` and
-``bisect``): a step scans only one chain link's components, most of which
-its first coordinates reject, and probes one degree bucket per finite
-coordinate of each of the few it lowers, so numpy's fixed cost per call
-would exceed the work.
+(``map`` over ``operator.gt`` and ``operator.eq``, and ``bisect``): a step
+scans only one chain link's components, most of which its first
+coordinates reject, and folds a few short lists for each of the few it
+lowers, so numpy's fixed cost per call would exceed the work.  The fold
+compares elements one by one: at these lengths a ``min`` or ``max`` call
+per element costs more than the comparison.
 
 Engines run on the Artinian closure in the used variables, and
 ``deartinianize`` places the result back in the original variables at the
 end.  A variable without a pure power gets ``x_k^INF`` there, which stands
 for the zero polynomial: like any generator containing INF it divides
 nothing and is never a lone matcher (``INF + 1`` is INF), so the degree
-index does not file it, and the components read INF at ``x_k`` wherever the
-ideal places no bound on it.  An INF coordinate of a component needs no
-lone matcher, and ``lowering_limits`` reads no bucket for it.
+index does not file it, and the components read INF at ``x_k`` wherever
+the ideal places no bound on it.  An INF coordinate of a component needs
+no lone matcher, and its list is empty.
 """
 
 from bisect import bisect_left, bisect_right, insort
-from operator import gt, itemgetter, lt
+from operator import eq, gt, itemgetter, lt
 
 from .core import (ComponentSet, INF, _mapped_back, deartinianize, lex_key,
                    unit_vector)
@@ -87,7 +98,9 @@ def partition_components(comps, alpha, counter=None):
     comparison per component is charged.  The first two coordinates (the
     first twice when ``n = 1``) are tested before the full comparison: in a
     lex run most components are rejected there, and the last coordinate,
-    the pure-power degree, never rejects.
+    the pure-power degree, never rejects.  Handed ``alpha - 1``, it splits
+    them by whether ``alpha`` lies at or below them instead, which
+    ``IncrementalState.add_generator`` uses outside its staircase path.
     """
     if counter is not None:
         counter.add(len(comps))
@@ -111,38 +124,10 @@ def bucket_coordinate(k, n):
 _BY = (itemgetter(0), itemgetter(1))  # sort keys of the bucket coordinates
 
 
-def _bucket_window(beta, k, index, c):
-    """The members of bucket ``(k, beta_k)`` that can be lone matchers of
-    ``beta`` at ``k``, and the ops a scan charges to read them.
-
-    ``c`` is the bucket's sort coordinate (``bucket_coordinate``).  The
-    scan stops at the first member with ``m_c >= beta_c``.  Since ``c !=
-    k``, a lone matcher at ``k`` has ``m_c < beta_c``, and so does every
-    member before it in the sorted bucket: none lies at or past the
-    stopping member.  ``bisect_left`` finds that member, unless the last
-    member already has ``m_c < beta_c`` and the whole bucket is read.  The
-    charge is one op per member read, the stopping member included, so
-    never more than the bucket holds.  In one variable there is no such
-    ``c`` (every member of a bucket shares its only coordinate) and the
-    whole bucket is read.
-
-    A singleton bucket, all that generic input has, is read whole without
-    the sort-coordinate test.  That changes neither the charge nor what a
-    caller keeps: either way it is one op, and a member with ``m_c >=
-    beta_c``, which the bisection would have cut, fails the ``bump`` test
-    at ``c``, where ``bump_c = beta_c`` since ``c != k``.
-    """
-    bucket = index.get((k, beta[k]))
-    if not bucket:
-        return (), 0
-    if len(bucket) > 1 and c != k and bucket[-1][c] >= beta[c]:
-        end = bisect_left(bucket, beta[c], key=_BY[c])
-        return bucket[:end], end + 1
-    return bucket, len(bucket)
-
-
-def dividing_generators(beta, index, counter=None):
-    """Lone matchers of ``beta`` as ``(k, m)`` pairs, ``k`` ascending.
+def lone_matchers(beta, index, counter=None):
+    """The lone-matcher lists of ``beta`` read off the degree ``index``: an
+    ``n``-tuple whose entry ``k`` is the tuple of ``beta``'s lone matchers at
+    ``k``, in bucket order.
 
     A lone matcher at ``k`` is a generator ``m`` with ``m_k = beta_k`` and
     ``m_j < beta_j`` for ``j != k``: it divides X^beta and meets it in
@@ -150,79 +135,100 @@ def dividing_generators(beta, index, counter=None):
     ``x_u``-degree ``d`` (``IncrementalState.index``), so those at ``k`` are
     the members of bucket ``(k, beta_k)`` that lie below ``bump`` in every
     coordinate, ``bump`` being ``beta`` with coordinate ``k`` raised by one.
-    Each bucket is read through ``_bucket_window``, which charges its ops.
     The index files no generator with an INF coordinate, so a coordinate
-    ``beta_k = INF`` has no bucket and charges nothing.
+    ``beta_k = INF`` has no bucket, an empty list and no charge.
 
-    This is the reference reader of the lone matchers: ``lowering_limits``
-    reads the same windows and charges the same ops, and folds what it
-    finds without listing it.
+    Each bucket is sorted by its coordinate ``c`` (``bucket_coordinate``),
+    and the scan stops at the first member with ``m_c >= beta_c``.  Since
+    ``c != k``, a lone matcher at ``k`` has ``m_c < beta_c``, and so does
+    every member before it in the sorted bucket: none lies at or past the
+    stopping member.  ``bisect_left`` finds that member, unless the last
+    member already has ``m_c < beta_c`` and the whole bucket is read.  The
+    charge is one op per member read, the stopping member included, so
+    never more than the bucket holds.  In one variable there is no such
+    ``c`` (every member of a bucket shares its only coordinate) and the
+    whole bucket is read.  A singleton bucket, all that generic input has,
+    is read whole without the test on ``c``: it is one op either way, and a
+    member with ``m_c >= beta_c`` fails the ``bump`` test at ``c``.
+
+    A step probes only the components that arrive without lone-matcher
+    lists (``IncrementalState.lone``).
     """
-    lone, compared = [], 0
+    lists, compared = [], 0
     bump = list(beta)
     first = bucket_coordinate(0, len(beta))
     for k, b in enumerate(beta):
-        members, charge = _bucket_window(beta, k, index, 0 if k else first)
-        compared += charge
+        bucket = index.get((k, b))
+        if not bucket:
+            lists.append(())
+            continue
+        c = 0 if k else first
+        if len(bucket) > 1 and c != k and bucket[-1][c] >= beta[c]:
+            end = bisect_left(bucket, beta[c], key=_BY[c])
+            compared += end + 1
+            bucket = bucket[:end]
+        else:
+            compared += len(bucket)
         bump[k] = b + 1
-        for m in members:
-            if all(map(lt, m, bump)):
-                lone.append((k, m))
+        lists.append(tuple([m for m in bucket if all(map(lt, m, bump))]))
         bump[k] = b
     if counter is not None:
         counter.add(compared)
-    return lone
+    return tuple(lists)
 
 
-def lowering_limits(beta, index, counter=None):
+def dividing_generators(beta, index, counter=None):
+    """Lone matchers of ``beta`` as ``(k, m)`` pairs, ``k`` ascending: the
+    lists of ``lone_matchers`` flattened, charged as it charges."""
+    return [(k, m) for k, ms in enumerate(lone_matchers(beta, index, counter)) for m in ms]
+
+
+def lowering_limits(beta, lone, counter=None):
     """Per-variable blocking degrees for lowering component ``beta``.
 
-    The limit at ``u`` is the largest, over the other variables ``k``, of
-    the smallest ``x_u``-degree among the lone matchers of ``beta`` at
-    ``k`` (``dividing_generators``), -INF when there are none.  The copy
-    lowered to exponent ``a`` at ``u`` survives exactly when ``limit < a``.
+    ``lone`` holds ``beta``'s lone-matcher lists (``lone_matchers``): entry
+    ``k`` lists the generators that meet ``beta`` in ``x_k`` alone.  The
+    limit at ``u`` is the largest, over the other variables ``k``, of the
+    smallest ``x_u``-degree in list ``k``, -INF when there are none.  The
+    copy lowered to exponent ``a`` at ``u`` survives exactly when ``limit <
+    a``.
 
-    One pass reads the degree ``index`` itself: for each finite ``beta_k``
-    it reads ``_bucket_window``'s members of bucket ``(k, beta_k)``, takes
-    the coordinatewise ``min`` of those below ``bump`` as row ``k``, and
-    folds that row into the limits with one ``map(max, ...)``, coordinate
-    ``k`` put back as it was, since a variable's own row never limits it.
-    It lists no lone matcher and charges ``counter`` what the probe
-    charges, one op per member read.  An INF coordinate needs no lone
-    matcher and is skipped; no generator the index files has one.
+    One pass takes the coordinatewise minimum of each nonempty list as row
+    ``k`` and raises every limit but the one at ``k`` to the row's entry,
+    since a variable's own row never limits it.  ``counter`` is charged one
+    op per list member read.  An INF coordinate needs no lone matcher and
+    has none.
 
     Raises ``RuntimeError``, charging nothing, when a finite ``beta_k`` has
-    no lone matcher, which no component of the current ideal I allows.
-    Add x_i^N for every variable, N above every finite degree of ``beta``
-    and of I's minimal generators.  By the sum rule ``beta'``, ``beta`` with
+    an empty list, which no component of the current ideal I allows.  Add
+    x_i^N for every variable, N above every finite degree of ``beta`` and
+    of I's minimal generators.  By the sum rule ``beta'``, ``beta`` with
     INF set to N, is a component of the result: one above it would come
     from a component of I above ``beta``.  So some generator divides
     X^(beta' - 1 + e_k) but not X^(beta' - 1): its ``x_k``-degree is
     ``beta_k`` and every other degree is below ``beta'``.  No x_i^N does
-    that, so it is a finite minimal generator of I, which the index holds,
-    and a lone matcher at ``k``.
+    that, so it is a finite minimal generator of I, which was absorbed,
+    and a lone matcher at ``k``, which list ``k`` holds.
     """
     limits = [-INF] * len(beta)
-    bump = list(beta)
     compared = 0
-    first = bucket_coordinate(0, len(beta))
-    for k, b in enumerate(beta):
-        if b == INF:
+    for k, ms in enumerate(lone):
+        if not ms:
+            if beta[k] != INF:
+                raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher; "
+                                   "it cannot be a component of the current ideal")
             continue
-        members, charge = _bucket_window(beta, k, index, 0 if k else first)
-        compared += charge
-        bump[k] = b + 1
-        row = None
-        for m in members:
-            if all(map(lt, m, bump)):
-                row = m if row is None else tuple(map(min, row, m))
-        bump[k] = b
-        if row is None:
-            raise RuntimeError(f"a finite coordinate of {beta} has no lone matcher; "
-                               "it cannot be a component of the current ideal")
-        own = limits[k]
-        limits = list(map(max, limits, row))
-        limits[k] = own
+        compared += len(ms)
+        row = ms[0]
+        if len(ms) > 1:
+            row = list(row)
+            for m in ms[1:]:
+                for u, e in enumerate(m):
+                    if e < row[u]:
+                        row[u] = e
+        for u, e in enumerate(row):
+            if e > limits[u] and u != k:
+                limits[u] = e
     if counter is not None:
         counter.add(compared)
     return limits
@@ -231,14 +237,8 @@ def lowering_limits(beta, index, counter=None):
 class IncrementalState:
     """Single-owner state of one incremental run.
 
-    Holds the degree index ``{(u, degree): [generators]}`` of the generators
-    absorbed so far over their nonzero degrees, which only grows (see
-    ``add_generator``); a generator with an INF coordinate is not filed.
-    Each bucket is sorted by its ``bucket_coordinate``: the constructor and
-    every later step file a generator with ``_index``, which inserts it in
-    order.  It also holds the current components, which always equal the
-    decomposition of the ideal the absorbed generators span.  They are
-    split in two lists:
+    Holds the current components, which always equal the decomposition of
+    the ideal the absorbed generators span.  They are split in two lists:
 
     - ``active``, which the partition scans.
     - ``retired``, the components kept from a lowering at the last variable
@@ -248,6 +248,24 @@ class IncrementalState:
 
     ``components`` returns all current components, active then retired, as
     a new list; ``len(state)`` counts them without building it.
+
+    ``lone`` maps active components to their lone-matcher lists: an
+    ``n``-tuple whose entry ``k`` is the tuple of absorbed generators that
+    meet the component in ``x_k`` alone, which ``lone_matchers`` reads off
+    the index.  A component the constructor is given, or one a reactivation
+    brings back, has no entry until a step lowers it and probes it once;
+    retired components keep none.  The lists are immutable, and a copy's
+    entry is one new ``n``-tuple that shares its parent's lists wherever it
+    keeps them whole (see ``add_generator``).  On generic input each list at
+    a finite coordinate holds one generator, so ``lone`` holds O(n·l)
+    references, the paper's storage bound.
+
+    ``index`` is the degree index ``{(u, degree): [generators]}`` of the
+    generators absorbed so far over their nonzero degrees, which only grows;
+    a generator with an INF coordinate is not filed.  Each bucket is sorted
+    by its ``bucket_coordinate``: ``_file`` inserts a generator in order.
+    Generators are filed when ``index`` is next read, so a lex run, which
+    probes only its start component, files the pure powers alone.
 
     ``staircase`` is True while ``active`` is kept sorted by ``beta_0`` and
     the step bisects it to narrow the partition's window to the run above
@@ -262,10 +280,10 @@ class IncrementalState:
         self.n = n
         self.active = [tuple(c) for c in components]
         self.retired = []
-        self.index = {}
+        self.lone = {}
+        self._buckets = {}
+        self._unfiled = list(map(tuple, generators))
         self._keys = [_BY[bucket_coordinate(u, n)] for u in range(n)]
-        for m in map(tuple, generators):
-            self._index(m)
         self.counter = counter
 
     @property
@@ -275,7 +293,17 @@ class IncrementalState:
     def __len__(self):
         return len(self.active) + len(self.retired)
 
-    def _index(self, m):
+    @property
+    def index(self):
+        """The degree index ``{(u, degree): [generators]}``, every absorbed
+        generator filed."""
+        if self._unfiled:
+            for m in self._unfiled:
+                self._file(m)
+            self._unfiled = []
+        return self._buckets
+
+    def _file(self, m):
         """File ``m`` under each nonzero degree, in bucket order, after the
         members it ties with.  A probed component has no zero coordinate,
         so no probe reads a bucket ``(u, 0)``.  A vector with an INF
@@ -286,9 +314,9 @@ class IncrementalState:
             return
         for u, d in enumerate(m):
             if d:
-                bucket = self.index.get((u, d))
+                bucket = self._buckets.get((u, d))
                 if bucket is None:
-                    self.index[u, d] = [m]
+                    self._buckets[u, d] = [m]
                 else:
                     insort(bucket, m, key=self._keys[u])
 
@@ -313,43 +341,77 @@ class IncrementalState:
         ``ValueError``), absorbed in any order.  ``created`` (a list), when
         given, receives the kept candidates, the components the step adds.
         The components ``beta`` decompose the ideal I of the generators,
-        and X^alpha lies outside
-        the irreducible ideal of ``beta`` iff ``alpha_i < beta_i`` for every
-        ``i``.  So X^alpha is already in I iff no component lies strictly
-        above ``alpha``; the components are then left as they are, ``alpha``
-        is not indexed and ``[]`` is returned.  (An ``alpha`` with an INF
-        coordinate stands for zero, which lies in every ideal, and no
-        component lies above it.)
+        and X^alpha lies outside the irreducible ideal of ``beta`` iff
+        ``alpha_i < beta_i`` for every ``i``.  So X^alpha is already in I
+        iff no component lies strictly above ``alpha``; the components are
+        then left as they are, ``alpha`` is not absorbed and ``[]`` is
+        returned.  (An ``alpha`` with an INF coordinate stands for zero,
+        which lies in every ideal, and no component lies above it.)
 
-        Otherwise ``alpha`` is added to the degree index, and no generator
-        it divides is removed: the index holds elements of I, every finite
-        minimal generator among them.  Such a stale entry changes nothing.
-        A lone matcher of ``beta`` at ``k`` has ``x_k``-degree ``beta_k`` by
-        definition, so it lies in the bucket ``(k, beta_k)`` that
-        ``lowering_limits`` reads: the probe stays complete.  If a stale
-        entry ``e`` is a lone matcher of a component ``beta`` at ``k``, some
-        minimal generator ``g <= e``, finite as ``e`` is, is in the index,
-        and ``g``, an element of I, cannot lie strictly below ``beta``, so
-        ``g_k = beta_k`` and ``g`` is a lone matcher at ``k`` too.  So every
-        minimum that ``lowering_limits`` takes is unchanged.
+        Otherwise ``alpha`` is absorbed, and no generator it divides is
+        removed: the absorbed generators are elements of I, every finite
+        minimal generator among them.  Such a stale generator changes no
+        lowering.  If it is a lone matcher ``e`` of a component ``beta`` at
+        ``k``, some minimal generator ``g <= e``, finite as ``e`` is, is
+        absorbed, and ``g``, an element of I, cannot lie strictly below
+        ``beta``, so ``g_k = beta_k`` and ``g`` is a lone matcher at ``k``
+        too.  So every minimum that ``lowering_limits`` takes is unchanged.
 
-        Only the active components are partitioned.  Every retired
-        component was kept from a lowering at the last variable, so its
-        last coordinate is the ``alpha_n`` of the step that retired it.
-        Along ``retired`` these never fall: a reactivation empties the
-        list, and a step that retires without reactivating has ``alpha_n``
-        at least the last retired coordinate, which by induction is the
-        largest in the list, and appends only vectors with last coordinate
-        ``alpha_n``.  So ``retired[-1]`` holds the largest last coordinate,
-        and when ``alpha`` breaks lex order with ``alpha_n`` below it, every
-        retired component moves back into ``active`` first.  That
-        reactivation is the exactness guard for out-of-order callers, such
-        as the recursive engine's chain tails; ``decompose_incremental``
-        never triggers it.  After it every retired ``beta`` has ``beta_n <=
-        alpha_n`` and is not strictly above ``alpha``.  Therefore ``beta``
-        is untouched by the step, X^alpha is in I iff no *active* component
-        lies strictly above it, and ``lowering_limits``, which runs on
-        affected components only, never sees ``beta``.
+        The lists in ``lone`` hold exactly the lone matchers among the
+        absorbed generators, stale ones included, which is what the probe
+        reads off the index.  The step keeps them so:
+
+        - A copy lowered from ``beta`` at ``u`` has ``alpha_u < beta_u``
+          there.  At ``k != u`` its lone matchers are the generators with
+          ``m_k = beta_k``, ``m_u < alpha_u`` and ``m_j < beta_j``
+          elsewhere: the lone matchers of ``beta`` at ``k`` with ``m_u <
+          alpha_u``, which is the filter.  At ``u`` the list is ``(alpha,)``
+          alone: any other generator there would equal ``alpha_u < beta_u``
+          at ``u`` and lie below ``beta`` elsewhere, strictly below
+          ``beta``, and no element of I does.  So a kept copy needs no
+          probe.  A list the filter keeps whole is its parent's tuple.  A
+          copy is kept only when its limit is below ``alpha_u``, that is,
+          when every other list has a member below ``alpha_u`` at ``u``; a
+          list of one member, all that generic input has, is kept whole.
+        - ``alpha`` is a lone matcher of an untouched component ``beta`` at
+          ``k`` iff ``alpha <= beta`` with equality at ``k`` alone, and it
+          is added to that list.  Outside the staircase path the partition
+          is handed ``alpha - 1``, so its one pass returns the components
+          at or above ``alpha``: those equal to ``alpha`` nowhere are the
+          affected ones, and those equal to it at one ``k`` are met there.
+          On the staircase path only the window's two neighbours can be
+          met (see below).
+        - A component without lists, one the constructor was given or a
+          reactivation brought back, is probed once, by ``lone_matchers``
+          over the index, when a step lowers it.  A copy lowered at the
+          last variable retires without lists, and retired components are
+          never lowered before a reactivation.
+
+        ``lowering_limits`` charges one op per list member it reads, and a
+        probe charges what ``lone_matchers`` charges; the filter and the
+        added ``alpha`` are not charged.  On generic input every list read
+        holds one generator, which the probe found alone in its bucket, so
+        generic op counts are what a probe of every lowered component
+        charges.
+
+        Only the active components are partitioned.  Every retired component
+        was kept from a lowering at the last variable, so its last
+        coordinate is the ``alpha_n`` of the step that retired it.  Along
+        ``retired`` these never fall: a reactivation empties the list, and a
+        step that retires without reactivating has ``alpha_n`` at least the
+        last retired coordinate, which by induction is the largest in the
+        list, and appends only vectors with last coordinate ``alpha_n``.  So
+        ``retired[-1]`` holds the largest last coordinate, and when
+        ``alpha`` breaks lex order with ``alpha_n`` below it, every retired
+        component moves back into ``active`` first.  That reactivation is
+        the exactness guard for out-of-order callers, such as the recursive
+        engine's chain tails; ``decompose_incremental`` never triggers it.
+        After it every retired ``beta`` has ``beta_n <= alpha_n`` and is not
+        strictly above ``alpha``.  Therefore ``beta`` is untouched by the
+        step, X^alpha is in I iff no *active* component lies strictly above
+        it, and a retired component needs no lists: ``alpha`` may meet it in
+        one variable, but no step lowers it before it is reactivated, and
+        then it is probed.
 
         The lowered candidates that are kept are distinct from each other
         and from the untouched components, so no duplicate check is made.
@@ -361,8 +423,8 @@ class IncrementalState:
         strictly below the candidate's parent, against the antichain.  Nor
         does a kept candidate equal an affected component, which lies
         strictly above ``alpha`` at ``u``.  So the affected components,
-        probed and returned in the partition's order, are exactly the ones
-        the step removes.
+        lowered and returned in the partition's order, are exactly the
+        ones the step removes.
 
         The partition reads one window, ``active[start:end]``, and charges
         one op per member; every active component outside it is untouched.
@@ -371,16 +433,23 @@ class IncrementalState:
         ``start`` before any reactivation).  There every active component
         has the last coordinate ``B``, the pure-power degree, and ``active``
         is sorted by ``beta_0`` with ``beta_1`` strictly falling (module
-        docstring).
-        A component strictly above ``alpha`` has ``beta_0 > alpha_0`` and
-        ``beta_1 > alpha_1``.  The first holds exactly on the suffix from
-        ``start``, the first index with ``beta_0 > alpha_0``, found by
-        bisection; the second, on that suffix, exactly on a prefix ending
-        before ``end``, the first member with ``beta_1 <= alpha_1``.  The
-        step charges ``len(active).bit_length()`` ops for the bisection's
-        probes and one for the stopping member, when there is one.  The
-        window's members differ from ``alpha`` in ``x_2`` alone, so either
-        all are affected (``B > alpha_2``) or none is and the step ends.
+        docstring).  A component strictly above ``alpha`` has ``beta_0 >
+        alpha_0`` and ``beta_1 > alpha_1``.  The first holds exactly on the
+        suffix from ``start``, the first index with ``beta_0 > alpha_0``,
+        found by bisection; the second, on that suffix, exactly on a prefix
+        ending before ``end``, the first member with ``beta_1 <= alpha_1``.
+        The step charges ``len(active).bit_length()`` ops for the
+        bisection's probes and one for the stopping member, when there is
+        one.  The window's members differ from ``alpha`` in ``x_2`` alone,
+        so either all are affected (``B > alpha_2``) or none is and the step
+        ends.  When they are, a member that ``alpha`` meets in one variable
+        has ``beta_0 >= alpha_0``, ``beta_1 >= alpha_1`` and one of them
+        equal.  Before ``start`` only ``active[start - 1]`` can have
+        ``beta_0 = alpha_0``, as ``beta_0`` strictly rises, and its
+        ``beta_1`` lies above the window's; from ``end`` on only
+        ``active[end]`` can have ``beta_1 = alpha_1``, as ``beta_1``
+        strictly falls, and its ``beta_0`` lies above ``alpha_0``.  So these
+        two are tested, in ``x_0`` and ``x_1``, and nothing else.
 
         The step ends with one update: the window becomes its untouched
         members followed by the kept copies not lowered at the last
@@ -403,33 +472,78 @@ class IncrementalState:
             self.active.extend(self.retired)
             self.retired = []
             self.staircase = False
-        active = window = self.active
+        active = self.active
+        met = []  # (beta, k): untouched components alpha meets in x_k alone
         if self.staircase:
             start = end = bisect_right(active, alpha[0], key=_BY[0])
             while end < len(active) and active[end][1] > alpha[1]:
                 end += 1
             if self.counter is not None:
                 self.counter.add(len(active).bit_length() + (end < len(active)))
-            window = active[start:end]
-        untouched, affected = partition_components(window, alpha, self.counter)
-        if not affected:
-            return []
+            untouched, affected = partition_components(active[start:end], alpha, self.counter)
+            if not affected:
+                return []
+            if start and active[start - 1][0] == alpha[0]:
+                met.append((active[start - 1], 0))
+            if end < len(active) and active[end][1] == alpha[1]:
+                met.append((active[end], 1))
+        else:
+            # the components at or above alpha, those strictly above alpha - 1
+            below = tuple([a - 1 for a in alpha])
+            untouched, above = partition_components(active, below, self.counter)
+            affected = []
+            for beta in above:
+                if all(map(gt, beta, alpha)):
+                    affected.append(beta)
+                    continue
+                untouched.append(beta)
+                ties = list(map(eq, beta, alpha))
+                if ties.count(True) == 1:
+                    met.append((beta, ties.index(True)))
+            if not affected:
+                return []
+        lone = self.lone
+        for beta, k in met:
+            lists = lone.get(beta)
+            if lists is not None:
+                lone[beta] = lists[:k] + (lists[k] + (alpha,),) + lists[k + 1:]
 
         last = self.n - 1
+        own = (alpha,)
         lowered, retiring = [], []
         for beta in affected:
-            limits = lowering_limits(beta, self.index, self.counter)
+            lists = lone.pop(beta, None)
+            if lists is None:
+                lists = lone_matchers(beta, self.index, self.counter)
+                limits = lowering_limits(beta, lists)
+            else:
+                limits = lowering_limits(beta, lists, self.counter)
+            crowded = None  # a kept copy's filter leaves one-member lists whole
             for u, a in enumerate(alpha):
-                if a >= 1 and limits[u] < a:
-                    kept = beta[:u] + (a,) + beta[u + 1:]
-                    (retiring if u == last else lowered).append(kept)
+                if a < 1 or limits[u] >= a:
+                    continue
+                kept = beta[:u] + (a,) + beta[u + 1:]
+                if u == last:
+                    retiring.append(kept)
+                    continue
+                lowered.append(kept)
+                inherited = list(lists)
+                inherited[u] = own
+                if crowded is None:
+                    crowded = [k for k, ms in enumerate(lists) if len(ms) > 1]
+                for k in crowded:
+                    if k != u:
+                        ms = tuple(m for m in lists[k] if m[u] < a)
+                        if len(ms) < len(lists[k]):
+                            inherited[k] = ms
+                lone[kept] = tuple(inherited)
         lowered.sort(key=_BY[0])
         untouched += lowered
         if self.staircase:
             active[start:end] = untouched
         else:
             self.active = untouched
-        self._index(alpha)
+        self._unfiled.append(alpha)
         self.retired.extend(retiring)
         if created is not None:
             created += lowered
@@ -445,23 +559,25 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
     component count before any step and after each one.
 
     ``trace`` (a list) receives one external-form record per step that
-    removed components, built here by observing the step: its ``alpha``,
-    the component count before it, and the removed components ``beta`` in
-    lex order, each with one lowering per variable ``u`` (reported 1-based).
-    A lowering's candidate is ``beta`` with coordinate ``u`` set to
-    ``alpha_u``, its limit ``d`` is read again with
-    ``lowering_limits(beta, state.index)``, uncharged, and it is kept by the
-    step's own test, ``alpha_u >= 1`` and ``d`` below ``alpha_u``.  ``d`` is
-    -INF when ``beta`` has no lone matcher at any other variable, which
-    happens exactly when its other coordinates are all INF.  The step indexed
-    ``alpha``, which lies strictly below ``beta`` and so matches it in no
-    variable: the limits read are the step's own.  Lowerings are listed at
-    the closure's used variables only (at an unused one ``alpha_u = 0``);
-    ``u`` and ``alpha``, which is zero off them, are mapped back to the
-    original variables, and a step's components and candidates in one call
-    of ``deartinianize``'s column map, ``_mapped_back``.  The record's work
-    is one pass of ``lowering_limits`` per removed component, never a full
-    pass over the components.
+    removed components, built here by observing the step: its ``alpha``, the
+    component count before it, and the removed components ``beta`` in lex
+    order, each with one lowering per variable ``u`` (reported 1-based).  A
+    lowering's candidate is ``beta`` with coordinate ``u`` set to
+    ``alpha_u``, its limit ``d`` is read again, uncharged, by
+    ``lowering_limits`` over ``lone_matchers(beta, state.index)``, and it is
+    kept by the step's own test, ``alpha_u >= 1`` and ``d`` below
+    ``alpha_u``.  ``d`` is -INF when ``beta`` has no lone matcher at any
+    other variable, which happens exactly when its other coordinates are all
+    INF.  The step absorbed ``alpha``, which lies strictly below ``beta``
+    and so matches it in no variable: the limits read are the step's own.
+    Lowerings are listed at the closure's used variables only (at an unused
+    one ``alpha_u = 0``); ``u`` and ``alpha``, which is zero off them, are
+    mapped back to the original variables, and a step's components and
+    candidates in one call of ``deartinianize``'s column map,
+    ``_mapped_back``.  The record's work is one probe and one pass of
+    ``lowering_limits`` per removed component, never a full pass over the
+    components; the probes file every absorbed generator in the index, which
+    an untraced lex run leaves unbuilt.
     """
     if g.is_unit():
         if t_sizes is not None:
@@ -489,7 +605,7 @@ def decompose_incremental(g, *, counter=None, trace=None, t_sizes=None):
             rows += [beta[:u] + (a,) + beta[u + 1:] for u, a in enumerate(alpha)]
         back = _mapped_back(rows, art)
         for beta in betas:
-            limits = lowering_limits(beta, state.index)
+            limits = lowering_limits(beta, lone_matchers(beta, state.index))
             original = next(back)
             for i, a, limit in zip(art.used, alpha, limits):
                 out["kept" if a >= 1 and limit < a else "rejected"].append(

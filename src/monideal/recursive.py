@@ -130,24 +130,26 @@ def decompose_trie(t, counter=None):
     it and ``D`` make the tail: link ``k`` is link ``k - 1`` plus X^v for
     each ``v`` of ``tk``.  A thin trie (``is_thin``: fewer than two vectors
     per slice, ``D``'s included) has ``K = 0``.  Any other has ``K`` the
-    last slice before ``D`` holding more than one vector, or 0, so its
-    tail slices hold one vector each.  Link ``K``'s components and vectors
-    seed an ``IncrementalState`` that absorbs each ``v`` with
-    ``add_generator``, which returns the components the step removes.  For
-    a one-vector slice that is exactly Irr(link ``k - 1``) minus Irr(link
-    ``k``), emitted with ``d``.  A multi-vector slice is absorbed one
-    vector at a time, and a step may remove a component that an earlier
-    step of the same slice created, which is in neither link.  No removed
-    component comes back: it was removed because its irreducible ideal
-    misses X^v, which every later ideal holds.  So the components removed
-    within the slice and not created within it, which the steps' ``created``
-    lists collect, are exactly Irr(link ``k - 1``) minus Irr(link ``k``),
-    and only they are emitted with ``d``; one op is charged per removed
-    component looked up among the created ones.  The tail needs no merge
-    and no ``difference``, and its components after the last slice are
-    the ones emitted with ``D``.  Tail vectors come in the order of the
-    last variable, not in lex order, so the state's reactivation branch is
-    in use here.  The choice reads only the sizes of the trie's slices.
+    last slice before ``D`` holding more than one vector, or 0, so its tail
+    slices hold one vector each.  Link ``K``'s components and vectors seed
+    an ``IncrementalState`` that absorbs each ``v`` with ``add_generator``,
+    which returns the components the step removes; a seeded component is
+    probed for its lone matchers once, when a step first lowers it, and its
+    lowered copies inherit them.  For a one-vector slice that is exactly
+    Irr(link ``k - 1``) minus Irr(link ``k``), emitted with ``d``.  A
+    multi-vector slice is absorbed one vector at a time, and a step may
+    remove a component that an earlier step of the same slice created,
+    which is in neither link.  No removed component comes back: it was
+    removed because its irreducible ideal misses X^v, which every later
+    ideal holds.  So the components removed within the slice and not
+    created within it, which the steps' ``created`` lists collect, are
+    exactly Irr(link ``k - 1``) minus Irr(link ``k``), and only they are
+    emitted with ``d``; one op is charged per removed component looked up
+    among the created ones.  The tail needs no merge and no ``difference``,
+    and its components after the last slice are the ones emitted with
+    ``D``.  Tail vectors come in the order of the last variable, not in lex
+    order, so the state's reactivation branch is in use here.  The choice
+    reads only the sizes of the trie's slices.
 
     INF on the tail: a minimal Artinian trie holds INF only in pure powers.
     A vector outside slice 0 with INF at coordinate ``i`` would be divided
@@ -157,9 +159,9 @@ def decompose_trie(t, counter=None):
     the state's degree index does not file.  That changes no lowering: such
     a power of ``x_i`` could meet a component in ``x_i`` alone only where
     the component has INF at ``i``, and it is never a lone matcher there
-    (``INF + 1`` is INF).  ``lowering_limits`` reads no bucket for that INF
-    coordinate, which needs no lone matcher, so its internal-error guard
-    stays quiet.
+    (``INF + 1`` is INF).  The probe of a seeded component reads no bucket
+    for that INF coordinate, which needs no lone matcher, so its list is
+    empty and the internal-error guard of ``lowering_limits`` stays quiet.
 
     The output has no duplicates.  Every vector emitted at the step to
     degree ``d`` ends in ``d``, and the degrees strictly rise along the

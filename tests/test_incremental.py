@@ -21,7 +21,7 @@ from monideal.bench import INCREMENTAL_ENVELOPE, degree_shell
 from monideal.cli import cli_main
 from monideal.core import unit_vector
 from monideal.files import emit_ideal
-from monideal.incremental import (IncrementalState, dividing_generators,
+from monideal.incremental import (IncrementalState, dividing_generators, lone_matchers,
                                   lowering_limits, partition_components)
 from monideal.recursive import decompose_trie
 from monideal.trie import build
@@ -46,7 +46,7 @@ def power_ideal(n, d):
         n, [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d])
 
 
-def keep_every_lowering(beta, index, counter=None):
+def keep_every_lowering(beta, lone, counter=None):
     """A broken ``lowering_limits`` under which no lowered copy is blocked."""
     return [-INF] * len(beta)
 
@@ -172,15 +172,16 @@ class TestMatchVariables:
 
 
 class TestLoweringLimits:
-    """``lowering_limits`` reads the degree index itself, one bucket window
-    per finite coordinate, and charges what the probe charges."""
+    """``lowering_limits`` folds the lone-matcher lists of a component, here
+    read off the index of ``gens`` by ``lone_matchers``, and charges one op
+    per list member."""
 
     @staticmethod
     def limits(beta, gens):
-        """``(limits, ops)`` of ``beta`` over the index of ``gens``."""
+        """``(limits, ops)`` of ``beta`` over the lone matchers among ``gens``."""
         counter = OpCounter()
         index = IncrementalState(len(beta), [], gens).index
-        return lowering_limits(beta, index, counter), counter.ops
+        return lowering_limits(beta, lone_matchers(beta, index), counter), counter.ops
 
     def test_two_pure_powers(self):
         assert self.limits((4, 4, INF), INF_FLAVOR_START["generators"]) == ([0, 0, 0], 2)
@@ -196,12 +197,14 @@ class TestLoweringLimits:
 
     def test_no_finite_lone_matcher(self):
         # the zero ideal with every pure power INF: its lone component has no
-        # finite coordinate, no bucket is read and nothing blocks
+        # finite coordinate, every list is empty and nothing blocks
         state = IncrementalState(3, [(INF, INF, INF)],
                                  [(INF, 0, 0), (0, INF, 0), (0, 0, INF)])
         assert state.index == {}
         counter = OpCounter()
-        assert lowering_limits((INF, INF, INF), state.index, counter) == [-INF] * 3
+        lone = lone_matchers((INF, INF, INF), state.index)
+        assert lone == ((), (), ())
+        assert lowering_limits((INF, INF, INF), lone, counter) == [-INF] * 3
         assert counter.ops == 0
 
     def test_all_multimatch_is_internal_error(self):
@@ -211,7 +214,7 @@ class TestLoweringLimits:
         for beta, gens in (((1, 1), [(1, 1)]), ((2, 3), [(2, 1)])):
             index = IncrementalState(2, [], gens).index
             with pytest.raises(RuntimeError, match="no lone matcher"):
-                lowering_limits(beta, index)
+                lowering_limits(beta, lone_matchers(beta, index))
 
     def test_repeated_matchers_take_the_coordinatewise_min(self):
         # two lone matchers at x: row 0 is their coordinatewise min (3, 1, 1),
@@ -308,10 +311,10 @@ def check_probe(beta, state, generators):
     """The probe returns exactly the brute-force lone matchers among
     ``generators``, those indexed by ``state``, with their variables,
     charges the members a scan reads up to its stop, never more than the
-    probed buckets hold, and the limits that ``lowering_limits`` reads off
-    the index agree with the reference and with the two-pass fold of the
-    probe's pairs; when it does not raise, it charges what the probe
-    charges."""
+    probed buckets hold.  ``lone_matchers`` holds the same pairs by
+    variable, and the limits that ``lowering_limits`` folds from those
+    lists agree with the reference and with the two-pass fold of the pairs;
+    when it does not raise, it charges one op per pair."""
     lone, charged = outcome(dividing_generators, beta, state.index)
     assert sorted(lone) == sorted(brute_lone_matchers(beta, generators))
     assert charged == ref_probe_charge(beta, generators)
@@ -323,10 +326,12 @@ def check_probe(beta, state, generators):
             limits.append(fn(beta, lone))
         except RuntimeError:
             limits.append("RuntimeError")
-    fused, fused_charge = outcome(lowering_limits, beta, state.index)
+    lists = lone_matchers(beta, state.index)
+    assert lists == tuple(tuple(m for j, m in lone if j == k) for k in range(state.n))
+    fused, fused_charge = outcome(lowering_limits, beta, lists)
     assert limits[0] == limits[1] == fused
     if fused != "RuntimeError":
-        assert fused_charge == charged
+        assert fused_charge == len(lone)
     return fused
 
 
@@ -395,15 +400,30 @@ class TestProbeReference:
             check_probe(beta, IncrementalState(n, [], gens), gens)
 
 
+def assert_lists_match(state):
+    """Every active component that holds lone-matcher lists holds, per
+    variable as a set, exactly what ``dividing_generators`` reads off the
+    index, and no other component holds any."""
+    assert set(state.lone) <= set(state.active)
+    for beta, lists in state.lone.items():
+        pairs = dividing_generators(beta, state.index)
+        assert [set(ms) for ms in lists] == [{m for j, m in pairs if j == k}
+                                             for k in range(state.n)]
+
+
 def spy_kernel(monkeypatch):
-    """Check every affected component of every step against the reference.
+    """Check every affected component and every list of every step against
+    the reference.
 
     Rebinds ``IncrementalState.add_generator`` so that, before each step,
     each active component strictly above ``alpha`` (after any reactivation)
-    gets ``lowering_limits(beta, index, c1)`` compared with ``fold_limits``
-    of ``dividing_generators(beta, index, c2)``, and ``c1.ops`` with
-    ``c2.ops``.  Returns a list that receives, per step checked, the number
-    of components compared and whether the step reactivated."""
+    gets ``lowering_limits`` of its lists (``state.lone``, else
+    ``lone_matchers`` of the index) charged to ``c1`` and compared with
+    ``fold_limits`` of ``dividing_generators(beta, index, c2)``, and
+    ``c1.ops`` with the number of pairs; after each step the lists go
+    through ``assert_lists_match``.  Returns a list that receives, per step
+    checked, the number of components compared and whether the step
+    reactivated."""
     add = IncrementalState.add_generator
     seen = []
 
@@ -414,32 +434,39 @@ def spy_kernel(monkeypatch):
         compared = 0
         for beta in comps:
             if strictly_below(alpha, beta):
-                c1, c2 = OpCounter(), OpCounter()
-                fused = lowering_limits(beta, state.index, c1)
-                assert fused == fold_limits(beta, dividing_generators(beta, state.index, c2))
-                assert c1.ops == c2.ops
+                c1 = OpCounter()
+                lists = state.lone.get(beta) or lone_matchers(beta, state.index)
+                pairs = dividing_generators(beta, state.index)
+                assert lowering_limits(beta, lists, c1) == fold_limits(beta, pairs)
+                assert c1.ops == len(pairs)
                 compared += 1
         seen.append((compared, reactivates))
-        return add(state, alpha, created)
+        out = add(state, alpha, created)
+        assert_lists_match(state)
+        return out
 
     monkeypatch.setattr(IncrementalState, "add_generator", checked)
     return seen
 
 
 class TestFusedKernel:
-    """``lowering_limits`` reads the index in one pass; on every affected
-    component of seeded runs it equals the two-pass fold of the probe's
-    pairs (``conftest.fold_limits``) and charges the probe's ops."""
+    """``lowering_limits`` folds a component's lone-matcher lists in one
+    pass; on every affected component of seeded runs it equals the
+    two-pass fold of the probe's pairs (``conftest.fold_limits``) and
+    charges one op per pair, and after every step each active component's
+    lists are what the probe reads (``assert_lists_match``)."""
 
     def test_lex_runs(self, monkeypatch):
-        # generic ladders, m^d, shell subsets, and closures with injected
-        # x_k^INF powers, so components with INF coordinates are lowered
+        # generic ladders, m^d, shell subsets, near-shell ideals, and
+        # closures with injected x_k^INF powers, so components with INF
+        # coordinates are lowered
         seen = spy_kernel(monkeypatch)
         rng = random.Random(83)
         ideals = [gen_random(n, p, 2 * p, seed, generic=True)
                   for n, p in ((3, 60), (4, 40), (5, 25)) for seed in (1, 2)]
         ideals += [power_ideal(n, d) for n, d in ((3, 8), (4, 6), (5, 4))]
         ideals += list(shell_ideals(rng, 24))
+        ideals += [near_shell(4, 60, 1), near_shell(5, 40, 2)]
         ideals += [random_ideal(rng, n_choices=(2, 3, 4, 5), max_p=10) for _ in range(60)]
         injected = 0
         for g in ideals:
@@ -490,6 +517,88 @@ class TestFusedKernel:
             after = after or reactivates
             lowered_after += compared if after else 0
         assert lowered_after > 100
+
+
+class TestLoneMatcherLists:
+    """Each active component carries its lone-matcher lists: a lowered copy
+    inherits its parent's, and a step adds ``alpha`` to the lists of the
+    untouched components it meets in one variable alone."""
+
+    def test_generic_lists_hold_one_generator(self):
+        # the paper's storage bound: one generator per finite coordinate.
+        # A generic ladder has no pure powers, so its closure injects
+        # x_k^INF, whose coordinates hold none; with powers above every
+        # degree added the closure is finite
+        injected = 0
+        for n, p in ((3, 120), (4, 50), (5, 25)):
+            g = gen_random(n, p, 2 * p, 1, generic=True)
+            powered = GeneratorSet.from_vectors(
+                n, list(g.gens) + [unit_vector(n, i, 2 * p + 1) for i in range(n)])
+            for g in (g, powered):
+                injected += INF in g.closure.pure_degrees()
+                state = IncrementalState.start(g.closure)
+                for alpha in g.closure.alphas():
+                    state.add_generator(alpha)
+                    for beta, lists in state.lone.items():
+                        assert list(map(len, lists)) == [int(b != INF) for b in beta]
+        assert injected == 3
+
+    def test_generic_copies_share_their_parents_lists(self):
+        # on generic input the filter keeps every inherited list whole: a
+        # copy lowered at u holds (alpha,) there and its parent's list, the
+        # same tuple, at every other variable; a copy lowered at the last
+        # variable retires and holds none
+        shared = 0
+        for n, p in ((3, 60), (4, 30), (5, 15)):
+            art = gen_random(n, p, 2 * p, 5, generic=True).closure
+            state = IncrementalState.start(art)
+            for alpha in art.alphas():
+                parents = dict(state.lone)
+                created = []
+                for beta in state.add_generator(alpha, created):
+                    for u in range(n):
+                        copy = beta[:u] + (alpha[u],) + beta[u + 1:]
+                        if copy not in created:
+                            continue
+                        if u == n - 1:
+                            assert copy not in state.lone
+                            continue
+                        lists = state.lone[copy]
+                        assert lists[u] == (alpha,)
+                        if beta in parents:  # else the parent was probed
+                            assert all(lists[k] is parents[beta][k]
+                                       for k in range(n) if k != u)
+                            shared += 1
+        assert shared > 200
+
+    def test_lex_runs_probe_the_index_once(self, monkeypatch):
+        # only the start component arrives without lists; every later
+        # component of a lex run inherits them, so one probe reads the index
+        probes = []
+        probe = incremental.lone_matchers
+
+        def spy(beta, index, counter=None):
+            probes.append(beta)
+            return probe(beta, index, counter)
+
+        monkeypatch.setattr(incremental, "lone_matchers", spy)
+        for g in (power_ideal(4, 6), gen_random(5, 30, 60, 1, generic=True),
+                  near_shell(4, 60, 1)):
+            probes.clear()
+            decompose_incremental(g)
+            assert probes == [g.closure.pure_degrees()]
+
+    def test_empty_list_at_a_finite_coordinate_raises(self):
+        # a component whose list at a finite coordinate is empty cannot be
+        # a component of the current ideal: lowering it is an internal error
+        with pytest.raises(RuntimeError, match="no lone matcher"):
+            lowering_limits((2, 3), (((2, 1),), ()))
+        state = IncrementalState.start(artinianize(showcase()))
+        state.add_generator((3, 2, 2))
+        beta = (3, 4, INF)
+        state.lone[beta] = ((), *state.lone[beta][1:])
+        with pytest.raises(RuntimeError, match="no lone matcher"):
+            state.add_generator((1, 3, 2))
 
 
 def shell_ideals(rng, count):
@@ -775,7 +884,7 @@ class TestAddGenerator:
             "from monideal import INF, artinianize, incremental\n"
             "from monideal.incremental import IncrementalState\n"
             "from conftest import checked_step, showcase\n"
-            "incremental.lowering_limits = lambda beta, index, counter=None: "
+            "incremental.lowering_limits = lambda beta, lone, counter=None: "
             "[-INF] * len(beta)\n"
             "art = artinianize(showcase())\n"
             "state = IncrementalState.start(art)\n"
@@ -931,9 +1040,11 @@ class TestStaircase:
         # in reverse lex order an early alpha reactivates; in lex order none
         # does.  The partition always gets the state's counter and a window
         # of the active list: before any reactivation the run above alpha in
-        # x_0 and x_1, from the first one on the whole list, and every step
-        # from then on charges what it charges a three-variable state built
-        # directly, which never takes the path
+        # x_0 and x_1, split against alpha, from the first one on the whole
+        # list, split against alpha - 1 so that the components at or above
+        # alpha, those it meets in one variable among them, come out of the
+        # same pass.  Every step from then on charges what it charges a
+        # three-variable state built directly, which never takes the path
         def step(state, alpha):
             before = state.counter.ops
             checked_step(state, alpha)
@@ -951,7 +1062,7 @@ class TestStaircase:
         partition = incremental.partition_components
 
         def spy(comps, alpha, counter=None):
-            calls.append((list(comps), counter is state.counter))
+            calls.append((list(comps), alpha, counter is state.counter))
             return partition(comps, alpha, counter)
 
         monkeypatch.setattr(incremental, "partition_components", spy)
@@ -966,9 +1077,10 @@ class TestStaircase:
                     scanning |= reactivates
                     active = state.active + (state.retired if reactivates else [])
                     run = [b for b in active if b[0] > alpha[0] and b[1] > alpha[1]]
+                    below = tuple(a - 1 for a in alpha)
                     calls.clear()
                     got = step(state, alpha)
-                    assert calls == [(active if scanning else run, True)]
+                    assert calls == [(active, below, True) if scanning else (run, alpha, True)]
                     assert state.staircase == (not scanning)
                     if scanning:
                         assert got == charges[i]
@@ -1113,7 +1225,7 @@ class TestDecompose:
                                   (3, 1, 2, 2), (2, 2, 2, 2), (1, 3, 2, 2)}
 
     # the ids name the instance alone, so that moving a pin keeps the name
-    @pytest.mark.parametrize("n, d, ops", [(4, 12, 34843), (3, 20, 2606), (5, 6, 15456)],
+    @pytest.mark.parametrize("n, d, ops", [(4, 12, 21681), (3, 20, 2228), (5, 6, 7268)],
                              ids=["4-12", "3-20", "5-6"])
     def test_power_ideal_ops_pinned(self, n, d, ops):
         """The many-divisor path: m^d charges exactly these ops and has the

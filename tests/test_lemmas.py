@@ -13,7 +13,7 @@ import numpy as np
 
 from monideal import GeneratorSet, decompose_oracle
 from monideal.core import replace_coord
-from monideal.incremental import IncrementalState, lowering_limits
+from monideal.incremental import IncrementalState, lone_matchers, lowering_limits
 from monideal.oracle import maximal_points
 from conftest import (increment, match_variables, plain_closure, random_ideal,
                       slice_chain, staircase, strictly_below)
@@ -146,7 +146,7 @@ def test_lowering_criterion_matches_oracle():
             target = set(decompose_oracle(extended).comps)
             # the extended ideal is Artinian, so its components stay finite
             for beta in affected:
-                limits = lowering_limits(beta, state.index)
+                limits = lowering_limits(beta, lone_matchers(beta, state.index))
                 for u in range(state.n):
                     cand = replace_coord(beta, u, alpha[u])
                     kept = alpha[u] >= 1 and limits[u] < alpha[u]
